@@ -143,6 +143,7 @@ def cmd_solve(args) -> int:
         "ub_samples": last.ub_samples,
         "sampler": last.sampler,
         "cut_count": len(policy.cuts),
+        "duplicate_cuts": policy.cuts.duplicates,
         "lambda": measure.lam,
         "alpha": measure.alpha,
         "seed": config.seed,
@@ -152,7 +153,8 @@ def cmd_solve(args) -> int:
                          json.dumps(summary, indent=2) + "\n")
     print(f"trained {len(log)} iteration(s); "
           f"lower bound {last.lower_bound:.6f}; "
-          f"{len(policy.cuts)} cuts -> {outdir}")
+          f"{len(policy.cuts)} cuts ({policy.cuts.duplicates} duplicates "
+          f"dropped) -> {outdir}")
     return 0
 
 

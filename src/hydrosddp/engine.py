@@ -4,7 +4,8 @@ passes, bound tracking, and exact policy evaluation.
 Each iteration runs a batch of forward paths (uniform or risk-adjusted
 sampling), logs the deterministic lower bound and the statistical upper
 bound estimate, checks the stopping rule, and then sweeps backward
-appending one cut per (path, stage, opening) to the pool. Cuts created
+appending one distinct cut per (path, stage, opening) to the pool: a cut
+whose stage-LP row the pool already holds is dropped. Cuts created
 while processing stage t+1 are visible to the stage-t solves of the
 same sweep, matching the backward order of the recursion.
 
@@ -52,11 +53,16 @@ class EmptyBatch(ValueError):
 
 @dataclass(frozen=True)
 class Cut:
-    """Affine minorant q + gradient . (x - anchor) of one cost-to-go."""
+    """Affine minorant q + gradient . (x - anchor) of one cost-to-go.
+
+    ``offset`` = q - gradient . anchor is the right-hand side of the cut's
+    stage-LP row ``beta - gradient . x >= offset``.
+    """
 
     gradient: np.ndarray
     anchor: np.ndarray
     intercept: float
+    offset: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gradient",
@@ -69,27 +75,45 @@ class Cut:
                 and np.all(np.isfinite(self.anchor))
                 and np.isfinite(self.intercept)):
             raise ValueError("cut coefficients must be finite")
+        object.__setattr__(self, "offset",
+                           float(self.intercept - self.gradient @ self.anchor))
 
     def value_at(self, x: np.ndarray) -> float:
         return float(self.intercept + self.gradient @ (x - self.anchor))
 
 
 class CutPool:
-    """Cut lists indexed by (stage t in 1..T-1, opening l in 0..L-1)."""
+    """Cut lists indexed by (stage t in 1..T-1, opening l in 0..L-1).
+
+    Each list holds distinct stage-LP rows: ``duplicates`` counts the
+    cuts that ``append`` dropped because their row was already there.
+    """
 
     def __init__(self, num_stages: int, num_openings: int, state_dim: int):
         self.num_stages = num_stages
         self.num_openings = num_openings
         self.state_dim = state_dim
+        self.duplicates = 0
         self._cuts = {(t, l): []
                       for t in range(1, num_stages)
                       for l in range(num_openings)}
+        self._rows = {key: set() for key in self._cuts}
 
-    def append(self, t: int, l: int, cut: Cut) -> None:
+    def append(self, t: int, l: int, cut: Cut) -> bool:
+        """Add ``cut`` unless its row (gradient bytes and offset, compared
+        exactly) is already in the (t, l) list; returns whether it was
+        added."""
         if cut.gradient.shape != (self.state_dim,):
             raise ValueError(
                 f"cut dimension {cut.gradient.shape} != ({self.state_dim},)")
+        rows = self._rows[(t, l)]
+        row = (cut.gradient.tobytes(), cut.offset)
+        if row in rows:
+            self.duplicates += 1
+            return False
+        rows.add(row)
         self._cuts[(t, l)].append(cut)
+        return True
 
     def cuts_at(self, t: int, l: int):
         return self._cuts[(t, l)]
@@ -219,11 +243,12 @@ def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
 
 def backward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
                   paths, measure: RiskMeasure) -> int:
-    """Sweep stages T..2 adding one cut per (path, opening); returns count.
+    """Sweep stages T..2 adding one distinct cut per (path, opening);
+    returns the number of cuts the pool kept.
 
     Within one stage level the pool is fixed, so solves for repeated
-    (state, opening) pairs are cached; the appended cuts are identical
-    either way.
+    (state, opening) pairs are cached; the pool would drop their
+    repeated cuts either way.
     """
     T, L = lattice.num_stages, lattice.num_openings
     added = 0
@@ -240,8 +265,7 @@ def backward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
                                       stage_cuts, measure, T, L)
                     hit = Cut(sol.state_dual, state.flatten(), sol.objective)
                     cache[(key, l)] = hit
-                cuts.append(t - 1, l, hit)
-                added += 1
+                added += cuts.append(t - 1, l, hit)
     return added
 
 

@@ -216,8 +216,10 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     """Stage-t subproblem as a LinearProgram.
 
     ``cuts`` holds one cut list per opening of stage t+1 (ignored at the
-    terminal stage). Row tags: ("copy_stor", h) / ("copy_lag", h, k) pin
-    the incoming state, everything else is physics or CVaR structure.
+    terminal stage); a cut contributes the row
+    ``beta_l - cut.gradient . x_out >= cut.offset``. Row tags:
+    ("copy_stor", h) / ("copy_lag", h, k) pin the incoming state,
+    everything else is physics or CVaR structure.
     """
     if not 1 <= t <= num_stages:
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
@@ -335,8 +337,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                 terms = [(beta[l], 1.0)]
                 terms += [(col, -grad[c]) for c, col in enumerate(state_cols)
                           if grad[c] != 0.0]
-                rhs = float(cut.intercept - grad @ cut.anchor)
-                bld.add_row(terms, GREATER, rhs, label=("cut", l, i))
+                bld.add_row(terms, GREATER, cut.offset, label=("cut", l, i))
 
     return bld.build()
 

@@ -7,6 +7,13 @@ equality form ``A x + I s = b``, with a dense explicit basis inverse,
 periodic refactorization, and a Bland's-rule fallback that engages after
 a stall of degenerate pivots.
 
+Phase 1 starts from the slack basis. Each equality row that the
+starting point violates gets its own artificial column; all violated
+inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
+in the most violated of them, so a program with many violated cut rows
+pays for one artificial instead of one per row. Each solution reports
+its simplex iterations per phase (bound flips included).
+
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
 right-hand side (Lagrangian ``objective + sum_i y_i * (rhs_i - row_i)``).
@@ -131,6 +138,8 @@ class LPSolution:
     duals: np.ndarray
     var_index: dict = field(repr=False, default_factory=dict)
     row_index: dict = field(repr=False, default_factory=dict)
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
 
     def value_of(self, tag) -> float:
         if self.status != OPTIMAL:
@@ -246,11 +255,12 @@ def solve(lp: LinearProgram) -> LPSolution:
 
     resid = b - A[:, :n] @ x[:n] if m else np.zeros(0)
 
-    # Slack basis where the residual fits the slack bounds; artificial
-    # columns carry the rest so phase 1 starts feasible.
+    # Slack basis where the residual fits the slack bounds. The violated
+    # rows get artificial columns so phase 1 starts feasible: one per
+    # equality row, and one shared by all inequality rows.
     basis = np.empty(m, dtype=np.intp)
-    art_cols, art_rows = [], []
-    art_data = []
+    art_rows, art_data = [], []
+    ineq_rows = []
     for i in range(m):
         v = min(max(resid[i], slack_lo[i]), slack_hi[i])
         gap = resid[i] - v
@@ -258,46 +268,74 @@ def solve(lp: LinearProgram) -> LPSolution:
             basis[i] = n + i
             vstat[n + i] = _BASIC
             x[n + i] = resid[i]
-        else:
-            vstat[n + i] = _AT_LOWER if np.isfinite(slack_lo[i]) else _AT_UPPER
+        elif slack_lo[i] == slack_hi[i]:
+            vstat[n + i] = _AT_LOWER
             x[n + i] = v
             art_rows.append(i)
             art_data.append(1.0 if gap > 0 else -1.0)
-            art_cols.append(ncols + len(art_cols))
+        else:
+            ineq_rows.append(i)
 
-    n_art = len(art_cols)
+    n_art = len(art_rows) + bool(ineq_rows)
+    p1_pivots = 0
     if n_art:
         A_art = np.zeros((m, n_art))
+        xa = np.empty(n_art)
         for k, (i, sgn) in enumerate(zip(art_rows, art_data)):
             A_art[i, k] = sgn
+            xa[k] = abs(resid[i] - x[n + i])
+            basis[i] = ncols + k
+        if ineq_rows:
+            # With the shared artificial at value a, row i reads
+            # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
+            # where sign_i resid_i = |resid_i|. Take a = max |resid_i|.
+            # A violated <= row has sign -1 and slack bounds [0, inf):
+            # s_i = a - |resid_i| >= 0. A violated >= row has sign +1
+            # and bounds (-inf, 0]: s_i = |resid_i| - a <= 0. So every
+            # slack lies within its bounds. The most violated row's
+            # slack lands exactly on 0 and leaves the basis to the
+            # artificial; the basis is the identity with that column
+            # replaced by one whose diagonal entry is +-1, so it is
+            # nonsingular.
+            rows = np.asarray(ineq_rows)
+            sign = np.sign(resid[rows])
+            mag = np.abs(resid[rows])
+            k = n_art - 1
+            A_art[rows, k] = sign
+            xa[k] = mag.max()
+            vstat[n + rows] = _BASIC
+            x[n + rows] = resid[rows] - sign * xa[k]
+            basis[rows] = n + rows
+            r = int(rows[np.argmax(mag)])
+            vstat[n + r] = _AT_LOWER if np.isfinite(slack_lo[r]) else _AT_UPPER
+            x[n + r] = 0.0
+            basis[r] = ncols + k
         A = np.hstack([A, A_art])
         lo = np.concatenate([lo, np.zeros(n_art)])
         hi = np.concatenate([hi, np.full(n_art, np.inf)])
         cost = np.concatenate([cost, np.zeros(n_art)])
         vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
-        xa = np.empty(n_art)
-        for k, i in enumerate(art_rows):
-            xa[k] = abs(resid[i] - x[n + i])
-            basis[i] = ncols + k
         x = np.concatenate([x, xa])
 
         phase1_cost = np.zeros(ncols + n_art)
         phase1_cost[ncols:] = 1.0
-        status = _iterate(A, b, phase1_cost, lo, hi, x, vstat, basis,
-                          phase1=True)
+        status, p1_pivots = _iterate(A, b, phase1_cost, lo, hi, x, vstat,
+                                     basis, phase1=True)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         if phase1_cost[ncols:] @ np.maximum(x[ncols:], 0.0) > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
                               np.full(m, np.nan),
-                              lp._var_index, lp._row_index)
+                              lp._var_index, lp._row_index, p1_pivots)
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
-    status = _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1=False)
+    status, p2_pivots = _iterate(A, b, cost, lo, hi, x, vstat, basis,
+                                 phase1=False)
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
-                          np.full(m, np.nan), lp._var_index, lp._row_index)
+                          np.full(m, np.nan), lp._var_index, lp._row_index,
+                          p1_pivots, p2_pivots)
 
     # Fresh factorization for clean duals.
     if m:
@@ -310,11 +348,14 @@ def solve(lp: LinearProgram) -> LPSolution:
         duals = np.zeros(0)
     primal = x[:n].copy()
     return LPSolution(OPTIMAL, float(lp.objective @ primal), primal, duals,
-                      lp._var_index, lp._row_index)
+                      lp._var_index, lp._row_index, p1_pivots, p2_pivots)
 
 
 def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
-    """Primal simplex sweep on the equality form; mutates x/vstat/basis."""
+    """Primal simplex sweep on the equality form; mutates x/vstat/basis.
+
+    Returns (status, iterations), bound flips counted as iterations.
+    """
     m = A.shape[0]
     if m == 0:
         # Only bound-feasible points; optimum is at the cheap bound of
@@ -322,16 +363,16 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
         d = cost
         for j in range(A.shape[1]):
             if d[j] < -TOL_OPT and vstat[j] in (_AT_LOWER, _FREE) and not np.isfinite(hi[j]):
-                return UNBOUNDED
+                return UNBOUNDED, 0
             if d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE) and not np.isfinite(lo[j]):
-                return UNBOUNDED
+                return UNBOUNDED, 0
             if d[j] < -TOL_OPT and vstat[j] == _AT_LOWER:
                 x[j] = hi[j]
                 vstat[j] = _AT_UPPER
             elif d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE):
                 x[j] = lo[j]
                 vstat[j] = _AT_LOWER
-        return OPTIMAL
+        return OPTIMAL, 0
 
     b_inv = np.linalg.inv(A[:, basis])
     max_iters = 10_000 + 10 * (A.shape[1] + m)
@@ -351,7 +392,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
         can_dec = ((vstat == _AT_UPPER) | (vstat == _FREE)) & (d > TOL_OPT) & ~fixed
         elig = can_inc | can_dec
         if not elig.any():
-            return OPTIMAL
+            return OPTIMAL, it
 
         if bland:
             q = int(np.flatnonzero(elig)[0])
@@ -374,7 +415,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
 
         if flip_cap <= min_ratio:
             if not np.isfinite(flip_cap):
-                return UNBOUNDED
+                return UNBOUNDED, it
             # Bound flip: the entering variable crosses to its other bound.
             x[basis] = xb - step * flip_cap
             x[q] = hi[q] if sigma > 0 else lo[q]

@@ -150,6 +150,20 @@ def test_flags_override_case_defaults(closed_form_case, tmp_path):
     assert summary["lower_bound"] == pytest.approx(2.0, abs=1e-7)
 
 
+def test_solve_reports_dropped_duplicate_cuts(closed_form_case, tmp_path,
+                                              capsys):
+    # No state to carry: every backward pass yields the same two
+    # constant cuts, so after the first pass all cuts are duplicates.
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(closed_form_case), "--iters", "4",
+                    "--min-iters", "4", "--seed", "5",
+                    "--out", str(outdir)]) == 0
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["cut_count"] == 2
+    assert summary["duplicate_cuts"] == 4
+    assert "2 cuts (4 duplicates dropped)" in capsys.readouterr().out
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "solve" in capsys.readouterr().out

@@ -83,6 +83,28 @@ def test_cut_pool_shape_and_validation():
         Cut(np.array([np.nan]), np.zeros(1), 0.0)
 
 
+def test_cut_pool_drops_duplicate_rows():
+    pool = CutPool(3, 2, 2)
+    cut = Cut(np.array([-1.0, 0.5]), np.array([2.0, 4.0]), 6.0)
+    assert cut.offset == 6.0 - (-2.0 + 2.0)
+    assert pool.append(1, 0, cut) is True
+    # Same affine function through another anchor: the same LP row.
+    moved = Cut(np.array([-1.0, 0.5]), np.array([3.0, 4.0]), 5.0)
+    assert moved.offset == cut.offset
+    assert pool.append(1, 0, moved) is False
+    assert pool.append(1, 0, cut) is False
+    assert (len(pool), pool.duplicates) == (1, 2)
+    # Another gradient, another offset, or another (t, l) is a new row.
+    assert pool.append(1, 0, Cut(np.array([-1.0, 0.25]), np.array([2.0, 4.0]),
+                                 6.0)) is True
+    assert pool.append(1, 0, Cut(np.array([-1.0, 0.5]), np.array([2.0, 4.0]),
+                                 6.0 + 1e-12)) is True
+    assert pool.append(1, 1, cut) is True
+    assert pool.append(2, 0, cut) is True
+    assert (len(pool), pool.duplicates) == (5, 2)
+    assert [len(c) for c in pool.slice(1)] == [3, 1]
+
+
 def test_engine_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(max_iterations=2, min_iterations=3)
@@ -120,8 +142,12 @@ def test_backward_counts():
     pool = fresh_pool(case, lattice)
     paths, _ = forward_pass(case, lattice, pool, NEUTRAL,
                             SamplerMode.UNIFORM, 1, 2, seed=0)
-    assert backward_pass(case, lattice, pool, paths, NEUTRAL) == 6
-    assert len(pool) == 6
+    # Both paths leave the deterministic root in the same state, so their
+    # three cuts (one per opening) are the same rows: the pool keeps 3 of
+    # the 6 it is offered.
+    assert backward_pass(case, lattice, pool, paths, NEUTRAL) == 3
+    assert len(pool) == 3
+    assert pool.duplicates == 3
 
 
 def test_flat_cut_for_worthless_water():

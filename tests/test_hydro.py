@@ -1,11 +1,10 @@
 """Stage subproblem: dispatch examples, physics invariants, dual checks."""
 
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
+from hydrosddp.engine import Cut
 from hydrosddp.hydro import (
     Bus,
     DimensionMismatch,
@@ -24,13 +23,6 @@ from hydrosddp.scenario import Lattice, NoiseRealization
 
 NEUTRAL = RiskMeasure(lam=0.0, alpha=0.0)
 QUIET = NoiseRealization()
-
-
-@dataclass
-class FakeCut:
-    gradient: np.ndarray
-    anchor: np.ndarray
-    intercept: float
 
 
 def hydro_case(demand=10.0, storage=10.0, turbine=10.0, production=1.0,
@@ -80,7 +72,7 @@ def test_deficit_penalty_when_capacity_short():
 
 def test_single_cut_epigraph():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15, T=2)
-    cut = FakeCut(np.zeros(0), np.zeros(0), 7.0)
+    cut = Cut(np.zeros(0), np.zeros(0), 7.0)
     sol = solve_stage(case, 1, initial_state(case), lattice.stage1, [[cut]],
                       NEUTRAL, 2, 1)
     assert sol.betas == pytest.approx([7.0], abs=1e-9)
@@ -91,7 +83,7 @@ def test_single_cut_epigraph():
 def test_cut_with_storage_gradient():
     # beta >= 5 - 1.0*(v_out - 2): stored water is worth 1/unit up to the cap.
     case, lattice = hydro_case(demand=0.0, storage=4.0, T=2)
-    cut = FakeCut(np.array([-1.0]), np.array([2.0]), 5.0)
+    cut = Cut(np.array([-1.0]), np.array([2.0]), 5.0)
     sol = solve_stage(case, 1, initial_state(case), lattice.stage1, [[cut]],
                       NEUTRAL, 2, 1)
     # Filling the reservoir to its 4-unit cap leaves beta = 5 - (4-2) = 3.

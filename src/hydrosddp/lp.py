@@ -1,18 +1,21 @@
-"""Dense linear programs and a bundled revised simplex solver.
+"""Linear programs and a bundled revised simplex solver.
 
 Everything downstream (stage subproblems, the full-tree oracle, the CVaR
 linear form) is expressed as a :class:`LinearProgram` and solved here.
 The solver is a two-phase primal simplex on the bounded-variable
-equality form ``A x + I s = b``, with a dense explicit basis inverse,
-periodic refactorization, and a Bland's-rule fallback that engages after
-a stall of degenerate pivots.
+equality form ``A x + I s = b``, held (phase-1 artificials included)
+only as nonzeros sorted by column, so pricing costs O(nonzeros), with a
+dense explicit basis inverse updated on the rows each pivot changes,
+periodic refactorization, and a Bland's-rule fallback that engages
+after a stall of degenerate pivots.
 
 Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
 inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
 in the most violated of them, so a program with many violated cut rows
 pays for one artificial instead of one per row. Each solution reports
-its simplex iterations per phase (bound flips included).
+its simplex iterations per phase (bound flips included) and its dense
+basis inversions.
 
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
@@ -140,6 +143,7 @@ class LPSolution:
     row_index: dict = field(repr=False, default_factory=dict)
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    refactorizations: int = 0
 
     def value_of(self, tag) -> float:
         if self.status != OPTIMAL:
@@ -156,14 +160,6 @@ class LPSolution:
             return float(self.duals[self.row_index[tag]])
         except KeyError:
             raise UnknownTag(f"no row tagged {tag!r}") from None
-
-
-def value_of(sol: LPSolution, tag) -> float:
-    return sol.value_of(tag)
-
-
-def dual_of(sol: LPSolution, tag) -> float:
-    return sol.dual_of(tag)
 
 
 class LPBuilder:
@@ -218,6 +214,36 @@ class LPBuilder:
 _AT_LOWER, _AT_UPPER, _FREE, _BASIC = 0, 1, 2, 3
 
 
+class _Columns:
+    """Constraint matrix of the equality form as nonzeros sorted by
+    column, ``(col, row, val)``, with column ``j`` at ``ptr[j]:ptr[j+1]``."""
+
+    def __init__(self, m, n, col, row, val):
+        self.m, self.n = m, n
+        self.col, self.row, self.val = col, row, val
+        self.ptr = np.searchsorted(col, np.arange(n + 1))
+
+    def price(self, cost, y):
+        """Reduced costs ``cost - y A``."""
+        return cost - np.bincount(self.col, self.val * y[self.row],
+                                  minlength=self.n)
+
+    def column(self, j):
+        """Dense ``A[:, j]``."""
+        a = np.zeros(self.m)
+        k = slice(self.ptr[j], self.ptr[j + 1])
+        a[self.row[k]] = self.val[k]
+        return a
+
+    def basis_matrix(self, basis):
+        """Dense ``A[:, basis]``; nonbasic entries land in a spare column."""
+        pos = np.full(self.n, self.m)
+        pos[basis] = np.arange(self.m)
+        B = np.zeros((self.m, self.m + 1))
+        B[self.row, pos[self.col]] = self.val
+        return B[:, :-1]
+
+
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve a LinearProgram; deterministic for a fixed input.
 
@@ -235,7 +261,10 @@ def solve(lp: LinearProgram) -> LPSolution:
         elif s == GREATER:
             slack_lo[i] = -np.inf
         # EQUAL keeps [0, 0]
-    A = np.hstack([lp.rows, np.eye(m)]) if m else np.zeros((0, n))
+    nz_col, nz_row = np.nonzero(lp.rows.T)
+    col = [nz_col, np.arange(n, n + m)]
+    row = [nz_row, np.arange(m)]
+    val = [lp.rows[nz_row, nz_col], np.ones(m)]
     lo = np.concatenate([lp.lower, slack_lo])
     hi = np.concatenate([lp.upper, slack_hi])
     cost = np.concatenate([lp.objective, np.zeros(m)])
@@ -253,7 +282,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         else:
             vstat[j], x[j] = _FREE, 0.0
 
-    resid = b - A[:, :n] @ x[:n] if m else np.zeros(0)
+    resid = b - lp.rows @ x[:n] if m else np.zeros(0)
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
@@ -277,14 +306,15 @@ def solve(lp: LinearProgram) -> LPSolution:
             ineq_rows.append(i)
 
     n_art = len(art_rows) + bool(ineq_rows)
-    p1_pivots = 0
+    p1_pivots = p1_refactors = 0
     if n_art:
-        A_art = np.zeros((m, n_art))
         xa = np.empty(n_art)
         for k, (i, sgn) in enumerate(zip(art_rows, art_data)):
-            A_art[i, k] = sgn
             xa[k] = abs(resid[i] - x[n + i])
             basis[i] = ncols + k
+        col.append(np.arange(ncols, ncols + len(art_rows)))
+        row.append(np.asarray(art_rows, dtype=np.intp))
+        val.append(np.asarray(art_data))
         if ineq_rows:
             # With the shared artificial at value a, row i reads
             # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
@@ -301,7 +331,9 @@ def solve(lp: LinearProgram) -> LPSolution:
             sign = np.sign(resid[rows])
             mag = np.abs(resid[rows])
             k = n_art - 1
-            A_art[rows, k] = sign
+            col.append(np.full(len(rows), ncols + k))
+            row.append(rows)
+            val.append(sign)
             xa[k] = mag.max()
             vstat[n + rows] = _BASIC
             x[n + rows] = resid[rows] - sign * xa[k]
@@ -310,155 +342,172 @@ def solve(lp: LinearProgram) -> LPSolution:
             vstat[n + r] = _AT_LOWER if np.isfinite(slack_lo[r]) else _AT_UPPER
             x[n + r] = 0.0
             basis[r] = ncols + k
-        A = np.hstack([A, A_art])
         lo = np.concatenate([lo, np.zeros(n_art)])
         hi = np.concatenate([hi, np.full(n_art, np.inf)])
         cost = np.concatenate([cost, np.zeros(n_art)])
         vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
         x = np.concatenate([x, xa])
+    A = _Columns(m, ncols + n_art, np.concatenate(col), np.concatenate(row),
+                 np.concatenate(val))
 
+    if n_art:
         phase1_cost = np.zeros(ncols + n_art)
         phase1_cost[ncols:] = 1.0
-        status, p1_pivots = _iterate(A, b, phase1_cost, lo, hi, x, vstat,
-                                     basis, phase1=True)
+        status, p1_pivots, p1_refactors = _iterate(A, b, phase1_cost, lo, hi,
+                                                   x, vstat, basis)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         if phase1_cost[ncols:] @ np.maximum(x[ncols:], 0.0) > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
-                              np.full(m, np.nan),
-                              lp._var_index, lp._row_index, p1_pivots)
+                              np.full(m, np.nan), lp._var_index,
+                              lp._row_index, p1_pivots, 0, p1_refactors)
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
-    status, p2_pivots = _iterate(A, b, cost, lo, hi, x, vstat, basis,
-                                 phase1=False)
+    status, p2_pivots, refactors = _iterate(A, b, cost, lo, hi, x, vstat,
+                                            basis)
+    refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
                           np.full(m, np.nan), lp._var_index, lp._row_index,
-                          p1_pivots, p2_pivots)
+                          p1_pivots, p2_pivots, refactors)
 
     # Fresh factorization for clean duals.
     if m:
         try:
-            b_inv = np.linalg.inv(A[:, basis])
+            b_inv = np.linalg.inv(A.basis_matrix(basis))
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise NumericalFailure("singular basis at termination") from exc
         duals = cost[basis] @ b_inv
+        refactors += 1
     else:
         duals = np.zeros(0)
     primal = x[:n].copy()
     return LPSolution(OPTIMAL, float(lp.objective @ primal), primal, duals,
-                      lp._var_index, lp._row_index, p1_pivots, p2_pivots)
+                      lp._var_index, lp._row_index, p1_pivots, p2_pivots,
+                      refactors)
 
 
-def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
+def _iterate(A, b, cost, lo, hi, x, vstat, basis):
     """Primal simplex sweep on the equality form; mutates x/vstat/basis.
 
-    Returns (status, iterations), bound flips counted as iterations.
+    Returns (status, iterations, refactorizations), bound flips counted
+    as iterations.
     """
-    m = A.shape[0]
+    m = A.m
     if m == 0:
         # Only bound-feasible points; optimum is at the cheap bound of
         # each variable, reached directly or unbounded if open-ended.
         d = cost
-        for j in range(A.shape[1]):
+        for j in range(A.n):
             if d[j] < -TOL_OPT and vstat[j] in (_AT_LOWER, _FREE) and not np.isfinite(hi[j]):
-                return UNBOUNDED, 0
+                return UNBOUNDED, 0, 0
             if d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE) and not np.isfinite(lo[j]):
-                return UNBOUNDED, 0
+                return UNBOUNDED, 0, 0
             if d[j] < -TOL_OPT and vstat[j] == _AT_LOWER:
                 x[j] = hi[j]
                 vstat[j] = _AT_UPPER
             elif d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE):
                 x[j] = lo[j]
                 vstat[j] = _AT_LOWER
-        return OPTIMAL, 0
+        return OPTIMAL, 0, 0
 
-    b_inv = np.linalg.inv(A[:, basis])
-    max_iters = 10_000 + 10 * (A.shape[1] + m)
+    b_inv = np.linalg.inv(A.basis_matrix(basis))
+    refactors = 1
+    max_iters = 10_000 + 10 * (A.n + m)
     bland = False
     stall = 0
     fixed = lo == hi
+    # up[j] / dn[j] are 1 where nonbasic column j may increase / decrease;
+    # a column is eligible where its score, |d| times up[j] if d < 0 and
+    # dn[j] otherwise, exceeds TOL_OPT.
+    free = vstat == _FREE
+    up = np.where(((vstat == _AT_LOWER) | free) & ~fixed, 1.0, 0.0)
+    dn = np.where(((vstat == _AT_UPPER) | free) & ~fixed, 1.0, 0.0)
 
-    for it in range(max_iters):
-        if it and it % _REFACTOR_EVERY == 0:
-            b_inv, ok = _refactor(A, b, x, vstat, basis)
-            if not ok:  # pragma: no cover
-                raise NumericalFailure("singular basis on refactorization")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            if it and it % _REFACTOR_EVERY == 0:
+                b_inv, ok = _refactor(A, b, x, vstat, basis)
+                refactors += 1
+                if not ok:  # pragma: no cover
+                    raise NumericalFailure("singular basis on refactorization")
 
-        y = cost[basis] @ b_inv
-        d = cost - y @ A
-        can_inc = ((vstat == _AT_LOWER) | (vstat == _FREE)) & (d < -TOL_OPT) & ~fixed
-        can_dec = ((vstat == _AT_UPPER) | (vstat == _FREE)) & (d > TOL_OPT) & ~fixed
-        elig = can_inc | can_dec
-        if not elig.any():
-            return OPTIMAL, it
+            y = cost[basis] @ b_inv
+            d = A.price(cost, y)
+            score = np.abs(d) * np.where(d < 0.0, up, dn)
+            q = int(score.argmax())
+            if score[q] <= TOL_OPT:
+                return OPTIMAL, it, refactors
+            if bland:
+                q = int(np.flatnonzero(score > TOL_OPT)[0])
+            sigma = 1.0 if d[q] < 0 else -1.0
 
-        if bland:
-            q = int(np.flatnonzero(elig)[0])
-        else:
-            score = np.where(elig, np.abs(d), 0.0)
-            q = int(np.argmax(score))
-        sigma = 1.0 if can_inc[q] else -1.0
-
-        w = b_inv @ A[:, q]
-        xb = x[basis]
-        step = sigma * w
-        # Blocking ratios for basic variables pushed toward a bound.
-        with np.errstate(divide="ignore", invalid="ignore"):
+            w = b_inv @ A.column(q)
+            xb = x[basis]
+            step = sigma * w
+            # Blocking ratios for basic variables pushed toward a bound.
             ratios = np.where(step > _TOL_PIVOT, (xb - lo[basis]) / step,
                               np.where(step < -_TOL_PIVOT, (xb - hi[basis]) / step,
                                        np.inf))
-        ratios = np.where(np.isnan(ratios), np.inf, ratios)
-        min_ratio = float(ratios.min(initial=np.inf))
-        flip_cap = hi[q] - lo[q]
+            ratios = np.where(np.isnan(ratios), np.inf, ratios)
+            min_ratio = float(ratios.min(initial=np.inf))
+            flip_cap = hi[q] - lo[q]
 
-        if flip_cap <= min_ratio:
-            if not np.isfinite(flip_cap):
-                return UNBOUNDED, it
-            # Bound flip: the entering variable crosses to its other bound.
-            x[basis] = xb - step * flip_cap
-            x[q] = hi[q] if sigma > 0 else lo[q]
-            vstat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-            stall = 0
-            bland = False
-            continue
+            if flip_cap <= min_ratio:
+                if not np.isfinite(flip_cap):
+                    return UNBOUNDED, it, refactors
+                # Bound flip: the entering variable crosses to its other bound.
+                x[basis] = xb - step * flip_cap
+                x[q] = hi[q] if sigma > 0 else lo[q]
+                vstat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                up[q], dn[q] = dn[q], up[q]
+                stall = 0
+                bland = False
+                continue
 
-        delta = max(min_ratio, 0.0)
-        cand = np.flatnonzero(ratios <= delta + 1e-9)
-        if bland:
-            r = int(cand[np.argmin(basis[cand])])
-        else:
-            r = int(cand[np.argmax(np.abs(w[cand]))])
+            delta = max(min_ratio, 0.0)
+            cand = np.flatnonzero(ratios <= delta + 1e-9)
+            if bland:
+                r = int(cand[np.argmin(basis[cand])])
+            else:
+                r = int(cand[np.argmax(np.abs(w[cand]))])
 
-        leaving = basis[r]
-        x[basis] = xb - step * delta
-        x[q] = x[q] + sigma * delta
-        x[leaving] = lo[leaving] if step[r] > 0 else hi[leaving]
-        vstat[leaving] = _AT_LOWER if step[r] > 0 else _AT_UPPER
-        vstat[q] = _BASIC
-        basis[r] = q
+            leaving = basis[r]
+            x[basis] = xb - step * delta
+            x[q] = x[q] + sigma * delta
+            to_lower = bool(step[r] > 0)
+            x[leaving] = lo[leaving] if to_lower else hi[leaving]
+            vstat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+            vstat[q] = _BASIC
+            basis[r] = q
+            up[q] = dn[q] = 0.0
+            movable = not fixed[leaving]
+            up[leaving] = float(movable and to_lower)
+            dn[leaving] = float(movable and not to_lower)
 
-        # Dense product-form update of the explicit inverse.
-        piv = w[r]
-        if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
-            b_inv, ok = _refactor(A, b, x, vstat, basis)
-            if not ok:
-                raise NumericalFailure("degenerate pivot produced singular basis")
-        else:
-            row = b_inv[r] / piv
-            w_col = w.copy()
-            w_col[r] = 0.0
-            b_inv -= np.outer(w_col, row)
-            b_inv[r] = row
+            # Product-form update of the explicit inverse, on the rows
+            # where w is nonzero: the others change by exactly zero.
+            piv = w[r]
+            if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
+                b_inv, ok = _refactor(A, b, x, vstat, basis)
+                refactors += 1
+                if not ok:
+                    raise NumericalFailure("degenerate pivot produced singular basis")
+            else:
+                row = b_inv[r] / piv
+                w[r] = 0.0
+                nz = w.nonzero()[0]
+                b_inv[nz] -= np.outer(w[nz], row)
+                b_inv[r] = row
 
-        if delta <= _TOL_STEP:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-            bland = False
+            if delta <= _TOL_STEP:
+                stall += 1
+                if stall > _STALL_LIMIT:
+                    bland = True
+            else:
+                stall = 0
+                bland = False
 
     raise NumericalFailure(f"simplex exceeded {max_iters} iterations")
 
@@ -466,10 +515,9 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, phase1):
 def _refactor(A, b, x, vstat, basis):
     """Recompute the basis inverse and basic values from scratch."""
     try:
-        b_inv = np.linalg.inv(A[:, basis])
+        b_inv = np.linalg.inv(A.basis_matrix(basis))
     except np.linalg.LinAlgError:
         return None, False
-    nonbasic = vstat != _BASIC
-    rhs = b - A[:, nonbasic] @ x[nonbasic]
-    x[basis] = b_inv @ rhs
+    x_n = np.where(vstat != _BASIC, x, 0.0)  # nonbasic values only
+    x[basis] = b_inv @ (b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m))
     return b_inv, True

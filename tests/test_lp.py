@@ -22,9 +22,7 @@ from hydrosddp.lp import (
     MalformedProgram,
     NotOptimal,
     UnknownTag,
-    dual_of,
     solve,
-    value_of,
 )
 
 
@@ -127,7 +125,7 @@ def test_bound_active_identity():
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-    assert value_of(sol, "x") == pytest.approx(1.0, abs=1e-9)
+    assert sol.value_of("x") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_triangle_vertex_and_row_dual():
@@ -138,7 +136,7 @@ def test_triangle_vertex_and_row_dual():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
     assert sol.primal == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert dual_of(sol, "cap") == pytest.approx(-2.0, abs=1e-9)
+    assert sol.dual_of("cap") == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_empty_interval_is_infeasible():
@@ -163,9 +161,9 @@ def test_tag_errors():
                        var_labels=["x"])
     sol = solve(lp)
     with pytest.raises(UnknownTag):
-        value_of(sol, "nope")
+        sol.value_of("nope")
     with pytest.raises(UnknownTag):
-        dual_of(sol, "nope")
+        sol.dual_of("nope")
     bad = solve(LinearProgram([0.0], [-np.inf], [np.inf],
                               [[1.0], [1.0]], [GREATER, LESS], [1.0, 0.0]))
     with pytest.raises(NotOptimal):

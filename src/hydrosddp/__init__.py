@@ -15,7 +15,6 @@ from .engine import (
     backward_pass,
     evaluate_policy_exact,
     forward_pass,
-    lower_bound,
     simulate_policy,
     train,
     upper_bound_estimate,
@@ -44,13 +43,10 @@ from .risk import (
     var_oracle,
 )
 from .scenario import (
-    ARProcess,
     Lattice,
     NoiseRealization,
     PathRecord,
     SamplerMode,
-    enumerate_paths,
-    inflow_transition,
     sample_opening,
 )
 from .treelp import build_tree_lp, exact_cost_to_go, tree_objective

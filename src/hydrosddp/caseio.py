@@ -41,6 +41,7 @@ from .hydro import (
     StateVector,
     SystemCase,
     Thermal,
+    check_acyclic,
     initial_state,
 )
 from .risk import RiskMeasure
@@ -244,7 +245,10 @@ def parse_case_data(data, source="case") -> ParsedCase:
             if up not in hydro_names:
                 raise DanglingReference(
                     f"system.hydros[{i}].upstream: unknown hydro {up!r}")
-    _reject_cycles(hydros)
+    try:
+        check_acyclic(hydros)
+    except ValueError as exc:
+        raise CyclicCascade(str(exc)) from None
 
     # An initial_state block overrides the per-hydro defaults, so the
     # system itself stays the single source of the starting state.
@@ -348,26 +352,6 @@ def parse_case(path) -> ParsedCase:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     return parse_case_data(data, source="case")
-
-
-def _reject_cycles(hydros):
-    upstream = {h.name: tuple(h.upstream) for h in hydros}
-    seen, active = set(), []
-
-    def visit(name):
-        if name in active:
-            raise CyclicCascade(
-                "hydro cascade cycle: " + " -> ".join(active + [name]))
-        if name in seen:
-            return
-        active.append(name)
-        for up in upstream[name]:
-            visit(up)
-        active.pop()
-        seen.add(name)
-
-    for h in hydros:
-        visit(h.name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ risk-adjusted weights.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,15 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .hydro import StateVector, SystemCase, initial_state, solve_stage
-from .risk import (
-    NegativeWeight,
-    RiskMeasure,
-    WeightVector,
-    clamped_weights,
-    raw_sampling_weights,
-    sampling_weights,
-    uniform_weights,
-)
+from .risk import RiskMeasure, sampling_weights, uniform_weights
 from .scenario import (
     ENUMERATION_CAP,
     Lattice,
@@ -43,9 +34,6 @@ from .scenario import (
     path_rng,
     sample_opening,
 )
-
-logger = logging.getLogger(__name__)
-
 
 class EmptyBatch(ValueError):
     """Upper-bound statistics requested over zero paths."""
@@ -114,9 +102,6 @@ class CutPool:
         rows.add(row)
         self._cuts[(t, l)].append(cut)
         return True
-
-    def cuts_at(self, t: int, l: int):
-        return self._cuts[(t, l)]
 
     def slice(self, t: int):
         """Per-opening cut lists feeding the stage-t subproblem."""
@@ -197,15 +182,6 @@ def effective_sampler(mode: SamplerMode, iteration: int) -> SamplerMode:
     return mode
 
 
-def opening_weights(betas, measure: RiskMeasure) -> WeightVector:
-    """Sampling weights from stage betas, clamping the defensive corner."""
-    try:
-        return sampling_weights(betas, measure)
-    except NegativeWeight as exc:  # pragma: no cover - analytically unreachable
-        logger.warning("clamping negative sampling weight: %s", exc)
-        return clamped_weights(raw_sampling_weights(betas, measure))
-
-
 def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
                  measure: RiskMeasure, sampler: SamplerMode, iteration: int,
                  batch_size: int, seed: int):
@@ -227,7 +203,7 @@ def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
         for t in range(1, T + 1):
             weights = None
             if t < T:
-                weights = (opening_weights(sol.betas, measure)
+                weights = (sampling_weights(sol.betas, measure)
                            if risk_adjusted else uniform_weights(L))
             steps.append(PathStep(opening, sol.state_out,
                                   sol.immediate_cost, weights))
@@ -267,15 +243,6 @@ def backward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
                     cache[(key, l)] = hit
                 added += cuts.append(t - 1, l, hit)
     return added
-
-
-def lower_bound(case: SystemCase, lattice: Lattice, cuts: CutPool,
-                measure: RiskMeasure) -> float:
-    """First-stage optimum under the current pool (deterministic bound)."""
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1,
-                      cuts.slice_or_none(1), measure,
-                      lattice.num_stages, lattice.num_openings)
-    return sol.objective
 
 
 def upper_bound_estimate(paths):
@@ -348,7 +315,7 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
                           measure, T, L)
         if t == T:
             return sol.immediate_cost
-        weights = opening_weights(sol.betas, measure).weights
+        weights = sampling_weights(sol.betas, measure).weights
         total = sol.immediate_cost
         for l in range(L):
             if weights[l] > 0.0:

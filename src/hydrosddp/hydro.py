@@ -2,12 +2,14 @@
 
 A stage subproblem minimizes thermal plus deficit cost subject to bus
 energy balance, reservoir mass balance, the autoregressive inflow
-equation, and physical bounds. Incoming state (storages and inflow
-lags) enters through dedicated copy variables pinned by equality rows;
-the duals of those rows are exactly the state sensitivities used to
-build cuts. For non-terminal stages the future is represented by one
-epigraph variable per opening bounded below by its cut pool, aggregated
-through the CVaR linear form.
+equation, and physical bounds. That dispatch block is defined once, by
+``dispatch_columns``, ``dispatch_cost`` and ``dispatch_rows``; the stage
+LP and the tree oracle (``treelp``) both stamp it. In the stage LP the
+incoming state (storages and inflow lags) enters through dedicated copy
+variables pinned by equality rows; the duals of those rows are exactly
+the state sensitivities used to build cuts. For non-terminal stages the
+future is represented by one epigraph variable per opening bounded below
+by its cut pool, aggregated through the CVaR linear form.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -23,7 +25,7 @@ import numpy as np
 
 from .lp import EQUAL, GREATER, OPTIMAL, LPBuilder, solve
 from .risk import RiskMeasure
-from .scenario import ARProcess, NoiseRealization
+from .scenario import NoiseRealization
 
 
 class DimensionMismatch(ValueError):
@@ -114,7 +116,7 @@ class SystemCase:
                 if up not in names:
                     raise ValueError(
                         f"hydro {h.name!r} lists unknown upstream {up!r}")
-        _check_acyclic(self.hydros)
+        check_acyclic(self.hydros)
         for th in self.thermals:
             if th.cost < 0 or th.cap < 0:
                 raise ValueError(f"thermal {th.name!r} has negative data")
@@ -126,32 +128,25 @@ class SystemCase:
     def num_stages(self) -> int:
         return len(self.buses[0].demand) if self.buses else 0
 
-    def ar_process(self) -> ARProcess:
-        return ARProcess({h.name: tuple(h.ar_coeffs) for h in self.hydros})
-
     def state_dimension(self) -> int:
         return len(self.hydros) + sum(len(h.ar_coeffs) for h in self.hydros)
 
-    def state_labels(self) -> list:
-        labels = [("storage", h.name) for h in self.hydros]
-        for h in self.hydros:
-            labels.extend(("lag", h.name, k + 1) for k in range(len(h.ar_coeffs)))
-        return labels
 
-
-def _check_acyclic(hydros) -> None:
-    children = {h.name: tuple(h.upstream) for h in hydros}
-    seen, active = set(), set()
+def check_acyclic(hydros) -> None:
+    """Raise ValueError naming the path of any upstream cycle."""
+    upstream = {h.name: tuple(h.upstream) for h in hydros}
+    seen, active = set(), []
 
     def visit(name):
         if name in active:
-            raise ValueError(f"hydro cascade contains a cycle through {name!r}")
+            raise ValueError(
+                "hydro cascade cycle: " + " -> ".join(active + [name]))
         if name in seen:
             return
-        active.add(name)
-        for up in children[name]:
+        active.append(name)
+        for up in upstream[name]:
             visit(up)
-        active.discard(name)
+        active.pop()
         seen.add(name)
 
     for h in hydros:
@@ -210,6 +205,105 @@ class StageSolution:
     primal: dict = field(default_factory=dict, repr=False)
 
 
+def dispatch_columns(bld: LPBuilder, case: SystemCase,
+                     noise: NoiseRealization, tag: tuple = ()) -> dict:
+    """Add one stage's dispatch columns, all at zero cost, labelled
+    ``tag + key``; returns ``{key: column}``.
+
+    Keys are ("g", thermal), ("r", renewable), ("f", line index, sending
+    bus), ("deficit", bus), and ("u" | "spill" | "vout" | "a", hydro)
+    with each hydro's four columns adjacent in that order.
+    """
+    cols = {}
+
+    def add(key, lower, upper):
+        cols[key] = bld.add_var(tag + key, lower, upper)
+
+    for th in case.thermals:
+        add(("g", th.name), 0.0, th.cap)
+    for re in case.renewables:
+        try:
+            cap = noise.renewable_cap[re.name]
+        except KeyError:
+            raise DimensionMismatch(
+                f"noise lacks a cap for renewable {re.name!r}") from None
+        add(("r", re.name), 0.0, cap)
+    for i, line in enumerate(case.lines):
+        add(("f", i, line.from_bus), 0.0, line.capacity)
+        add(("f", i, line.to_bus), 0.0, line.capacity)
+    for b in case.buses:
+        add(("deficit", b.name), 0.0, np.inf)
+    for h in case.hydros:
+        add(("u", h.name), 0.0, h.max_turbine)
+        add(("spill", h.name), 0.0, np.inf)
+        add(("vout", h.name), 0.0, h.max_storage)
+        add(("a", h.name), -np.inf, np.inf)
+    return cols
+
+
+def dispatch_cost(case: SystemCase, cols: dict) -> list:
+    """(column, cost) terms of the stage's immediate cost."""
+    return ([(cols["g", th.name], th.cost) for th in case.thermals]
+            + [(cols["deficit", b.name], case.deficit_cost)
+               for b in case.buses])
+
+
+def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
+                  noise: NoiseRealization, storage_in, lags_in,
+                  tag: tuple = ()) -> None:
+    """Add the stage-t bus balance, reservoir mass and AR inflow rows.
+
+    ``storage_in[j]`` is hydro j's incoming storage and ``lags_in[j][k]``
+    its inflow k+1 stages back. Each is a column index (an ``int``) or a
+    fixed value (a ``float``), which moves to the right-hand side.
+    """
+    # Bus energy balance: generation + net imports + deficit = demand.
+    for b in case.buses:
+        demand = noise.demand.get(b.name, b.demand[t - 1])
+        terms = [(cols["deficit", b.name], 1.0)]
+        terms += [(cols["g", th.name], 1.0) for th in case.thermals
+                  if th.bus == b.name]
+        terms += [(cols["u", h.name], h.production) for h in case.hydros
+                  if h.bus == b.name]
+        terms += [(cols["r", re.name], 1.0) for re in case.renewables
+                  if re.bus == b.name]
+        for i, line in enumerate(case.lines):
+            if line.to_bus == b.name:
+                terms.append((cols["f", i, line.from_bus], 1.0))
+                terms.append((cols["f", i, line.to_bus], -1.0))
+            elif line.from_bus == b.name:
+                terms.append((cols["f", i, line.to_bus], 1.0))
+                terms.append((cols["f", i, line.from_bus], -1.0))
+        bld.add_row(terms, EQUAL, float(demand),
+                    label=tag + ("balance", b.name))
+
+    # Reservoir mass balance and the AR inflow equation.
+    for j, h in enumerate(case.hydros):
+        terms = [(cols["vout", h.name], 1.0), (cols["u", h.name], 1.0),
+                 (cols["spill", h.name], 1.0), (cols["a", h.name], -1.0)]
+        terms += [(cols["u", up], -1.0) for up in h.upstream]
+        terms += [(cols["spill", up], -1.0) for up in h.upstream]
+        rhs = 0.0
+        if isinstance(storage_in[j], int):
+            terms.append((storage_in[j], -1.0))
+        else:
+            rhs = float(storage_in[j])
+        bld.add_row(terms, EQUAL, rhs, label=tag + ("mass", h.name))
+
+        try:
+            rhs = float(noise.inflow_noise[h.name])
+        except KeyError:
+            raise DimensionMismatch(
+                f"noise lacks inflow for hydro {h.name!r}") from None
+        terms = [(cols["a", h.name], 1.0)]
+        for coef, lag in zip(h.ar_coeffs, lags_in[j]):
+            if isinstance(lag, int):
+                terms.append((lag, -coef))
+            else:
+                rhs += coef * float(lag)
+        bld.add_row(terms, EQUAL, rhs, label=tag + ("ar", h.name))
+
+
 def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                    noise: NoiseRealization, cuts, measure: RiskMeasure,
                    num_stages: int, num_openings: int):
@@ -227,96 +321,33 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     bld = LPBuilder()
     terminal = t == num_stages
 
-    g = {th.name: bld.add_var(("g", th.name), 0.0, th.cap, th.cost)
-         for th in case.thermals}
-    r = {}
-    for re in case.renewables:
-        try:
-            cap = noise.renewable_cap[re.name]
-        except KeyError:
-            raise DimensionMismatch(
-                f"noise lacks a cap for renewable {re.name!r}") from None
-        r[re.name] = bld.add_var(("r", re.name), 0.0, cap)
-    flow = {}
-    for i, line in enumerate(case.lines):
-        flow[(i, line.from_bus, line.to_bus)] = bld.add_var(
-            ("f", i, line.from_bus), 0.0, line.capacity)
-        flow[(i, line.to_bus, line.from_bus)] = bld.add_var(
-            ("f", i, line.to_bus), 0.0, line.capacity)
-    deficit = {b.name: bld.add_var(("deficit", b.name), 0.0, np.inf,
-                                   case.deficit_cost)
-               for b in case.buses}
-
-    u = {h.name: bld.add_var(("u", h.name), 0.0, h.max_turbine)
-         for h in case.hydros}
-    spill = {h.name: bld.add_var(("spill", h.name), 0.0, np.inf)
-             for h in case.hydros}
-    vout = {h.name: bld.add_var(("vout", h.name), 0.0, h.max_storage)
-            for h in case.hydros}
-    inflow = {h.name: bld.add_var(("a", h.name), -np.inf, np.inf)
-              for h in case.hydros}
+    cols = dispatch_columns(bld, case, noise)
+    for col, cost in dispatch_cost(case, cols):
+        bld.set_cost(col, cost)
 
     # Copy variables pinned to the incoming state; their rows carry the
     # state duals.
-    vin, lagvar = {}, {}
+    vin, lagvar = [], []
     for j, h in enumerate(case.hydros):
-        vin[h.name] = bld.add_var(("vin", h.name), -np.inf, np.inf)
-        bld.add_row([(vin[h.name], 1.0)], EQUAL, float(state_in.storages[j]),
+        vin.append(bld.add_var(("vin", h.name), -np.inf, np.inf))
+        bld.add_row([(vin[j], 1.0)], EQUAL, float(state_in.storages[j]),
                     label=("copy_stor", h.name))
     for j, h in enumerate(case.hydros):
-        for k in range(len(h.ar_coeffs)):
-            lagvar[(h.name, k + 1)] = bld.add_var(("lag", h.name, k + 1),
-                                                  -np.inf, np.inf)
-            bld.add_row([(lagvar[(h.name, k + 1)], 1.0)], EQUAL,
-                        float(state_in.lags[j][k]),
-                        label=("copy_lag", h.name, k + 1))
+        lagvar.append([])
+        for k, lag in enumerate(state_in.lags[j], start=1):
+            lagvar[j].append(bld.add_var(("lag", h.name, k), -np.inf, np.inf))
+            bld.add_row([(lagvar[j][-1], 1.0)], EQUAL, float(lag),
+                        label=("copy_lag", h.name, k))
 
-    # Bus energy balance: generation + net imports + deficit = demand.
-    for b in case.buses:
-        demand = noise.demand.get(b.name, b.demand[t - 1])
-        terms = [(deficit[b.name], 1.0)]
-        terms += [(g[th.name], 1.0) for th in case.thermals if th.bus == b.name]
-        terms += [(u[h.name], h.production) for h in case.hydros
-                  if h.bus == b.name]
-        terms += [(r[re.name], 1.0) for re in case.renewables
-                  if re.bus == b.name]
-        for i, line in enumerate(case.lines):
-            if line.to_bus == b.name:
-                terms.append((flow[(i, line.from_bus, line.to_bus)], 1.0))
-                terms.append((flow[(i, line.to_bus, line.from_bus)], -1.0))
-            elif line.from_bus == b.name:
-                terms.append((flow[(i, line.to_bus, line.from_bus)], 1.0))
-                terms.append((flow[(i, line.from_bus, line.to_bus)], -1.0))
-        bld.add_row(terms, EQUAL, float(demand), label=("balance", b.name))
-
-    # Reservoir mass balance and the AR inflow equation.
-    for h in case.hydros:
-        terms = [(vout[h.name], 1.0), (u[h.name], 1.0), (spill[h.name], 1.0),
-                 (inflow[h.name], -1.0), (vin[h.name], -1.0)]
-        terms += [(u[up], -1.0) for up in h.upstream]
-        terms += [(spill[up], -1.0) for up in h.upstream]
-        bld.add_row(terms, EQUAL, 0.0, label=("mass", h.name))
-
-        try:
-            eps = noise.inflow_noise[h.name]
-        except KeyError:
-            raise DimensionMismatch(
-                f"noise lacks inflow for hydro {h.name!r}") from None
-        ar_terms = [(inflow[h.name], 1.0)]
-        ar_terms += [(lagvar[(h.name, k + 1)], -coef)
-                     for k, coef in enumerate(h.ar_coeffs)]
-        bld.add_row(ar_terms, EQUAL, float(eps), label=("ar", h.name))
+    dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
 
     if not terminal:
         # Column index of every outgoing-state coordinate, in the same
         # flattened order cuts use: storages first, then lags per hydro
         # (newest outgoing lag is this stage's inflow variable).
-        state_cols = [vout[h.name] for h in case.hydros]
-        for h in case.hydros:
-            p = len(h.ar_coeffs)
-            if p:
-                state_cols.append(inflow[h.name])
-                state_cols.extend(lagvar[(h.name, k)] for k in range(1, p))
+        state_cols = [cols["vout", h.name] for h in case.hydros]
+        for j, h in enumerate(case.hydros):
+            state_cols += ([cols["a", h.name]] + lagvar[j])[:len(h.ar_coeffs)]
 
         lam, alpha = measure.lam, measure.alpha
         L = num_openings
@@ -364,12 +395,8 @@ def solve_stage(case: SystemCase, t: int, state_in: StateVector,
     lags = []
     for j, h in enumerate(case.hydros):
         storages[j] = sol.value_of(("vout", h.name))
-        p = len(h.ar_coeffs)
-        if p:
-            lags.append(np.concatenate(
-                [[sol.value_of(("a", h.name))], state_in.lags[j][:p - 1]]))
-        else:
-            lags.append(np.zeros(0))
+        lags.append(np.concatenate([[sol.value_of(("a", h.name))],
+                                    state_in.lags[j]])[:len(h.ar_coeffs)])
     state_out = StateVector(storages, lags)
 
     dual = np.empty(case.state_dimension())

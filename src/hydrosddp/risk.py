@@ -22,10 +22,6 @@ class EmptyInput(ValueError):
     """An operation over cost atoms received an empty collection."""
 
 
-class NegativeWeight(ArithmeticError):
-    """The quantile-position weight came out negative (defensive guard)."""
-
-
 @dataclass(frozen=True)
 class RiskMeasure:
     """Convex combination between expectation (weight 1-lam) and CVaR_alpha."""
@@ -138,21 +134,11 @@ def sampling_weights(betas, measure: RiskMeasure) -> WeightVector:
     Sorted ascending (stable), positions below the VaR index get
     (1-lam)/L, positions above get (1-lam)/L + lam/((1-alpha)L), and the
     VaR position absorbs the remainder so the vector sums to one and
-    its dot product with the betas equals the composite measure.
+    its dot product with the betas equals the composite measure. When
+    alpha*L lies within the quantile slack above an integer, that
+    remainder comes out slightly negative; it is then clipped to zero
+    and the vector renormalised.
     """
-    raw, pivot, nu, n = _closed_form_weights(betas, measure)
-    if pivot < -1e-12:
-        raise NegativeWeight(
-            f"weight {pivot} at quantile position {nu} of {n}")
-    return WeightVector(raw)
-
-
-def raw_sampling_weights(betas, measure: RiskMeasure) -> np.ndarray:
-    """Closed-form weights without validation; callers clamp as needed."""
-    return _closed_form_weights(betas, measure)[0]
-
-
-def _closed_form_weights(betas, measure: RiskMeasure):
     b = _atoms(betas)
     n = b.size
     lam, alpha = measure.lam, measure.alpha
@@ -163,19 +149,12 @@ def _closed_form_weights(betas, measure: RiskMeasure):
     sorted_w = np.full(n, base)
     sorted_w[nu:] += tail
     pivot = base + lam - lam * (n - nu) / ((1.0 - alpha) * n)
-    sorted_w[nu - 1] = max(pivot, 0.0)  # clip float noise at exact zero
+    sorted_w[nu - 1] = max(pivot, 0.0)
+    if pivot < 0.0:
+        sorted_w /= sorted_w.sum()
     weights = np.empty(n)
     weights[order] = sorted_w
-    return weights, pivot, nu, n
-
-
-def clamped_weights(raw) -> WeightVector:
-    """Clip negatives to zero and renormalize into a valid distribution."""
-    w = np.maximum(np.asarray(raw, dtype=float), 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("cannot renormalize an all-zero weight vector")
-    return WeightVector(w / total)
+    return WeightVector(weights)
 
 
 def _atoms(values) -> np.ndarray:

@@ -11,7 +11,6 @@ any order (or concurrently) without changing results.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,10 +23,6 @@ ENUMERATION_CAP = 100_000
 
 class TreeTooLarge(ValueError):
     """Full-tree traversal was requested beyond the enumeration cap."""
-
-
-class InsufficientHistory(ValueError):
-    """AR evaluation received fewer lagged inflows than coefficients."""
 
 
 @dataclass(frozen=True)
@@ -94,37 +89,6 @@ class Lattice:
         return self.stage1 if stage == 1 else self.noise(stage, opening)
 
 
-@dataclass(frozen=True)
-class ARProcess:
-    """Per-hydro autoregressive inflow coefficients (possibly empty)."""
-
-    coefficients: dict  # hydro name -> tuple of lag coefficients
-
-    @property
-    def max_lag(self) -> int:
-        return max((len(c) for c in self.coefficients.values()), default=0)
-
-
-def inflow_transition(ar: ARProcess, lag_history: dict,
-                      noise: NoiseRealization) -> dict:
-    """New inflow per hydro: sum of lag terms plus the opening's noise.
-
-    ``lag_history[name]`` lists recent inflows newest first.
-    """
-    out = {}
-    for name, phi in ar.coefficients.items():
-        hist = lag_history.get(name, ())
-        if len(hist) < len(phi):
-            raise InsufficientHistory(
-                f"hydro {name!r} needs {len(phi)} lagged inflows, "
-                f"got {len(hist)}")
-        acc = noise.inflow_noise.get(name, 0.0)
-        for k, coef in enumerate(phi):
-            acc += coef * hist[k]
-        out[name] = acc
-    return out
-
-
 class SamplerMode(enum.Enum):
     UNIFORM = "uniform"
     RISK_ADJUSTED = "risk"
@@ -173,12 +137,3 @@ def sample_opening(weights: WeightVector, rng: np.random.Generator) -> int:
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, len(weights) - 1)
 
-
-def enumerate_paths(lattice: Lattice, cap: int = ENUMERATION_CAP):
-    """All opening-index sequences (stages 2..T), lexicographic order."""
-    count = lattice.num_openings ** (lattice.num_stages - 1)
-    if count > cap:
-        raise TreeTooLarge(
-            f"{count} paths exceed the enumeration cap of {cap}")
-    return [tuple(p) for p in itertools.product(
-        range(lattice.num_openings), repeat=lattice.num_stages - 1)]

@@ -1,8 +1,9 @@
 """Exact oracle: one monolithic LP over the expanded scenario tree.
 
-Every node carries its own dispatch block (physics rows identical to the
-single-stage subproblem, linked to the parent through storage variables
-and ancestor inflows); every internal node carries a risk block with an
+Every node carries its own dispatch block, stamped by the same
+``hydro.dispatch_columns`` / ``dispatch_rows`` as the single-stage
+subproblem and linked to the parent through storage variables and
+ancestor inflows; every internal node carries a risk block with an
 anchor z, per-child excesses delta, and per-child value variables theta
 tied by equality to the child's immediate cost plus the child's own risk
 term. The root objective is its immediate cost plus its risk term, which
@@ -20,7 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .hydro import StateVector, SystemCase, check_state, initial_state
+from .hydro import (
+    StateVector,
+    SystemCase,
+    check_state,
+    dispatch_columns,
+    dispatch_cost,
+    dispatch_rows,
+    initial_state,
+)
 from .lp import EQUAL, GREATER, OPTIMAL, LPBuilder, solve
 from .risk import RiskMeasure
 from .scenario import Lattice, TreeTooLarge
@@ -68,94 +77,31 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     lam, alpha = measure.lam, measure.alpha
     bld = LPBuilder()
 
-    g, r, deficit, flow = {}, {}, {}, {}
-    u, spill, vout, inflow = {}, {}, {}, {}
+    cols, ancestors = [], []
     theta, delta, zvar = {}, {}, {}
 
     for n, node in enumerate(nodes):
-        for th in case.thermals:
-            g[(n, th.name)] = bld.add_var((n, "g", th.name), 0.0, th.cap)
         noise = (lattice.stage_noise(node.stage, root_opening) if n == 0
                  else lattice.noise(node.stage, node.opening))
-        for re in case.renewables:
-            r[(n, re.name)] = bld.add_var((n, "r", re.name), 0.0,
-                                          noise.renewable_cap[re.name])
-        for i, line in enumerate(case.lines):
-            flow[(n, i, line.from_bus)] = bld.add_var(
-                (n, "f", i, line.from_bus), 0.0, line.capacity)
-            flow[(n, i, line.to_bus)] = bld.add_var(
-                (n, "f", i, line.to_bus), 0.0, line.capacity)
-        for b in case.buses:
-            deficit[(n, b.name)] = bld.add_var((n, "deficit", b.name),
-                                               0.0, np.inf)
-        for h in case.hydros:
-            u[(n, h.name)] = bld.add_var((n, "u", h.name), 0.0, h.max_turbine)
-            spill[(n, h.name)] = bld.add_var((n, "spill", h.name), 0.0, np.inf)
-            vout[(n, h.name)] = bld.add_var((n, "vout", h.name), 0.0,
-                                            h.max_storage)
-            inflow[(n, h.name)] = bld.add_var((n, "a", h.name),
-                                              -np.inf, np.inf)
+        cols.append(dispatch_columns(bld, case, noise, (n,)))
         if node.children:
             for l in range(L):
                 theta[(n, l)] = bld.add_var((n, "theta", l), -np.inf, np.inf)
                 delta[(n, l)] = bld.add_var((n, "delta", l), 0.0, np.inf)
             zvar[n] = bld.add_var((n, "z"), -np.inf, np.inf)
 
-        for b in case.buses:
-            demand = noise.demand.get(b.name, b.demand[node.stage - 1])
-            terms = [(deficit[(n, b.name)], 1.0)]
-            terms += [(g[(n, th.name)], 1.0) for th in case.thermals
-                      if th.bus == b.name]
-            terms += [(u[(n, h.name)], h.production) for h in case.hydros
-                      if h.bus == b.name]
-            terms += [(r[(n, re.name)], 1.0) for re in case.renewables
-                      if re.bus == b.name]
-            for i, line in enumerate(case.lines):
-                if line.to_bus == b.name:
-                    terms.append((flow[(n, i, line.from_bus)], 1.0))
-                    terms.append((flow[(n, i, line.to_bus)], -1.0))
-                elif line.from_bus == b.name:
-                    terms.append((flow[(n, i, line.to_bus)], 1.0))
-                    terms.append((flow[(n, i, line.from_bus)], -1.0))
-            bld.add_row(terms, EQUAL, float(demand), label=(n, "balance", b.name))
-
-        for j, h in enumerate(case.hydros):
-            terms = [(vout[(n, h.name)], 1.0), (u[(n, h.name)], 1.0),
-                     (spill[(n, h.name)], 1.0), (inflow[(n, h.name)], -1.0)]
-            terms += [(u[(n, up)], -1.0) for up in h.upstream]
-            terms += [(spill[(n, up)], -1.0) for up in h.upstream]
-            rhs = 0.0
-            if node.parent is None:
-                rhs = float(root_state.storages[j])
-            else:
-                terms.append((vout[(node.parent, h.name)], -1.0))
-            bld.add_row(terms, EQUAL, rhs, label=(n, "mass", h.name))
-
-            # AR row; lag k of stage tau is the inflow of stage tau-k,
-            # an ancestor variable inside the subtree or a fixed lag of
-            # the root state outside it.
-            ar_terms = [(inflow[(n, h.name)], 1.0)]
-            try:
-                rhs = float(noise.inflow_noise[h.name])
-            except KeyError:
-                raise KeyError(
-                    f"noise lacks inflow for hydro {h.name!r}") from None
-            for k, coef in enumerate(h.ar_coeffs, start=1):
-                ref_stage = node.stage - k
-                if ref_stage >= root_stage:
-                    anc = n
-                    for _ in range(k):
-                        anc = nodes[anc].parent
-                    ar_terms.append((inflow[(anc, h.name)], -coef))
-                else:
-                    rhs += coef * float(root_state.lags[j][root_stage - 1 - ref_stage])
-            bld.add_row(ar_terms, EQUAL, rhs, label=(n, "ar", h.name))
-
-    def cost_terms(n):
-        terms = [(g[(n, th.name)], th.cost) for th in case.thermals]
-        terms += [(deficit[(n, b.name)], case.deficit_cost)
-                  for b in case.buses]
-        return terms
+        # Storage comes from the parent; lag k of a node is the inflow of
+        # its k-th ancestor inside the subtree, or a fixed lag of the root
+        # state beyond it.
+        ancestors.append([] if node.parent is None
+                         else [node.parent] + ancestors[node.parent])
+        up = [cols[a] for a in ancestors[n]]
+        storage_in = [up[0]["vout", h.name] if up else root_state.storages[j]
+                      for j, h in enumerate(case.hydros)]
+        lags_in = [[c["a", h.name] for c in up] + list(root_state.lags[j])
+                   for j, h in enumerate(case.hydros)]
+        dispatch_rows(bld, case, cols[n], node.stage, noise, storage_in,
+                      lags_in, (n,))
 
     def risk_terms(n):
         if not nodes[n].children:
@@ -171,13 +117,14 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
         for l, child in enumerate(node.children):
             # theta_{n,l} = immediate cost of child + child risk term
             terms = [(theta[(n, l)], 1.0)]
-            terms += [(col, -coef) for col, coef in cost_terms(child)]
+            terms += [(col, -coef) for col, coef
+                      in dispatch_cost(case, cols[child])]
             terms += [(col, -coef) for col, coef in risk_terms(child)]
             bld.add_row(terms, EQUAL, 0.0, label=(n, "value", l))
             bld.add_row([(delta[(n, l)], 1.0), (theta[(n, l)], -1.0),
                          (zvar[n], 1.0)], GREATER, 0.0, label=(n, "excess", l))
 
-    for col, coef in cost_terms(0) + risk_terms(0):
+    for col, coef in dispatch_cost(case, cols[0]) + risk_terms(0):
         bld.set_cost(col, coef)
     return bld.build()
 

@@ -14,7 +14,6 @@ from hydrosddp.engine import (
     effective_sampler,
     evaluate_policy_exact,
     forward_pass,
-    lower_bound,
     simulate_policy,
     train,
     upper_bound_estimate,
@@ -171,8 +170,9 @@ def test_flat_cut_for_worthless_water():
 def test_lower_bound_with_empty_pool():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15, T=3)
     # Future epigraph floors at zero, so the bound is the immediate cost.
-    assert lower_bound(case, lattice, fresh_pool(case, lattice),
-                       BLEND) == pytest.approx(20.0, abs=1e-8)
+    _, lb = forward_pass(case, lattice, fresh_pool(case, lattice), BLEND,
+                         SamplerMode.RISK_ADJUSTED, 1, 1, seed=0)
+    assert lb == pytest.approx(20.0, abs=1e-8)
 
 
 def test_risk_adjusted_sampling_chases_high_beta():

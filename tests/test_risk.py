@@ -5,10 +5,8 @@ import pytest
 
 from hydrosddp.risk import (
     EmptyInput,
-    NegativeWeight,
     RiskMeasure,
     WeightVector,
-    clamped_weights,
     cvar_oracle,
     quantile_position,
     rho,
@@ -188,21 +186,36 @@ def test_quantile_position_edges():
 
 
 def test_clamped_weights_renormalizes():
-    w = clamped_weights(np.array([-0.2, 0.6, 0.6]))
-    assert w.weights == pytest.approx([0.0, 0.5, 0.5], abs=1e-15)
-    with pytest.raises(ValueError):
-        clamped_weights(np.array([-1.0, 0.0]))
+    # lam=1 and alpha*n just above an integer: quantile_position's slack
+    # rounds down, the closed-form VaR weight comes out slightly negative,
+    # and sampling_weights clips it to zero and renormalises.
+    betas = np.array([0.2, 0.9, 0.4, 0.7])
+    m = RiskMeasure(lam=1.0, alpha=0.75 + 1e-10)
+    assert quantile_position(m.alpha, 4) == 3
+    w = sampling_weights(betas, m)
+    assert w.weights.tolist() == [0.0, 1.0, 0.0, 0.0]
+    m = RiskMeasure(lam=1.0, alpha=0.5 + 2.5e-10)
+    assert quantile_position(m.alpha, 2) == 1
+    w = sampling_weights(np.array([0.3, 0.8]), m)
+    assert w.weights == pytest.approx([0.0, 1.0], abs=1e-15)
+    assert w.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_negative_weight_is_defensively_unreachable():
-    # quantile_position(alpha, n) >= alpha*n implies the pivot weight is
-    # nonnegative; sweep a grid to back that analysis empirically.
+    # No weight handed out by sampling_weights is negative: sweep a random
+    # grid, and the quantile slack just above every integer alpha*n, where
+    # the closed-form pivot goes negative before clipping.
     rng = np.random.default_rng(51)
-    for _ in range(3000):
-        n = int(rng.integers(1, 12))
-        m = RiskMeasure(lam=float(rng.uniform(0, 1)),
-                        alpha=float(rng.uniform(0, 0.999)))
-        try:
-            sampling_weights(rng.uniform(0, 1, n), m)
-        except NegativeWeight:  # pragma: no cover
-            pytest.fail("closed-form weights went negative")
+    cases = [(int(n), RiskMeasure(lam=float(rng.uniform(0, 1)),
+                                  alpha=float(rng.uniform(0, 0.999))))
+             for n in rng.integers(1, 12, size=3000)]
+    cases += [(n, RiskMeasure(lam=1.0, alpha=k / n + delta / n))
+              for n in range(2, 12) for k in range(1, n)
+              for delta in (1e-10, 2.5e-10, 4e-10)]
+    for n, m in cases:
+        betas = rng.uniform(0, 1, n)
+        w = sampling_weights(betas, m)
+        assert isinstance(w, WeightVector)
+        assert np.all(w.weights >= 0.0)
+        assert abs(w.weights.sum() - 1.0) <= 1e-12
+        assert abs(w.weights @ betas - rho(betas, m)) <= 1e-9

@@ -1,18 +1,13 @@
-"""Lattice shape rules, AR transitions, and sampler statistics."""
+"""Lattice shape rules and sampler statistics."""
 
 import numpy as np
 import pytest
 
 from hydrosddp.risk import WeightVector, uniform_weights
 from hydrosddp.scenario import (
-    ARProcess,
-    InsufficientHistory,
     Lattice,
     NoiseRealization,
     SamplerMode,
-    TreeTooLarge,
-    enumerate_paths,
-    inflow_transition,
     path_rng,
     sample_opening,
 )
@@ -42,39 +37,6 @@ def test_noise_guards():
         NoiseRealization(renewable_cap={"w": -1.0})
     with pytest.raises(ValueError):
         NoiseRealization(demand={"b": -2.0})
-
-
-def test_path_counts():
-    assert len(enumerate_paths(flat_lattice(10, 2))) == 512
-    assert len(enumerate_paths(flat_lattice(7, 3))) == 729
-    assert enumerate_paths(flat_lattice(1, 5)) == [()]
-    with pytest.raises(TreeTooLarge):
-        enumerate_paths(flat_lattice(10, 2), cap=100)
-
-
-def test_paths_lexicographic_and_complete():
-    for T in range(1, 7):
-        for L in range(1, 5):
-            paths = enumerate_paths(flat_lattice(T, L))
-            assert len(paths) == L ** (T - 1)
-            assert len(set(paths)) == len(paths)
-            assert paths == sorted(paths)
-
-
-def test_inflow_transition_examples():
-    noise5 = NoiseRealization(inflow_noise={"h": 5.0})
-    assert inflow_transition(ARProcess({"h": ()}), {"h": ()}, noise5)["h"] == 5.0
-
-    noise1 = NoiseRealization(inflow_noise={"h": 1.0})
-    out = inflow_transition(ARProcess({"h": (0.5,)}), {"h": (10.0,)}, noise1)
-    assert out["h"] == pytest.approx(6.0)
-
-    noise0 = NoiseRealization(inflow_noise={"h": 0.0})
-    out = inflow_transition(ARProcess({"h": (0.5, 0.25)}), {"h": (4.0, 8.0)}, noise0)
-    assert out["h"] == pytest.approx(4.0)
-
-    with pytest.raises(InsufficientHistory):
-        inflow_transition(ARProcess({"h": (0.5, 0.2)}), {"h": (1.0,)}, noise0)
 
 
 def test_sample_opening_degenerate():

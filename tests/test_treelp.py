@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
-from hydrosddp.hydro import Bus, SystemCase, Thermal, initial_state, solve_stage
+from hydrosddp.hydro import (
+    Bus,
+    DimensionMismatch,
+    SystemCase,
+    Thermal,
+    initial_state,
+    solve_stage,
+)
 from hydrosddp.lp import EQUAL, OPTIMAL, LPBuilder, solve
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization, TreeTooLarge
@@ -36,12 +43,21 @@ def expected_value_tree_objective(case, lattice):
     L = lattice.num_openings
     bld = LPBuilder()
     g, deficit, u, spill, vout, inflow = {}, {}, {}, {}, {}, {}
+    ren, ship = {}, {}
     for n, node in enumerate(nodes):
         depth = node.stage - 1
         prob = (1.0 / L) ** depth
         noise = lattice.stage_noise(node.stage, node.opening)
         for th in case.thermals:
             g[(n, th.name)] = bld.add_var(None, 0.0, th.cap, prob * th.cost)
+        for re in case.renewables:
+            ren[(n, re.name)] = bld.add_var(None, 0.0,
+                                            noise.renewable_cap[re.name])
+        # ship[(n, i, a, z)]: power sent over line i from bus a to bus z
+        for i, line in enumerate(case.lines):
+            for a, z in ((line.from_bus, line.to_bus),
+                         (line.to_bus, line.from_bus)):
+                ship[(n, i, a, z)] = bld.add_var(None, 0.0, line.capacity)
         for b in case.buses:
             deficit[(n, b.name)] = bld.add_var(None, 0.0, np.inf,
                                                prob * case.deficit_cost)
@@ -57,6 +73,15 @@ def expected_value_tree_objective(case, lattice):
                       if th.bus == b.name]
             terms += [(u[(n, h.name)], h.production) for h in case.hydros
                       if h.bus == b.name]
+            terms += [(ren[(n, re.name)], 1.0) for re in case.renewables
+                      if re.bus == b.name]
+            for i, line in enumerate(case.lines):
+                for a, z in ((line.from_bus, line.to_bus),
+                             (line.to_bus, line.from_bus)):
+                    if z == b.name:
+                        terms.append((ship[(n, i, a, z)], 1.0))
+                    elif a == b.name:
+                        terms.append((ship[(n, i, a, z)], -1.0))
             bld.add_row(terms, EQUAL, float(demand))
         for j, h in enumerate(case.hydros):
             terms = [(vout[(n, h.name)], 1.0), (u[(n, h.name)], 1.0),
@@ -105,6 +130,12 @@ def test_risk_neutral_matches_probability_weighted_oracle():
     rng = np.random.default_rng(71)
     for _ in range(6):
         case, lattice = random_case(rng, T=3, L=2)
+        ours = tree_objective(case, lattice, NEUTRAL)
+        oracle = expected_value_tree_objective(case, lattice)
+        assert ours == pytest.approx(oracle, abs=1e-7)
+    for _ in range(4):
+        case, lattice = random_case(rng, T=3, L=2, two_bus=True,
+                                    with_renewable=True)
         ours = tree_objective(case, lattice, NEUTRAL)
         oracle = expected_value_tree_objective(case, lattice)
         assert ours == pytest.approx(oracle, abs=1e-7)
@@ -157,6 +188,15 @@ def test_risk_aversion_never_cheapens_the_tree():
             val = tree_objective(case, lattice, RiskMeasure(lam=lam, alpha=0.5))
             assert val >= prev - 1e-8
             prev = val
+
+
+def test_missing_renewable_cap_is_dimension_mismatch():
+    rng = np.random.default_rng(76)
+    case, lattice = random_case(rng, T=2, L=2, with_renewable=True)
+    bare = NoiseRealization(inflow_noise=lattice.noise(2, 1).inflow_noise)
+    short = Lattice(2, 2, lattice.stage1, [[lattice.noise(2, 0), bare]])
+    with pytest.raises(DimensionMismatch, match="w1"):
+        build_tree_lp(case, short, NEUTRAL)
 
 
 def test_node_cap_enforced():

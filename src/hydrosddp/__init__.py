@@ -53,4 +53,17 @@ from .treelp import build_tree_lp, exact_cost_to_go, tree_objective
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundsEntry", "BoundsLog", "Cut", "CutPool", "EngineConfig",
+    "TrainedPolicy", "backward_pass", "evaluate_policy_exact",
+    "forward_pass", "simulate_policy", "train", "upper_bound_estimate",
+    "Bus", "Hydro", "Line", "Renewable", "StageSolution", "StateVector",
+    "SystemCase", "Thermal", "build_stage_lp", "initial_state",
+    "solve_stage",
+    "LinearProgram", "LPSolution", "solve",
+    "RiskMeasure", "WeightVector", "cvar_oracle", "rho", "rho_lp",
+    "sampling_weights", "var_oracle",
+    "Lattice", "NoiseRealization", "PathRecord", "SamplerMode",
+    "sample_opening",
+    "build_tree_lp", "exact_cost_to_go", "tree_objective",
+]

@@ -144,6 +144,8 @@ def cmd_solve(args) -> int:
         "sampler": last.sampler,
         "cut_count": len(policy.cuts),
         "duplicate_cuts": policy.cuts.duplicates,
+        "stage_solves": policy.stage_solves,
+        "reused_solves": policy.reused_solves,
         "lambda": measure.lam,
         "alpha": measure.alpha,
         "seed": config.seed,

@@ -9,6 +9,12 @@ whose stage-LP row the pool already holds is dropped. Cuts created
 while processing stage t+1 are visible to the stage-t solves of the
 same sweep, matching the backward order of the recursion.
 
+Stage solves go through a ``StageMemo``: a stage LP is a pure function
+of (stage, incoming state, opening) and the stage's cut lists, so a
+solution is reused until a distinct cut lands at that stage. ``train``
+shares one memo across all its iterations; ``evaluate_policy_exact``
+and each ``forward_pass`` outside training use their own.
+
 In alternating mode, odd iterations sample uniformly and skip both the
 upper-bound estimate and the convergence check; even iterations use the
 risk-adjusted weights.
@@ -86,6 +92,7 @@ class CutPool:
                       for t in range(1, num_stages)
                       for l in range(num_openings)}
         self._rows = {key: set() for key in self._cuts}
+        self._stage_sizes = dict.fromkeys(range(1, num_stages), 0)
 
     def append(self, t: int, l: int, cut: Cut) -> bool:
         """Add ``cut`` unless its row (gradient bytes and offset, compared
@@ -101,7 +108,13 @@ class CutPool:
             return False
         rows.add(row)
         self._cuts[(t, l)].append(cut)
+        self._stage_sizes[t] += 1
         return True
+
+    def stage_size(self, t: int) -> int:
+        """Number of cuts feeding the stage-t subproblem (0 at the last
+        stage); the lists are append-only, so it identifies the slice."""
+        return self._stage_sizes.get(t, 0)
 
     def slice(self, t: int):
         """Per-opening cut lists feeding the stage-t subproblem."""
@@ -172,6 +185,48 @@ class TrainedPolicy:
     bounds: BoundsLog
     config: EngineConfig
     fingerprint: str = ""
+    stage_solves: int = 0    # stage LPs training solved
+    reused_solves: int = 0   # stage solves training answered from its memo
+
+
+class StageMemo:
+    """Stage solutions keyed on (stage t, incoming-state bytes, opening),
+    the opening being None at stage 1.
+
+    An entry stays valid while the stage-t cut lists are unchanged; when
+    ``cuts.stage_size(t)`` moves, the stage's whole table is dropped. The
+    case, lattice and measure are fixed for the memo's lifetime, so they
+    stay out of the key. ``solves`` counts the stage LPs solved and
+    ``reuses`` the calls answered from a table.
+    """
+
+    def __init__(self, case: SystemCase, lattice: Lattice, cuts: CutPool,
+                 measure: RiskMeasure):
+        self.case, self.lattice = case, lattice
+        self.cuts, self.measure = cuts, measure
+        self.solves = 0
+        self.reuses = 0
+        self._tables = {}   # t -> (stage size, {(state bytes, opening): sol})
+
+    def solve(self, t: int, state: StateVector, opening: Optional[int]):
+        size = self.cuts.stage_size(t)
+        held, table = self._tables.get(t, (None, None))
+        if held != size:
+            table = {}
+            self._tables[t] = (size, table)
+        key = (state.flatten().tobytes(), opening)
+        sol = table.get(key)
+        if sol is None:
+            lattice = self.lattice
+            sol = solve_stage(self.case, t, state,
+                              lattice.stage_noise(t, opening),
+                              self.cuts.slice_or_none(t), self.measure,
+                              lattice.num_stages, lattice.num_openings)
+            table[key] = sol
+            self.solves += 1
+        else:
+            self.reuses += 1
+        return sol
 
 
 def effective_sampler(mode: SamplerMode, iteration: int) -> SamplerMode:
@@ -184,16 +239,18 @@ def effective_sampler(mode: SamplerMode, iteration: int) -> SamplerMode:
 
 def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
                  measure: RiskMeasure, sampler: SamplerMode, iteration: int,
-                 batch_size: int, seed: int):
+                 batch_size: int, seed: int,
+                 memo: Optional[StageMemo] = None):
     """Run one batch of forward paths.
 
     Returns (paths, stage1_objective); the stage-1 subproblem is
     deterministic, so it is solved once and shared across the batch.
+    Stage solves go through ``memo``, a fresh one when none is given.
     """
     T, L = lattice.num_stages, lattice.num_openings
+    memo = memo or StageMemo(case, lattice, cuts, measure)
     risk_adjusted = effective_sampler(sampler, iteration) is SamplerMode.RISK_ADJUSTED
-    root = solve_stage(case, 1, initial_state(case), lattice.stage1,
-                       cuts.slice_or_none(1), measure, T, L)
+    root = memo.solve(1, initial_state(case), None)
 
     paths = []
     for s in range(batch_size):
@@ -210,38 +267,32 @@ def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
             if t == T:
                 break
             opening = sample_opening(weights, rng)
-            sol = solve_stage(case, t + 1, sol.state_out,
-                              lattice.noise(t + 1, opening),
-                              cuts.slice_or_none(t + 1), measure, T, L)
+            sol = memo.solve(t + 1, sol.state_out, opening)
         paths.append(PathRecord(tuple(steps)))
     return paths, root.objective
 
 
 def backward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
-                  paths, measure: RiskMeasure) -> int:
+                  paths, measure: RiskMeasure,
+                  memo: Optional[StageMemo] = None) -> int:
     """Sweep stages T..2 adding one distinct cut per (path, opening);
     returns the number of cuts the pool kept.
 
-    Within one stage level the pool is fixed, so solves for repeated
-    (state, opening) pairs are cached; the pool would drop their
-    repeated cuts either way.
+    Stage solves go through ``memo`` (a fresh one when none is given), so
+    repeated (state, opening) pairs are solved once while the stage's
+    cuts are unchanged; the pool drops their repeated cuts.
     """
     T, L = lattice.num_stages, lattice.num_openings
+    memo = memo or StageMemo(case, lattice, cuts, measure)
     added = 0
     for t in range(T, 1, -1):
-        stage_cuts = cuts.slice_or_none(t)
-        cache = {}
         for path in paths:
             state = path.steps[t - 2].state_out
-            key = state.flatten().tobytes()
+            anchor = state.flatten()
             for l in range(L):
-                hit = cache.get((key, l))
-                if hit is None:
-                    sol = solve_stage(case, t, state, lattice.noise(t, l),
-                                      stage_cuts, measure, T, L)
-                    hit = Cut(sol.state_dual, state.flatten(), sol.objective)
-                    cache[(key, l)] = hit
-                added += cuts.append(t - 1, l, hit)
+                sol = memo.solve(t, state, l)
+                added += cuts.append(
+                    t - 1, l, Cut(sol.state_dual, anchor, sol.objective))
     return added
 
 
@@ -262,13 +313,14 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
     T, L = lattice.num_stages, lattice.num_openings
     measure = config.measure
     pool = CutPool(T, L, case.state_dimension())
+    memo = StageMemo(case, lattice, pool, measure)
     log = BoundsLog()
 
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         paths, lb = forward_pass(case, lattice, pool, measure,
                                  config.sampler_mode, k, config.batch_size,
-                                 config.seed)
+                                 config.seed, memo)
         eff = effective_sampler(config.sampler_mode, k)
         skip_ub = (config.sampler_mode is SamplerMode.ALTERNATING
                    and eff is SamplerMode.UNIFORM)
@@ -284,7 +336,7 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
                 converged = lb >= test_ub - 1e-12 and gap_ok
 
         if not converged:
-            backward_pass(case, lattice, pool, paths, measure)
+            backward_pass(case, lattice, pool, paths, measure, memo)
 
         wall_ms = (time.perf_counter() - started) * 1e3
         log.append(BoundsEntry(k, lb, ub_mean, ub_stderr, ub_count,
@@ -292,7 +344,9 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
         if converged:
             break
 
-    return TrainedPolicy(pool, log, config, fingerprint), log
+    policy = TrainedPolicy(pool, log, config, fingerprint,
+                           memo.solves, memo.reuses)
+    return policy, log
 
 
 def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
@@ -309,21 +363,20 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
         raise TreeTooLarge(
             f"{L ** (T - 1)} scenario paths exceed the cap of {cap}")
     pool = policy.cuts if isinstance(policy, TrainedPolicy) else policy
+    memo = StageMemo(case, lattice, pool, measure)
 
-    def value(t: int, state: StateVector, noise) -> float:
-        sol = solve_stage(case, t, state, noise, pool.slice_or_none(t),
-                          measure, T, L)
+    def value(t: int, state: StateVector, opening) -> float:
+        sol = memo.solve(t, state, opening)
         if t == T:
             return sol.immediate_cost
         weights = sampling_weights(sol.betas, measure).weights
         total = sol.immediate_cost
         for l in range(L):
             if weights[l] > 0.0:
-                total += weights[l] * value(t + 1, sol.state_out,
-                                            lattice.noise(t + 1, l))
+                total += weights[l] * value(t + 1, sol.state_out, l)
         return total
 
-    return value(1, initial_state(case), lattice.stage1)
+    return value(1, initial_state(case), None)
 
 
 def simulate_policy(case: SystemCase, lattice: Lattice, policy,

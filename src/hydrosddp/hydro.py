@@ -18,7 +18,7 @@ case generators and fixtures stick to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -202,7 +202,6 @@ class StageSolution:
     state_out: StateVector
     state_dual: np.ndarray
     betas: Optional[np.ndarray]   # None at the terminal stage
-    primal: dict = field(default_factory=dict, repr=False)
 
 
 def dispatch_columns(bld: LPBuilder, case: SystemCase,
@@ -385,11 +384,11 @@ def solve_stage(case: SystemCase, t: int, state_in: StateVector,
             f"stage {t} subproblem ended {sol.status}; deficit slack and "
             f"free spill should keep every stage feasible")
 
+    # The stage LP labels its dispatch columns with their keys, so the
+    # label index serves as dispatch_cost's column map.
     immediate = 0.0
-    for th in case.thermals:
-        immediate += th.cost * sol.value_of(("g", th.name))
-    for b in case.buses:
-        immediate += case.deficit_cost * sol.value_of(("deficit", b.name))
+    for col, cost in dispatch_cost(case, sol.var_index):
+        immediate += cost * float(sol.primal[col])
 
     storages = np.empty(len(case.hydros))
     lags = []
@@ -413,5 +412,4 @@ def solve_stage(case: SystemCase, t: int, state_in: StateVector,
     if t < num_stages:
         betas = np.array([sol.value_of(("beta", l))
                           for l in range(num_openings)])
-    return StageSolution(sol.objective, immediate, state_out, dual, betas,
-                         primal={"lp": sol})
+    return StageSolution(sol.objective, immediate, state_out, dual, betas)

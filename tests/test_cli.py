@@ -162,6 +162,10 @@ def test_solve_reports_dropped_duplicate_cuts(closed_form_case, tmp_path,
     assert summary["cut_count"] == 2
     assert summary["duplicate_cuts"] == 4
     assert "2 cuts (4 duplicates dropped)" in capsys.readouterr().out
+    # Three distinct stage LPs before the first cuts land, one more for
+    # stage 1 once they do; every later call is answered by the memo.
+    assert summary["stage_solves"] == 4
+    assert summary["reused_solves"] == 10
 
 
 def test_help_exits_zero(capsys):

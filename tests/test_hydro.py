@@ -15,9 +15,11 @@ from hydrosddp.hydro import (
     StateVector,
     SystemCase,
     Thermal,
+    build_stage_lp,
     initial_state,
     solve_stage,
 )
+from hydrosddp.lp import solve
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization
 
@@ -180,9 +182,11 @@ def test_mass_conservation():
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
         cuts = [[] for _ in range(L)] if t < T else None
+        lpsol = solve(build_stage_lp(case, t, state, noise, cuts, NEUTRAL,
+                                     T, L))
         sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
-        lpsol = sol.primal["lp"]
         for j, h in enumerate(case.hydros):
+            assert sol.state_out.storages[j] == lpsol.value_of(("vout", h.name))
             released = sum(lpsol.value_of(("u", up)) + lpsol.value_of(("spill", up))
                            for up in h.upstream)
             balance = (sol.state_out.storages[j] - state.storages[j]

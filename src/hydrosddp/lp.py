@@ -9,13 +9,26 @@ dense explicit basis inverse updated on the rows each pivot changes,
 periodic refactorization, and a Bland's-rule fallback that engages
 after a stall of degenerate pivots.
 
+Each program picks one of two kernel sets by its row count. Below
+``_SPARSE_ROWS`` rows the basis is inverted by LAPACK, and the duals and
+the entering column are dense products with the inverse. From
+``_SPARSE_ROWS`` rows on, the basis is factored by its sparsity: column
+and row singletons are peeled into a block triangular form, level by
+level, and only the remaining bump is solved densely (Maros 2003,
+*Computational Techniques of the Simplex Method*, ch. 8; Suhl & Suhl
+1990). The entering column is then formed from its nonzeros alone, and
+the duals are updated in O(m) per pivot and recomputed at every
+factorization. Apart from the bump, which LAPACK solves, every product
+on this path runs in numpy's own loops in a fixed order, so the BLAS
+thread count cannot move a pivot or the last bits of a result.
+
 Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
 inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
 in the most violated of them, so a program with many violated cut rows
 pays for one artificial instead of one per row. Each solution reports
-its simplex iterations per phase (bound flips included) and its dense
-basis inversions.
+its simplex iterations per phase (bound flips included) and its basis
+factorizations.
 
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
@@ -45,6 +58,11 @@ _TOL_PIVOT = 1e-10
 _TOL_STEP = 1e-12
 _STALL_LIMIT = 200
 _REFACTOR_EVERY = 128
+# Programs with at least this many rows run the sparse kernels. Timed on
+# 28 casegen tree LPs of 13 to 887 rows, the dense kernels won every tree
+# up to 89 rows, the sparse ones every tree from 115 rows, and the two
+# split at 103 rows (BENCH_pr6.json, "crossover").
+_SPARSE_ROWS = 100
 
 
 class LPError(Exception):
@@ -143,6 +161,8 @@ class LPSolution:
     row_index: dict = field(repr=False, default_factory=dict)
     phase1_pivots: int = 0
     phase2_pivots: int = 0
+    # Basis factorizations of either kind: dense inverses below
+    # _SPARSE_ROWS rows, triangular-plus-bump factorizations from there.
     refactorizations: int = 0
 
     def value_of(self, tag) -> float:
@@ -235,6 +255,11 @@ class _Columns:
         a[self.row[k]] = self.val[k]
         return a
 
+    def ftran(self, b_inv, j):
+        """``B^-1 A[:, j]`` from the nonzeros of column j alone."""
+        k = slice(self.ptr[j], self.ptr[j + 1])
+        return np.einsum("ij,j->i", b_inv[:, self.row[k]], self.val[k])
+
     def basis_matrix(self, basis):
         """Dense ``A[:, basis]``; nonbasic entries land in a spare column."""
         pos = np.full(self.n, self.m)
@@ -251,6 +276,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     convention documented at module level.
     """
     n, m = lp.num_vars, lp.num_rows
+    sparse = m >= _SPARSE_ROWS
 
     # Equality form: [A | I][x; s] = b with slack bounds encoding senses.
     slack_lo = np.zeros(m)
@@ -262,9 +288,10 @@ def solve(lp: LinearProgram) -> LPSolution:
             slack_lo[i] = -np.inf
         # EQUAL keeps [0, 0]
     nz_col, nz_row = np.nonzero(lp.rows.T)
+    nz_val = lp.rows[nz_row, nz_col]
     col = [nz_col, np.arange(n, n + m)]
     row = [nz_row, np.arange(m)]
-    val = [lp.rows[nz_row, nz_col], np.ones(m)]
+    val = [nz_val, np.ones(m)]
     lo = np.concatenate([lp.lower, slack_lo])
     hi = np.concatenate([lp.upper, slack_hi])
     cost = np.concatenate([lp.objective, np.zeros(m)])
@@ -282,7 +309,10 @@ def solve(lp: LinearProgram) -> LPSolution:
         else:
             vstat[j], x[j] = _FREE, 0.0
 
-    resid = b - lp.rows @ x[:n] if m else np.zeros(0)
+    if sparse:
+        resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
+    else:
+        resid = b - lp.rows @ x[:n] if m else np.zeros(0)
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
@@ -354,10 +384,10 @@ def solve(lp: LinearProgram) -> LPSolution:
         phase1_cost = np.zeros(ncols + n_art)
         phase1_cost[ncols:] = 1.0
         status, p1_pivots, p1_refactors = _iterate(A, b, phase1_cost, lo, hi,
-                                                   x, vstat, basis)
+                                                   x, vstat, basis, sparse)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
-        if phase1_cost[ncols:] @ np.maximum(x[ncols:], 0.0) > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
+        if np.maximum(x[ncols:], 0.0).sum() > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
                               np.full(m, np.nan), lp._var_index,
                               lp._row_index, p1_pivots, 0, p1_refactors)
@@ -365,7 +395,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
     status, p2_pivots, refactors = _iterate(A, b, cost, lo, hi, x, vstat,
-                                            basis)
+                                            basis, sparse)
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
@@ -374,25 +404,27 @@ def solve(lp: LinearProgram) -> LPSolution:
 
     # Fresh factorization for clean duals.
     if m:
-        try:
-            b_inv = np.linalg.inv(A.basis_matrix(basis))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericalFailure("singular basis at termination") from exc
-        duals = cost[basis] @ b_inv
+        b_inv = _invert(A, basis, sparse)
+        if b_inv is None:
+            raise NumericalFailure("singular basis at termination")
+        duals = _btran(cost[basis], b_inv, sparse)
         refactors += 1
     else:
         duals = np.zeros(0)
     primal = x[:n].copy()
-    return LPSolution(OPTIMAL, float(lp.objective @ primal), primal, duals,
+    objective = (np.einsum("i,i->", lp.objective, primal) if sparse
+                 else lp.objective @ primal)
+    return LPSolution(OPTIMAL, float(objective), primal, duals,
                       lp._var_index, lp._row_index, p1_pivots, p2_pivots,
                       refactors)
 
 
-def _iterate(A, b, cost, lo, hi, x, vstat, basis):
+def _iterate(A, b, cost, lo, hi, x, vstat, basis, sparse):
     """Primal simplex sweep on the equality form; mutates x/vstat/basis.
 
     Returns (status, iterations, refactorizations), bound flips counted
-    as iterations.
+    as iterations. With ``sparse`` the duals are carried across pivots
+    and recomputed only at a factorization.
     """
     m = A.m
     if m == 0:
@@ -412,8 +444,11 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis):
                 vstat[j] = _AT_LOWER
         return OPTIMAL, 0, 0
 
-    b_inv = np.linalg.inv(A.basis_matrix(basis))
+    b_inv = _invert(A, basis, sparse)
+    if b_inv is None:
+        raise NumericalFailure("singular starting basis")
     refactors = 1
+    y = None
     max_iters = 10_000 + 10 * (A.n + m)
     bland = False
     stall = 0
@@ -428,12 +463,14 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis):
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
             if it and it % _REFACTOR_EVERY == 0:
-                b_inv, ok = _refactor(A, b, x, vstat, basis)
+                b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:  # pragma: no cover
                     raise NumericalFailure("singular basis on refactorization")
+                y = None
 
-            y = cost[basis] @ b_inv
+            if y is None or not sparse:
+                y = _btran(cost[basis], b_inv, sparse)
             d = A.price(cost, y)
             score = np.abs(d) * np.where(d < 0.0, up, dn)
             q = int(score.argmax())
@@ -443,7 +480,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis):
                 q = int(np.flatnonzero(score > TOL_OPT)[0])
             sigma = 1.0 if d[q] < 0 else -1.0
 
-            w = b_inv @ A.column(q)
+            w = A.ftran(b_inv, q) if sparse else b_inv @ A.column(q)
             xb = x[basis]
             step = sigma * w
             # Blocking ratios for basic variables pushed toward a bound.
@@ -490,16 +527,20 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis):
             # where w is nonzero: the others change by exactly zero.
             piv = w[r]
             if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
-                b_inv, ok = _refactor(A, b, x, vstat, basis)
+                b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:
                     raise NumericalFailure("degenerate pivot produced singular basis")
+                y = None
             else:
                 row = b_inv[r] / piv
                 w[r] = 0.0
                 nz = w.nonzero()[0]
                 b_inv[nz] -= np.outer(w[nz], row)
                 b_inv[r] = row
+                if sparse:
+                    # The new basis prices column q at zero: y A_q = cost_q.
+                    y += d[q] * row
 
             if delta <= _TOL_STEP:
                 stall += 1
@@ -512,12 +553,173 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis):
     raise NumericalFailure(f"simplex exceeded {max_iters} iterations")
 
 
-def _refactor(A, b, x, vstat, basis):
+def _refactor(A, b, x, vstat, basis, sparse):
     """Recompute the basis inverse and basic values from scratch."""
-    try:
-        b_inv = np.linalg.inv(A.basis_matrix(basis))
-    except np.linalg.LinAlgError:
+    b_inv = _invert(A, basis, sparse)
+    if b_inv is None:
         return None, False
     x_n = np.where(vstat != _BASIC, x, 0.0)  # nonbasic values only
-    x[basis] = b_inv @ (b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m))
+    rhs = b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m)
+    x[basis] = np.einsum("ij,j->i", b_inv, rhs) if sparse else b_inv @ rhs
     return b_inv, True
+
+
+def _btran(cost_b, b_inv, sparse):
+    """Duals ``cost_B B^-1``; numpy's einsum loop, not BLAS, when sparse."""
+    return np.einsum("i,ij->j", cost_b, b_inv) if sparse else cost_b @ b_inv
+
+
+def _invert(A, basis, sparse):
+    """Explicit ``B^-1`` for ``B = A[:, basis]``, or None if B is singular."""
+    if sparse:
+        return _sparse_inverse(A, basis)
+    try:
+        return np.linalg.inv(A.basis_matrix(basis))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _ranges(start, count):
+    """The ranges ``start[i]:start[i] + count[i]`` concatenated, and the
+    ``i`` each position comes from."""
+    owner = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    return np.arange(owner.size) - first[owner] + start[owner], owner
+
+
+def _sparse_inverse(A, basis):
+    """``B^-1`` through the block triangular form of ``B = A[:, basis]``,
+    or None if B is structurally or numerically singular.
+
+    Column singletons are peeled first. A column with one nonzero among
+    the rows still active gives its variable from that row once the
+    row's other variables are known, so these levels are solved last,
+    in reverse. Row singletons of the rest are peeled next. A row with
+    one active nonzero gives its variable from variables already known,
+    so these levels are solved first, in order. The rows and columns
+    left over form the bump, which LAPACK solves densely in between.
+    Substituting ``B X = I`` along this schedule, one vectorised step
+    per level, gives ``X = B^-1`` a row at a time. Each row is formed
+    from the nonzeros of the rows it reads, summed by numpy in a fixed
+    order, so the sums do not depend on the BLAS thread count.
+    """
+    m = A.m
+    k, pos = _ranges(A.ptr[basis], A.ptr[basis + 1] - A.ptr[basis])
+    row, val = A.row[k], A.val[k]           # entries of B, by column
+
+    def peel(live, major, minor):
+        # Levels of singletons along `major` among the live entries, and
+        # the entries left live: those of neither a singleton's major
+        # line nor its minor line.
+        levels = []
+        while True:
+            line = major[live]
+            single = np.bincount(line, minlength=m)[line] == 1
+            if not single.any():
+                return levels, live
+            e = live[single]
+            levels.append(e)
+            gone = np.zeros(m, dtype=bool)
+            gone[minor[e]] = True
+            live = live[~(single | gone[minor[live]])]
+
+    col_levels, live = peel(np.arange(row.size), pos, row)
+    row_levels, live = peel(live, row, pos)
+    # Two singletons in one line make B singular; so does an empty line
+    # left in the bump, where LAPACK meets a zero pivot.
+    pivots = np.concatenate([np.empty(0, dtype=np.intp), *col_levels,
+                             *row_levels])
+    if (np.unique(row[pivots]).size < pivots.size
+            or np.unique(pos[pivots]).size < pivots.size):
+        return None
+    row_on = np.ones(m, dtype=bool)
+    pos_on = np.ones(m, dtype=bool)
+    row_on[row[pivots]] = False
+    pos_on[pos[pivots]] = False
+    bump = np.flatnonzero(row_on)
+    levels = [(row[e], pos[e]) for e in row_levels]
+    if bump.size:
+        levels.append((bump, np.flatnonzero(pos_on)))
+    levels += [(row[e], pos[e]) for e in reversed(col_levels)]
+    bump_level = len(row_levels) if bump.size else -1
+
+    # Number the rows in solve order, so that each level's rows are a run
+    # of ranks. Sorted by rank (by column within a row), the entries of
+    # B then split into runs per level: own entries, in columns that the
+    # level solves, and known entries, in columns solved before it.
+    size = [r.size for r, _ in levels]
+    bounds = np.concatenate([[0], np.cumsum(size)])
+    rows = np.concatenate([r for r, _ in levels])
+    rank = np.empty(m, dtype=np.intp)
+    rank[rows] = np.arange(m)
+    col_level = np.empty(m, dtype=np.intp)
+    for i, (_, p) in enumerate(levels):
+        col_level[p] = i
+    by_rank = np.argsort(rank[row], kind="stable")
+    e_rank, e_pos, e_val = rank[row[by_rank]], pos[by_rank], val[by_rank]
+    own = col_level[e_pos] == np.repeat(np.arange(len(levels)), size)[e_rank]
+    diag = np.zeros(m)              # by rank, for the singleton levels
+    diag[e_rank[own]] = e_val[own]
+    known = ~own
+    k_rank, k_pos, k_neg = e_rank[known], e_pos[known], -e_val[known]
+    k_bounds = np.searchsorted(k_rank, bounds).tolist()
+    bounds = bounds.tolist()
+    k_key = k_rank * m
+    unit = np.arange(m) * m + rows  # key of each row's unit entry, by rank
+    ones = np.ones(m)
+
+    X = np.zeros((m, m))
+    # Solved row p of X also as its nonzeros: columns xcol[xptr[p]:
+    # xptr[p] + xlen[p]] and values likewise. The buffers have room for
+    # a dense inverse, but only the pages written are ever touched.
+    xcol = np.empty(m * m, dtype=np.intp)
+    xval = np.empty(m * m)
+    xptr = np.zeros(m, dtype=np.intp)
+    xlen = np.zeros(m, dtype=np.intp)
+    used = 0
+    for i, (r, p) in enumerate(levels):
+        lo, hi = bounds[i], bounds[i + 1]
+        a, b = k_bounds[i], k_bounds[i + 1]
+        # Row r reads e_r - sum of B[r, c] X[c] over its known
+        # columns c: each known row's nonzeros, then a unit entry in
+        # column r, which no known row touches. The key rank * m + column
+        # gathers the terms of each entry of the result.
+        c = k_pos[a:b]
+        src, owner = _ranges(xptr[c], xlen[c])
+        key = np.concatenate([k_key[a:b][owner] + xcol[src], unit[lo:hi]])
+        term = np.concatenate([k_neg[a:b][owner] * xval[src], ones[lo:hi]])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        start = np.flatnonzero(new)
+        rhs = np.add.reduceat(term[order], start)
+        at, col = np.divmod(key[start], m)
+        tgt = at - lo               # the row's place in the level
+        if i != bump_level:         # B[r, p] is diagonal
+            rhs /= diag[at]
+        else:
+            cols, col = np.unique(col, return_inverse=True)
+            dense = np.zeros((r.size, cols.size))
+            dense[tgt, col] = rhs
+            local = np.empty(m, dtype=np.intp)
+            local[p] = np.arange(p.size)
+            block = np.zeros((r.size, p.size))
+            mine = own & (e_rank >= lo) & (e_rank < hi)
+            block[e_rank[mine] - lo, local[e_pos[mine]]] = e_val[mine]
+            try:
+                dense = np.linalg.solve(block, dense)
+            except np.linalg.LinAlgError:
+                return None
+            tgt, col = np.nonzero(dense)
+            rhs = dense[tgt, col]
+            col = cols[col]
+        X[p[tgt], col] = rhs
+        n = np.bincount(tgt, minlength=r.size)
+        xptr[p] = used + np.cumsum(n) - n
+        xlen[p] = n
+        xcol[used:used + rhs.size] = col
+        xval[used:used + rhs.size] = rhs
+        used += rhs.size
+    return X

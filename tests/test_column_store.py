@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from casegen import random_case
+from hydrosddp import lp as lpmod
 from hydrosddp.lp import (
     _REFACTOR_EVERY,
+    _SPARSE_ROWS,
     EQUAL,
     GREATER,
     LESS,
@@ -46,32 +48,45 @@ def assert_kkt(lp, sol, tol):
                                                     abs=tol)
 
 
-def test_tree_lp_matches_highs_across_refactorizations():
+def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
     case, lattice = random_case(np.random.default_rng(20261018), T=6, L=2,
                                 n_hydro=2, n_thermal=2)
     lp = build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5))
     ref = highs(lp)
+    sparse = []
+    factor = lpmod._sparse_inverse
+
+    def counted(A, basis):
+        sparse.append(A.m)
+        return factor(A, basis)
+
+    monkeypatch.setattr(lpmod, "_sparse_inverse", counted)
     sol = solve(lp)
     assert sol.status == OPTIMAL and ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
     assert_kkt(lp, sol, 1e-7)
-    # One inversion at the start of each phase, one for the duals, and
-    # one every _REFACTOR_EVERY iterations of a phase.
+    # One factorization at the start of each phase, one for the duals,
+    # and one every _REFACTOR_EVERY iterations of a phase; at 439 rows
+    # every one of them runs the sparse kernels.
     periodic = (sol.phase1_pivots // _REFACTOR_EVERY
                 + sol.phase2_pivots // _REFACTOR_EVERY)
     assert periodic >= 2
     assert sol.refactorizations == 3 + periodic
+    assert sparse == [lp.num_rows] * sol.refactorizations
 
 
 def test_tree_lp_pivot_path_is_pinned():
     # Pivot counts are deterministic. These pin the pivot path (pricing,
     # direction masks, ratio test), so a change meant to leave the path
     # alone is caught; a deliberate change of pivot rules updates them.
+    # This 215-row tree runs the sparse kernels.
     case, lattice = random_case(np.random.default_rng(20240807), T=5, L=2,
                                 n_hydro=2, n_thermal=2)
-    sol = solve(build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5)))
+    lp = build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5))
+    assert lp.num_rows >= _SPARSE_ROWS
+    sol = solve(lp)
     assert (sol.phase1_pivots, sol.phase2_pivots, sol.refactorizations) == \
-        (301, 18, 5)
+        (299, 18, 5)
     assert sol.objective == pytest.approx(13.589213726109996, rel=1e-12)
 
 

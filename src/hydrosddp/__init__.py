@@ -33,15 +33,7 @@ from .hydro import (
     solve_stage,
 )
 from .lp import LinearProgram, LPSolution, solve
-from .risk import (
-    RiskMeasure,
-    WeightVector,
-    cvar_oracle,
-    rho,
-    rho_lp,
-    sampling_weights,
-    var_oracle,
-)
+from .risk import RiskMeasure, WeightVector, sampling_weights
 from .scenario import (
     Lattice,
     NoiseRealization,
@@ -49,7 +41,7 @@ from .scenario import (
     SamplerMode,
     sample_opening,
 )
-from .treelp import build_tree_lp, exact_cost_to_go, tree_objective
+from .treelp import build_tree_lp, tree_objective
 
 __version__ = "0.1.0"
 
@@ -61,9 +53,8 @@ __all__ = [
     "SystemCase", "Thermal", "build_stage_lp", "initial_state",
     "solve_stage",
     "LinearProgram", "LPSolution", "solve",
-    "RiskMeasure", "WeightVector", "cvar_oracle", "rho", "rho_lp",
-    "sampling_weights", "var_oracle",
+    "RiskMeasure", "WeightVector", "sampling_weights",
     "Lattice", "NoiseRealization", "PathRecord", "SamplerMode",
     "sample_opening",
-    "build_tree_lp", "exact_cost_to_go", "tree_objective",
+    "build_tree_lp", "tree_objective",
 ]

@@ -35,13 +35,14 @@ from .engine import (
 )
 from .hydro import (
     Bus,
+    CascadeCycle,
     Hydro,
     Line,
     Renewable,
     StateVector,
     SystemCase,
     Thermal,
-    check_acyclic,
+    UnknownReference,
     initial_state,
 )
 from .risk import RiskMeasure
@@ -200,19 +201,14 @@ def parse_case_data(data, source="case") -> ParsedCase:
     for i, raw in enumerate(sysraw.get("lines", [])):
         path = f"system.lines[{i}]"
         _expect_keys(raw, path, ("from", "to", "capacity"))
-        frm, to = _str(raw, "from", path), _str(raw, "to", path)
-        for end in (frm, to):
-            if end not in bus_names:
-                raise DanglingReference(f"{path}: unknown bus {end!r}")
-        lines.append(Line(frm, to, _num(raw, "capacity", path)))
+        lines.append(Line(_str(raw, "from", path), _str(raw, "to", path),
+                          _num(raw, "capacity", path)))
 
     thermals = []
     for i, raw in enumerate(sysraw.get("thermals", [])):
         path = f"system.thermals[{i}]"
         _expect_keys(raw, path, ("name", "bus", "cost", "cap"))
-        if raw["bus"] not in bus_names:
-            raise DanglingReference(f"{path}: unknown bus {raw['bus']!r}")
-        thermals.append(Thermal(_str(raw, "name", path), raw["bus"],
+        thermals.append(Thermal(_str(raw, "name", path), _str(raw, "bus", path),
                                 _num(raw, "cost", path), _num(raw, "cap", path)))
 
     hydros = []
@@ -224,11 +220,9 @@ def parse_case_data(data, source="case") -> ParsedCase:
                       "production"),
                      ("upstream", "ar_coeffs", "initial_storage",
                       "initial_lags"))
-        if raw["bus"] not in bus_names:
-            raise DanglingReference(f"{path}: unknown bus {raw['bus']!r}")
         hydros.append(Hydro(
             name=_str(raw, "name", path),
-            bus=raw["bus"],
+            bus=_str(raw, "bus", path),
             max_storage=_num(raw, "max_storage", path),
             max_turbine=_num(raw, "max_turbine", path),
             production=_num(raw, "production", path),
@@ -240,15 +234,6 @@ def parse_case_data(data, source="case") -> ParsedCase:
                                         f"{path}.initial_lags")),
         ))
         hydro_names.add(hydros[-1].name)
-    for i, h in enumerate(hydros):
-        for up in h.upstream:
-            if up not in hydro_names:
-                raise DanglingReference(
-                    f"system.hydros[{i}].upstream: unknown hydro {up!r}")
-    try:
-        check_acyclic(hydros)
-    except ValueError as exc:
-        raise CyclicCascade(str(exc)) from None
 
     # An initial_state block overrides the per-hydro defaults, so the
     # system itself stays the single source of the starting state.
@@ -282,9 +267,8 @@ def parse_case_data(data, source="case") -> ParsedCase:
     for i, raw in enumerate(sysraw.get("renewables", [])):
         path = f"system.renewables[{i}]"
         _expect_keys(raw, path, ("name", "bus"))
-        if raw["bus"] not in bus_names:
-            raise DanglingReference(f"{path}: unknown bus {raw['bus']!r}")
-        renewables.append(Renewable(_str(raw, "name", path), raw["bus"]))
+        renewables.append(Renewable(_str(raw, "name", path),
+                                    _str(raw, "bus", path)))
     renewable_names = {r.name for r in renewables}
 
     try:
@@ -294,6 +278,10 @@ def parse_case_data(data, source="case") -> ParsedCase:
             deficit_cost=_num(sysraw, "deficit_cost", "system"),
             future_lower_bound=_num(sysraw, "future_lower_bound", "system",
                                     default=0.0))
+    except UnknownReference as exc:
+        raise DanglingReference(f"system.{exc}") from None
+    except CascadeCycle as exc:
+        raise CyclicCascade(f"system.{exc}") from None
     except ValueError as exc:
         raise SchemaError(f"system: {exc}") from None
 
@@ -365,9 +353,7 @@ def _noise_dict(noise: NoiseRealization) -> dict:
 
 
 def case_to_dict(system: SystemCase, lattice: Lattice,
-                 initial: Optional[StateVector] = None,
-                 risk: Optional[RiskMeasure] = None,
-                 engine: Optional[dict] = None) -> dict:
+                 initial: Optional[StateVector] = None) -> dict:
     """Schema-conformant document for the in-memory case."""
     if initial is None:
         initial = initial_state(system)
@@ -409,21 +395,12 @@ def case_to_dict(system: SystemCase, lattice: Lattice,
                             if len(initial.lags[j])},
         },
     }
-    if risk is not None:
-        doc["risk"] = {"lambda": risk.lam, "alpha": risk.alpha}
-    if engine:
-        doc["engine"] = dict(engine)
     return doc
 
 
 def fingerprint_of(doc: dict) -> str:
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
-
-
-def write_case(path, system, lattice, initial=None, risk=None, engine=None):
-    _atomic_write(path, json.dumps(
-        case_to_dict(system, lattice, initial, risk, engine), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------

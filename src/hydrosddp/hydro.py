@@ -36,6 +36,14 @@ class StageInfeasible(RuntimeError):
     """A stage subproblem failed to solve; internal error by design."""
 
 
+class UnknownReference(ValueError):
+    """A case entry names a bus or an upstream hydro the case lacks."""
+
+
+class CascadeCycle(ValueError):
+    """The hydro upstream relation contains a cycle."""
+
+
 @dataclass(frozen=True)
 class Bus:
     name: str
@@ -87,24 +95,26 @@ class SystemCase:
     future_lower_bound: float = 0.0  # floor for the epigraph variables
 
     def __post_init__(self):
+        # Reference errors lead with their field path, for example
+        # "thermals[0]: unknown bus 'nowhere'".
         bus_names = {b.name for b in self.buses}
         if len(bus_names) != len(self.buses):
             raise ValueError("duplicate bus names")
-        for coll, kind in ((self.thermals, "thermal"), (self.hydros, "hydro"),
-                           (self.renewables, "renewable")):
-            for item in coll:
-                if item.bus not in bus_names:
-                    raise ValueError(
-                        f"{kind} {item.name!r} references unknown bus {item.bus!r}")
+        for attr in ("lines", "thermals", "hydros", "renewables"):
+            for i, item in enumerate(getattr(self, attr)):
+                ends = ((item.from_bus, item.to_bus) if attr == "lines"
+                        else (item.bus,))
+                for bus in ends:
+                    if bus not in bus_names:
+                        raise UnknownReference(
+                            f"{attr}[{i}]: unknown bus {bus!r}")
         for line in self.lines:
-            if line.from_bus not in bus_names or line.to_bus not in bus_names:
-                raise ValueError("line references unknown bus")
             if line.capacity < 0:
                 raise ValueError("line capacity must be nonnegative")
         names = [h.name for h in self.hydros]
         if len(set(names)) != len(names):
             raise ValueError("duplicate hydro names")
-        for h in self.hydros:
+        for i, h in enumerate(self.hydros):
             if min(h.max_storage, h.max_turbine, h.production) < 0:
                 raise ValueError(f"hydro {h.name!r} has a negative capacity")
             if not 0.0 <= h.initial_storage <= h.max_storage:
@@ -114,8 +124,8 @@ class SystemCase:
                     f"hydro {h.name!r} needs {len(h.ar_coeffs)} initial lags")
             for up in h.upstream:
                 if up not in names:
-                    raise ValueError(
-                        f"hydro {h.name!r} lists unknown upstream {up!r}")
+                    raise UnknownReference(
+                        f"hydros[{i}].upstream: unknown hydro {up!r}")
         check_acyclic(self.hydros)
         for th in self.thermals:
             if th.cost < 0 or th.cap < 0:
@@ -133,14 +143,16 @@ class SystemCase:
 
 
 def check_acyclic(hydros) -> None:
-    """Raise ValueError naming the path of any upstream cycle."""
+    """Raise CascadeCycle naming the path of any upstream cycle."""
+    index = {h.name: i for i, h in enumerate(hydros)}
     upstream = {h.name: tuple(h.upstream) for h in hydros}
     seen, active = set(), []
 
     def visit(name):
         if name in active:
-            raise ValueError(
-                "hydro cascade cycle: " + " -> ".join(active + [name]))
+            raise CascadeCycle(
+                f"hydros[{index[name]}].upstream: cascade cycle "
+                + " -> ".join(active + [name]))
         if name in seen:
             return
         active.append(name)
@@ -205,9 +217,9 @@ class StageSolution:
 
 
 def dispatch_columns(bld: LPBuilder, case: SystemCase,
-                     noise: NoiseRealization, tag: tuple = ()) -> dict:
-    """Add one stage's dispatch columns, all at zero cost, labelled
-    ``tag + key``; returns ``{key: column}``.
+                     noise: NoiseRealization) -> dict:
+    """Add one stage's dispatch columns, all at zero cost; returns
+    ``{key: column index}``.
 
     Keys are ("g", thermal), ("r", renewable), ("f", line index, sending
     bus), ("deficit", bus), and ("u" | "spill" | "vout" | "a", hydro)
@@ -216,7 +228,7 @@ def dispatch_columns(bld: LPBuilder, case: SystemCase,
     cols = {}
 
     def add(key, lower, upper):
-        cols[key] = bld.add_var(tag + key, lower, upper)
+        cols[key] = bld.add_var(lower, upper)
 
     for th in case.thermals:
         add(("g", th.name), 0.0, th.cap)
@@ -248,8 +260,7 @@ def dispatch_cost(case: SystemCase, cols: dict) -> list:
 
 
 def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
-                  noise: NoiseRealization, storage_in, lags_in,
-                  tag: tuple = ()) -> None:
+                  noise: NoiseRealization, storage_in, lags_in) -> None:
     """Add the stage-t bus balance, reservoir mass and AR inflow rows.
 
     ``storage_in[j]`` is hydro j's incoming storage and ``lags_in[j][k]``
@@ -273,8 +284,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             elif line.from_bus == b.name:
                 terms.append((cols["f", i, line.to_bus], 1.0))
                 terms.append((cols["f", i, line.from_bus], -1.0))
-        bld.add_row(terms, EQUAL, float(demand),
-                    label=tag + ("balance", b.name))
+        bld.add_row(terms, EQUAL, float(demand))
 
     # Reservoir mass balance and the AR inflow equation.
     for j, h in enumerate(case.hydros):
@@ -287,7 +297,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             terms.append((storage_in[j], -1.0))
         else:
             rhs = float(storage_in[j])
-        bld.add_row(terms, EQUAL, rhs, label=tag + ("mass", h.name))
+        bld.add_row(terms, EQUAL, rhs)
 
         try:
             rhs = float(noise.inflow_noise[h.name])
@@ -300,19 +310,23 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
                 terms.append((lag, -coef))
             else:
                 rhs += coef * float(lag)
-        bld.add_row(terms, EQUAL, rhs, label=tag + ("ar", h.name))
+        bld.add_row(terms, EQUAL, rhs)
 
 
 def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                    noise: NoiseRealization, cuts, measure: RiskMeasure,
                    num_stages: int, num_openings: int):
-    """Stage-t subproblem as a LinearProgram.
+    """Stage-t subproblem as ``(LinearProgram, columns)``.
+
+    ``columns`` is ``dispatch_columns``' ``{key: column index}`` plus
+    ``("beta", l)``, the epigraph column of opening l, below the terminal
+    stage. The first ``case.state_dimension()`` rows are the copy rows
+    ``x_in = state_in``, in ``state_in.flatten()`` order, so the state
+    duals are ``duals[:case.state_dimension()]``.
 
     ``cuts`` holds one cut list per opening of stage t+1 (ignored at the
     terminal stage); a cut contributes the row
-    ``beta_l - cut.gradient . x_out >= cut.offset``. Row tags:
-    ("copy_stor", h) / ("copy_lag", h, k) pin the incoming state,
-    everything else is physics or CVaR structure.
+    ``beta_l - cut.gradient . x_out >= cut.offset``.
     """
     if not 1 <= t <= num_stages:
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
@@ -324,19 +338,15 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     for col, cost in dispatch_cost(case, cols):
         bld.set_cost(col, cost)
 
-    # Copy variables pinned to the incoming state; their rows carry the
-    # state duals.
-    vin, lagvar = [], []
-    for j, h in enumerate(case.hydros):
-        vin.append(bld.add_var(("vin", h.name), -np.inf, np.inf))
-        bld.add_row([(vin[j], 1.0)], EQUAL, float(state_in.storages[j]),
-                    label=("copy_stor", h.name))
-    for j, h in enumerate(case.hydros):
-        lagvar.append([])
-        for k, lag in enumerate(state_in.lags[j], start=1):
-            lagvar[j].append(bld.add_var(("lag", h.name, k), -np.inf, np.inf))
-            bld.add_row([(lagvar[j][-1], 1.0)], EQUAL, float(lag),
-                        label=("copy_lag", h.name, k))
+    # Copy variables pinned to the incoming state, one per coordinate of
+    # state_in.flatten(); their rows carry the state duals.
+    flat = state_in.flatten()
+    copies = [bld.add_var(-np.inf, np.inf) for _ in flat]
+    for col, value in zip(copies, flat):
+        bld.add_row([(col, 1.0)], EQUAL, float(value))
+    ends = np.cumsum([len(case.hydros)] + [lag.size for lag in state_in.lags])
+    vin = copies[:ends[0]]
+    lagvar = [copies[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
     dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
 
@@ -350,15 +360,16 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
 
         lam, alpha = measure.lam, measure.alpha
         L = num_openings
-        beta = [bld.add_var(("beta", l), case.future_lower_bound, np.inf,
-                            (1.0 - lam) / L) for l in range(L)]
-        z = bld.add_var("cvar_z", -np.inf, np.inf, lam)
-        delta = [bld.add_var(("delta", l), 0.0, np.inf,
-                             lam / ((1.0 - alpha) * L)) for l in range(L)]
+        beta = [bld.add_var(case.future_lower_bound, np.inf, (1.0 - lam) / L)
+                for _ in range(L)]
+        z = bld.add_var(-np.inf, np.inf, lam)
+        delta = [bld.add_var(0.0, np.inf, lam / ((1.0 - alpha) * L))
+                 for _ in range(L)]
         for l in range(L):
+            cols["beta", l] = beta[l]
             bld.add_row([(delta[l], 1.0), (beta[l], -1.0), (z, 1.0)],
-                        GREATER, 0.0, label=("cvar", l))
-            for i, cut in enumerate(cuts[l] if cuts is not None else ()):
+                        GREATER, 0.0)
+            for cut in cuts[l] if cuts is not None else ():
                 grad = np.asarray(cut.gradient, dtype=float)
                 if grad.shape != (len(state_cols),):
                     raise DimensionMismatch(
@@ -367,49 +378,34 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                 terms = [(beta[l], 1.0)]
                 terms += [(col, -grad[c]) for c, col in enumerate(state_cols)
                           if grad[c] != 0.0]
-                bld.add_row(terms, GREATER, cut.offset, label=("cut", l, i))
+                bld.add_row(terms, GREATER, cut.offset)
 
-    return bld.build()
+    return bld.build(), cols
 
 
 def solve_stage(case: SystemCase, t: int, state_in: StateVector,
                 noise: NoiseRealization, cuts, measure: RiskMeasure,
                 num_stages: int, num_openings: int) -> StageSolution:
     """Solve the stage subproblem and unpack state, duals, and betas."""
-    lp = build_stage_lp(case, t, state_in, noise, cuts, measure,
-                        num_stages, num_openings)
+    lp, cols = build_stage_lp(case, t, state_in, noise, cuts, measure,
+                              num_stages, num_openings)
     sol = solve(lp)
     if sol.status != OPTIMAL:
         raise StageInfeasible(
             f"stage {t} subproblem ended {sol.status}; deficit slack and "
             f"free spill should keep every stage feasible")
 
-    # The stage LP labels its dispatch columns with their keys, so the
-    # label index serves as dispatch_cost's column map.
-    immediate = 0.0
-    for col, cost in dispatch_cost(case, sol.var_index):
-        immediate += cost * float(sol.primal[col])
+    x = sol.primal
+    immediate = sum((cost * float(x[col])
+                     for col, cost in dispatch_cost(case, cols)), 0.0)
 
-    storages = np.empty(len(case.hydros))
-    lags = []
-    for j, h in enumerate(case.hydros):
-        storages[j] = sol.value_of(("vout", h.name))
-        lags.append(np.concatenate([[sol.value_of(("a", h.name))],
-                                    state_in.lags[j]])[:len(h.ar_coeffs)])
+    storages = np.array([x[cols["vout", h.name]] for h in case.hydros])
+    lags = [np.concatenate([[x[cols["a", h.name]]], state_in.lags[j]])
+            [:len(h.ar_coeffs)] for j, h in enumerate(case.hydros)]
     state_out = StateVector(storages, lags)
-
-    dual = np.empty(case.state_dimension())
-    pos = 0
-    for h in case.hydros:
-        dual[pos] = sol.dual_of(("copy_stor", h.name))
-        pos += 1
-    for h in case.hydros:
-        for k in range(len(h.ar_coeffs)):
-            dual[pos] = sol.dual_of(("copy_lag", h.name, k + 1))
-            pos += 1
+    dual = sol.duals[:case.state_dimension()].copy()
 
     betas = None
     if t < num_stages:
-        betas = np.array([sol.value_of(("beta", l))
-                          for l in range(num_openings)])
+        betas = x[[cols["beta", l] for l in range(num_openings)]]
     return StageSolution(sol.objective, immediate, state_out, dual, betas)

@@ -38,7 +38,7 @@ Cut gradients can therefore be read off constraint duals directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,28 +77,18 @@ class NumericalFailure(LPError):
     """Iteration guard exceeded; should not happen with anti-cycling."""
 
 
-class UnknownTag(LPError):
-    """Requested variable/row label does not exist."""
-
-
-class NotOptimal(LPError):
-    """Primal/dual values requested from a non-optimal solution."""
-
-
 class LinearProgram:
     """Immutable dense minimization LP with per-variable bounds.
 
     Rows are ``(coefficients, sense, rhs)`` with sense in {<=, =, >=}.
-    ``var_labels`` / ``row_labels`` are opaque tags used to pull primal
-    and dual values out of solutions.
+    Columns and rows are addressed by index: a solution's ``primal[j]``
+    is column j and its ``duals[i]`` is row i, in the order given here.
     """
 
     __slots__ = ("num_vars", "objective", "lower", "upper", "rows",
-                 "senses", "rhs", "var_labels", "row_labels",
-                 "_var_index", "_row_index")
+                 "senses", "rhs")
 
-    def __init__(self, objective, lower, upper, rows, senses, rhs,
-                 var_labels=None, row_labels=None):
+    def __init__(self, objective, lower, upper, rows, senses, rhs):
         self.objective = np.ascontiguousarray(objective, dtype=float)
         if self.objective.ndim != 1:
             raise MalformedProgram("objective must be a vector")
@@ -137,12 +127,6 @@ class LinearProgram:
             raise MalformedProgram("rhs entries must be finite")
         if not np.all(np.isfinite(self.rows)):
             raise MalformedProgram("row coefficients must be finite")
-        self.var_labels = tuple(var_labels) if var_labels is not None else (None,) * n
-        self.row_labels = tuple(row_labels) if row_labels is not None else (None,) * m
-        if len(self.var_labels) != n or len(self.row_labels) != m:
-            raise MalformedProgram("label lists must match dimensions")
-        self._var_index = {t: i for i, t in enumerate(self.var_labels) if t is not None}
-        self._row_index = {t: i for i, t in enumerate(self.row_labels) if t is not None}
 
     @property
     def num_rows(self) -> int:
@@ -151,59 +135,43 @@ class LinearProgram:
 
 @dataclass
 class LPSolution:
-    """Primal/dual result of one solve. Duals valid only when optimal."""
+    """Primal/dual result of one solve, indexed like the program's columns
+    and rows. Duals valid only when optimal."""
 
     status: str
     objective: float
     primal: np.ndarray
     duals: np.ndarray
-    var_index: dict = field(repr=False, default_factory=dict)
-    row_index: dict = field(repr=False, default_factory=dict)
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     # Basis factorizations of either kind: dense inverses below
     # _SPARSE_ROWS rows, triangular-plus-bump factorizations from there.
     refactorizations: int = 0
 
-    def value_of(self, tag) -> float:
-        if self.status != OPTIMAL:
-            raise NotOptimal(f"no primal values on a {self.status} solution")
-        try:
-            return float(self.primal[self.var_index[tag]])
-        except KeyError:
-            raise UnknownTag(f"no variable tagged {tag!r}") from None
-
-    def dual_of(self, tag) -> float:
-        if self.status != OPTIMAL:
-            raise NotOptimal(f"no duals on a {self.status} solution")
-        try:
-            return float(self.duals[self.row_index[tag]])
-        except KeyError:
-            raise UnknownTag(f"no row tagged {tag!r}") from None
-
 
 class LPBuilder:
-    """Incremental construction helper for LinearProgram instances."""
+    """Incremental construction helper for LinearProgram instances.
+
+    ``add_var`` and ``add_row`` return the new column's or row's index,
+    which is how the built program and its solution address it.
+    """
 
     def __init__(self):
         self._cost = []
         self._lo = []
         self._hi = []
-        self._vlabels = []
         self._rows = []          # list of (indices, coefs)
         self._senses = []
         self._rhs = []
-        self._rlabels = []
 
-    def add_var(self, label=None, lower=0.0, upper=np.inf, cost=0.0) -> int:
+    def add_var(self, lower=0.0, upper=np.inf, cost=0.0) -> int:
         idx = len(self._cost)
         self._cost.append(cost)
         self._lo.append(lower)
         self._hi.append(upper)
-        self._vlabels.append(label)
         return idx
 
-    def add_row(self, coeffs, sense, rhs, label=None) -> int:
+    def add_row(self, coeffs, sense, rhs) -> int:
         """coeffs: iterable of (var index, coefficient) pairs."""
         idx = len(self._rhs)
         ind, val = [], []
@@ -214,7 +182,6 @@ class LPBuilder:
                            np.asarray(val, dtype=float)))
         self._senses.append(sense)
         self._rhs.append(rhs)
-        self._rlabels.append(label)
         return idx
 
     def set_cost(self, var: int, cost: float) -> None:
@@ -226,8 +193,7 @@ class LPBuilder:
         for i, (ind, val) in enumerate(self._rows):
             np.add.at(rows[i], ind, val)
         return LinearProgram(self._cost, self._lo, self._hi, rows,
-                             self._senses, self._rhs,
-                             self._vlabels, self._rlabels)
+                             self._senses, self._rhs)
 
 
 # vstat codes
@@ -312,7 +278,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     if sparse:
         resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
     else:
-        resid = b - lp.rows @ x[:n] if m else np.zeros(0)
+        resid = b - lp.rows @ x[:n]
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
@@ -389,8 +355,7 @@ def solve(lp: LinearProgram) -> LPSolution:
             raise NumericalFailure("phase 1 did not terminate optimal")
         if np.maximum(x[ncols:], 0.0).sum() > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
-                              np.full(m, np.nan), lp._var_index,
-                              lp._row_index, p1_pivots, 0, p1_refactors)
+                              np.full(m, np.nan), p1_pivots, 0, p1_refactors)
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
@@ -399,24 +364,18 @@ def solve(lp: LinearProgram) -> LPSolution:
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
-                          np.full(m, np.nan), lp._var_index, lp._row_index,
-                          p1_pivots, p2_pivots, refactors)
+                          np.full(m, np.nan), p1_pivots, p2_pivots, refactors)
 
     # Fresh factorization for clean duals.
-    if m:
-        b_inv = _invert(A, basis, sparse)
-        if b_inv is None:
-            raise NumericalFailure("singular basis at termination")
-        duals = _btran(cost[basis], b_inv, sparse)
-        refactors += 1
-    else:
-        duals = np.zeros(0)
+    b_inv = _invert(A, basis, sparse)
+    if b_inv is None:
+        raise NumericalFailure("singular basis at termination")
+    duals = _btran(cost[basis], b_inv, sparse)
     primal = x[:n].copy()
     objective = (np.einsum("i,i->", lp.objective, primal) if sparse
                  else lp.objective @ primal)
     return LPSolution(OPTIMAL, float(objective), primal, duals,
-                      lp._var_index, lp._row_index, p1_pivots, p2_pivots,
-                      refactors)
+                      p1_pivots, p2_pivots, refactors + 1)
 
 
 def _iterate(A, b, cost, lo, hi, x, vstat, basis, sparse):
@@ -427,23 +386,6 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, sparse):
     and recomputed only at a factorization.
     """
     m = A.m
-    if m == 0:
-        # Only bound-feasible points; optimum is at the cheap bound of
-        # each variable, reached directly or unbounded if open-ended.
-        d = cost
-        for j in range(A.n):
-            if d[j] < -TOL_OPT and vstat[j] in (_AT_LOWER, _FREE) and not np.isfinite(hi[j]):
-                return UNBOUNDED, 0, 0
-            if d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE) and not np.isfinite(lo[j]):
-                return UNBOUNDED, 0, 0
-            if d[j] < -TOL_OPT and vstat[j] == _AT_LOWER:
-                x[j] = hi[j]
-                vstat[j] = _AT_UPPER
-            elif d[j] > TOL_OPT and vstat[j] in (_AT_UPPER, _FREE):
-                x[j] = lo[j]
-                vstat[j] = _AT_LOWER
-        return OPTIMAL, 0, 0
-
     b_inv = _invert(A, basis, sparse)
     if b_inv is None:
         raise NumericalFailure("singular starting basis")

@@ -1,8 +1,7 @@
-"""CVaR/VaR evaluation and the opening-weight distribution it induces.
+"""The composite risk measure and the opening-weight distribution it induces.
 
 The composite measure is ``(1 - lam) * E[Y] + lam * CVaR_alpha[Y]`` over
-equiprobable atoms. Three equivalent routes are provided: direct oracles
-(sort/scan), the linear-programming form, and the closed-form weight
+equiprobable atoms. It is evaluated through the closed-form weight
 vector whose dot product with the atoms reproduces the measure. The
 weight vector doubles as the forward-sampling distribution over next
 stage openings.
@@ -14,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lp import GREATER, OPTIMAL, LinearProgram, solve
 
 
 class EmptyInput(ValueError):
@@ -77,55 +74,6 @@ def quantile_position(alpha: float, n: int) -> int:
     if alpha <= 0.0:
         return 1
     return max(1, math.ceil(alpha * n - 1e-9))
-
-
-def var_oracle(values, alpha: float) -> float:
-    """Smallest atom whose empirical CDF reaches alpha."""
-    v = _atoms(values)
-    return float(np.sort(v, kind="stable")[quantile_position(alpha, v.size) - 1])
-
-
-def cvar_oracle(values, alpha: float) -> float:
-    """Exact CVaR by scanning the anchor b over the support.
-
-    The minimized objective b + E[(Y-b)^+]/(1-alpha) attains its minimum
-    at an atom, so the scan is exact rather than approximate.
-    """
-    v = _atoms(values)
-    excess = np.maximum(v[None, :] - v[:, None], 0.0).mean(axis=1)
-    return float((v + excess / (1.0 - alpha)).min())
-
-
-def rho(values, measure: RiskMeasure) -> float:
-    """Composite measure: (1-lam)*mean + lam*CVaR_alpha."""
-    v = _atoms(values)
-    if measure.lam == 0.0:
-        return float(v.mean())
-    return float((1.0 - measure.lam) * v.mean()
-                 + measure.lam * cvar_oracle(v, measure.alpha))
-
-
-def rho_lp(values, measure: RiskMeasure):
-    """Composite measure via its linear program; returns (value, z, deltas).
-
-    Decision variables are the anchor z and per-atom excesses delta_l;
-    the expectation term is constant and added outside the solve.
-    """
-    v = _atoms(values)
-    n = v.size
-    lam, alpha = measure.lam, measure.alpha
-    cost = np.empty(n + 1)
-    cost[0] = lam
-    cost[1:] = lam / ((1.0 - alpha) * n)
-    lower = np.zeros(n + 1)
-    lower[0] = -np.inf
-    upper = np.full(n + 1, np.inf)
-    rows = np.hstack([np.ones((n, 1)), np.eye(n)])  # z + delta_l >= y_l
-    sol = solve(LinearProgram(cost, lower, upper, rows, [GREATER] * n, v))
-    if sol.status != OPTIMAL:  # pragma: no cover - always feasible/bounded
-        raise ArithmeticError(f"risk LP ended {sol.status}")
-    value = (1.0 - lam) * float(v.mean()) + sol.objective
-    return value, float(sol.primal[0]), sol.primal[1:].copy()
 
 
 def sampling_weights(betas, measure: RiskMeasure) -> WeightVector:

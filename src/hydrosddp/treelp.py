@@ -83,12 +83,12 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     for n, node in enumerate(nodes):
         noise = (lattice.stage_noise(node.stage, root_opening) if n == 0
                  else lattice.noise(node.stage, node.opening))
-        cols.append(dispatch_columns(bld, case, noise, (n,)))
+        cols.append(dispatch_columns(bld, case, noise))
         if node.children:
             for l in range(L):
-                theta[(n, l)] = bld.add_var((n, "theta", l), -np.inf, np.inf)
-                delta[(n, l)] = bld.add_var((n, "delta", l), 0.0, np.inf)
-            zvar[n] = bld.add_var((n, "z"), -np.inf, np.inf)
+                theta[(n, l)] = bld.add_var(-np.inf, np.inf)
+                delta[(n, l)] = bld.add_var(0.0, np.inf)
+            zvar[n] = bld.add_var(-np.inf, np.inf)
 
         # Storage comes from the parent; lag k of a node is the inflow of
         # its k-th ancestor inside the subtree, or a fixed lag of the root
@@ -101,7 +101,7 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
         lags_in = [[c["a", h.name] for c in up] + list(root_state.lags[j])
                    for j, h in enumerate(case.hydros)]
         dispatch_rows(bld, case, cols[n], node.stage, noise, storage_in,
-                      lags_in, (n,))
+                      lags_in)
 
     def risk_terms(n):
         if not nodes[n].children:
@@ -120,9 +120,9 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
             terms += [(col, -coef) for col, coef
                       in dispatch_cost(case, cols[child])]
             terms += [(col, -coef) for col, coef in risk_terms(child)]
-            bld.add_row(terms, EQUAL, 0.0, label=(n, "value", l))
+            bld.add_row(terms, EQUAL, 0.0)
             bld.add_row([(delta[(n, l)], 1.0), (theta[(n, l)], -1.0),
-                         (zvar[n], 1.0)], GREATER, 0.0, label=(n, "excess", l))
+                         (zvar[n], 1.0)], GREATER, 0.0)
 
     for col, coef in dispatch_cost(case, cols[0]) + risk_terms(0):
         bld.set_cost(col, coef)
@@ -144,13 +144,3 @@ def tree_objective(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
         raise RuntimeError(f"tree LP ended {sol.status}")
     return sol.objective
 
-
-def exact_cost_to_go(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
-                     t: int, state: StateVector, opening: Optional[int] = None,
-                     cap: int = NODE_CAP) -> float:
-    """Exact Q_t(state, opening): optimum of the subtree LP rooted there."""
-    sol = solve(build_subtree_lp(case, lattice, measure, t, state,
-                                 opening, cap))
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"subtree LP ended {sol.status}")
-    return sol.objective

@@ -13,7 +13,7 @@ import pytest
 
 import test_lp
 from casegen import in_bounds_state, random_case
-from hydrosddp.caseio import read_convergence_csv, write_case
+from hydrosddp.caseio import read_convergence_csv
 from hydrosddp.cli import run_cli
 from hydrosddp.engine import (
     EngineConfig,
@@ -22,9 +22,10 @@ from hydrosddp.engine import (
     simulate_policy,
     train,
 )
-from hydrosddp.risk import RiskMeasure, rho, rho_lp, sampling_weights
+from hydrosddp.risk import RiskMeasure, sampling_weights
 from hydrosddp.scenario import SamplerMode
-from hydrosddp.treelp import exact_cost_to_go, tree_objective
+from hydrosddp.treelp import tree_objective
+from oracles import exact_cost_to_go, rho, rho_lp, write_case
 
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 

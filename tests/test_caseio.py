@@ -20,12 +20,12 @@ from hydrosddp.caseio import (
     parse_case_data,
     read_convergence_csv,
     read_policy,
-    write_case,
     write_policy,
 )
 from hydrosddp.engine import EngineConfig, train
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import SamplerMode
+from oracles import write_case
 
 
 def minimal_case_dict():

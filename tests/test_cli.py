@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from casegen import random_case
-from hydrosddp.caseio import read_convergence_csv, write_case
+from hydrosddp.caseio import (
+    CyclicCascade,
+    DanglingReference,
+    parse_case_data,
+    read_convergence_csv,
+)
 from hydrosddp.cli import run_cli
 from hydrosddp.hydro import Bus, SystemCase, Thermal
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization
-from test_caseio import minimal_case_dict
+from oracles import write_case
+from test_caseio import hydro_case_dict, minimal_case_dict
 
 
 @pytest.fixture
@@ -134,6 +140,47 @@ def test_exit_codes(tmp_path, capsys):
     weird.write_text(json.dumps(doc))
     assert run_cli(["detequiv", str(weird)]) == 2
     capsys.readouterr()
+
+
+def _bad_reference(kind):
+    """A case document with one dangling reference or cycle of `kind`."""
+    doc = hydro_case_dict()
+    system = doc["system"]
+    if kind == "line":
+        system["lines"] = [{"from": "b1", "to": "nowhere", "capacity": 1.0}]
+    elif kind == "thermal":
+        system["thermals"][0]["bus"] = "nowhere"
+    elif kind == "hydro":
+        system["hydros"][0]["bus"] = "nowhere"
+    elif kind == "renewable":
+        system["renewables"] = [{"name": "w1", "bus": "nowhere"}]
+    elif kind == "upstream":
+        system["hydros"][0]["upstream"] = ["nowhere"]
+    else:
+        system["hydros"][0]["upstream"] = ["h1"]
+    return doc
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("line", DanglingReference, "system.lines[0]: unknown bus 'nowhere'"),
+    ("thermal", DanglingReference, "system.thermals[0]: unknown bus 'nowhere'"),
+    ("hydro", DanglingReference, "system.hydros[0]: unknown bus 'nowhere'"),
+    ("renewable", DanglingReference,
+     "system.renewables[0]: unknown bus 'nowhere'"),
+    ("upstream", DanglingReference,
+     "system.hydros[0].upstream: unknown hydro 'nowhere'"),
+    ("cycle", CyclicCascade, "system.hydros[0].upstream: cascade cycle h1 -> h1"),
+])
+def test_bad_references_exit_2_with_field_path(kind, error, message,
+                                               tmp_path, capsys):
+    doc = _bad_reference(kind)
+    with pytest.raises(error) as exc:
+        parse_case_data(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["detequiv", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_flags_override_case_defaults(closed_form_case, tmp_path):

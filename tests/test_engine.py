@@ -33,7 +33,8 @@ from hydrosddp.scenario import (
     PathStep,
     SamplerMode,
 )
-from hydrosddp.treelp import exact_cost_to_go, tree_objective
+from hydrosddp.treelp import tree_objective
+from oracles import exact_cost_to_go
 
 NEUTRAL = RiskMeasure(lam=0.0, alpha=0.0)
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)

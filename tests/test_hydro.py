@@ -19,7 +19,7 @@ from hydrosddp.hydro import (
     initial_state,
     solve_stage,
 )
-from hydrosddp.lp import solve
+from hydrosddp.lp import EQUAL, solve
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization
 
@@ -182,18 +182,47 @@ def test_mass_conservation():
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
         cuts = [[] for _ in range(L)] if t < T else None
-        lpsol = solve(build_stage_lp(case, t, state, noise, cuts, NEUTRAL,
-                                     T, L))
+        lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
+        x = solve(lp).primal
         sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
         for j, h in enumerate(case.hydros):
-            assert sol.state_out.storages[j] == lpsol.value_of(("vout", h.name))
-            released = sum(lpsol.value_of(("u", up)) + lpsol.value_of(("spill", up))
+            assert sol.state_out.storages[j] == x[cols["vout", h.name]]
+            released = sum(x[cols["u", up]] + x[cols["spill", up]]
                            for up in h.upstream)
             balance = (sol.state_out.storages[j] - state.storages[j]
-                       + lpsol.value_of(("u", h.name))
-                       + lpsol.value_of(("spill", h.name))
-                       - released - lpsol.value_of(("a", h.name)))
+                       + x[cols["u", h.name]] + x[cols["spill", h.name]]
+                       - released - x[cols["a", h.name]])
             assert abs(balance) <= 1e-7
+
+
+def test_copy_rows_come_first_in_state_order():
+    # The index contract solve_stage relies on: the first
+    # state_dimension() rows pin one free copy column each to
+    # state_in.flatten(), so their duals are the state duals.
+    rng = np.random.default_rng(66)
+    for _ in range(10):
+        case, lattice = random_case(rng, n_hydro=2, max_lag=2)
+        T, L = lattice.num_stages, lattice.num_openings
+        t = int(rng.integers(1, T + 1))
+        noise = lattice.stage_noise(t, 0 if t > 1 else None)
+        cuts = [[] for _ in range(L)] if t < T else None
+        state = in_bounds_state(rng, case)
+        lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
+        k = case.state_dimension()
+        assert lp.senses[:k] == (EQUAL,) * k
+        assert np.array_equal(lp.rhs[:k], state.flatten())
+        copies = []
+        for row in lp.rows[:k]:
+            (col,) = np.flatnonzero(row)
+            assert row[col] == 1.0
+            copies.append(col)
+        assert len(set(copies)) == k
+        assert not set(copies) & set(cols.values())
+        assert np.all(lp.lower[copies] == -np.inf)
+        assert np.all(lp.upper[copies] == np.inf)
+        duals = solve(lp).duals[:k]
+        sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
+        assert np.array_equal(sol.state_dual, duals)
 
 
 def test_state_duals_match_finite_differences():

@@ -20,8 +20,6 @@ from hydrosddp.lp import (
     LinearProgram,
     LPBuilder,
     MalformedProgram,
-    NotOptimal,
-    UnknownTag,
     solve,
 )
 
@@ -120,23 +118,21 @@ def random_feasible_program(rng, n_max=12, m_max=12):
 
 
 def test_bound_active_identity():
-    lp = LinearProgram([1.0], [1.0], [np.inf], np.zeros((0, 1)), [], [],
-                       var_labels=["x"])
+    lp = LinearProgram([1.0], [1.0], [np.inf], np.zeros((0, 1)), [], [])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-    assert sol.value_of("x") == pytest.approx(1.0, abs=1e-9)
+    assert sol.primal[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_triangle_vertex_and_row_dual():
     lp = LinearProgram([-1.0, -2.0], [0.0, 0.0], [np.inf, np.inf],
-                       [[1.0, 1.0]], [LESS], [1.0],
-                       var_labels=["x", "y"], row_labels=["cap"])
+                       [[1.0, 1.0]], [LESS], [1.0])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-2.0, abs=1e-9)
     assert sol.primal == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert sol.dual_of("cap") == pytest.approx(-2.0, abs=1e-9)
+    assert sol.duals[0] == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_empty_interval_is_infeasible():
@@ -156,20 +152,6 @@ def test_unbounded_with_row():
     assert solve(lp).status == UNBOUNDED
 
 
-def test_tag_errors():
-    lp = LinearProgram([1.0], [1.0], [np.inf], np.zeros((0, 1)), [], [],
-                       var_labels=["x"])
-    sol = solve(lp)
-    with pytest.raises(UnknownTag):
-        sol.value_of("nope")
-    with pytest.raises(UnknownTag):
-        sol.dual_of("nope")
-    bad = solve(LinearProgram([0.0], [-np.inf], [np.inf],
-                              [[1.0], [1.0]], [GREATER, LESS], [1.0, 0.0]))
-    with pytest.raises(NotOptimal):
-        bad.value_of("x")
-
-
 def test_malformed_programs():
     with pytest.raises(MalformedProgram):
         LinearProgram([1.0, 2.0], [0.0, 0.0], [1.0, 1.0],
@@ -184,21 +166,20 @@ def test_malformed_programs():
 
 def test_equality_row_and_free_variable():
     bld = LPBuilder()
-    x = bld.add_var("x", lower=-np.inf, upper=np.inf, cost=1.0)
-    y = bld.add_var("y", lower=0.0, upper=5.0, cost=1.0)
-    bld.add_row([(x, 1.0), (y, 1.0)], EQUAL, 2.0, label="sum")
+    x = bld.add_var(lower=-np.inf, upper=np.inf, cost=1.0)
+    y = bld.add_var(lower=0.0, upper=5.0, cost=1.0)
+    row = bld.add_row([(x, 1.0), (y, 1.0)], EQUAL, 2.0)
     sol = solve(bld.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
-    assert sol.dual_of("sum") == pytest.approx(1.0, abs=1e-9)
+    assert sol.duals[row] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_negative_lower_bound_via_row():
-    lp = LinearProgram([1.0], [-np.inf], [np.inf], [[1.0]], [GREATER], [-3.0],
-                       var_labels=["x"], row_labels=["floor"])
+    lp = LinearProgram([1.0], [-np.inf], [np.inf], [[1.0]], [GREATER], [-3.0])
     sol = solve(lp)
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
-    assert sol.dual_of("floor") == pytest.approx(1.0, abs=1e-9)
+    assert sol.duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_beale_cycling_instance_terminates():

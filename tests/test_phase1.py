@@ -162,8 +162,8 @@ def sampled_cuts(seed, num_states):
 def test_stage_lp_with_cuts_matches_highs():
     case, lattice, cuts = sampled_cuts(5, 15)
     for measure in (NEUTRAL, BLEND):
-        lp = build_stage_lp(case, 1, initial_state(case), lattice.stage1,
-                            cuts, measure, 2, lattice.num_openings)
+        lp, _ = build_stage_lp(case, 1, initial_state(case), lattice.stage1,
+                               cuts, measure, 2, lattice.num_openings)
         ref = highs(lp)
         sol = solve(lp)
         assert sol.status == OPTIMAL and ref.status == 0
@@ -187,9 +187,12 @@ def test_doubled_cut_rows_change_nothing():
 
 def test_violated_cut_rows_cost_few_phase1_pivots():
     case, lattice, cuts = sampled_cuts(7, 40)
-    lp = build_stage_lp(case, 1, initial_state(case), lattice.stage1, cuts,
-                        NEUTRAL, 2, lattice.num_openings)
-    cut_rows = np.array([label[0] == "cut" for label in lp.row_labels])
+    lp, cols = build_stage_lp(case, 1, initial_state(case), lattice.stage1,
+                              cuts, NEUTRAL, 2, lattice.num_openings)
+    # A cut row reads beta_l - g . x >= offset; the CVaR row has -beta_l.
+    beta = [cols["beta", l] for l in range(lattice.num_openings)]
+    cut_rows = (lp.rows[:, beta] == 1.0).any(axis=1)
+    assert cut_rows.sum() == sum(len(c) for c in cuts)
     violated = int((violated_at_start(lp) & cut_rows).sum())
     assert violated >= 100
     sol = solve(lp)

@@ -7,14 +7,11 @@ from hydrosddp.risk import (
     EmptyInput,
     RiskMeasure,
     WeightVector,
-    cvar_oracle,
     quantile_position,
-    rho,
-    rho_lp,
     sampling_weights,
     uniform_weights,
-    var_oracle,
 )
+from oracles import cvar_oracle, rho, rho_lp, var_oracle
 
 
 def random_measure(rng, integral_quantile_for=None):

@@ -15,12 +15,8 @@ from hydrosddp.hydro import (
 from hydrosddp.lp import EQUAL, OPTIMAL, LPBuilder, solve
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization, TreeTooLarge
-from hydrosddp.treelp import (
-    build_tree_lp,
-    exact_cost_to_go,
-    expand_tree,
-    tree_objective,
-)
+from hydrosddp.treelp import build_tree_lp, expand_tree, tree_objective
+from oracles import exact_cost_to_go
 
 NEUTRAL = RiskMeasure(lam=0.0, alpha=0.0)
 
@@ -49,23 +45,22 @@ def expected_value_tree_objective(case, lattice):
         prob = (1.0 / L) ** depth
         noise = lattice.stage_noise(node.stage, node.opening)
         for th in case.thermals:
-            g[(n, th.name)] = bld.add_var(None, 0.0, th.cap, prob * th.cost)
+            g[(n, th.name)] = bld.add_var(0.0, th.cap, prob * th.cost)
         for re in case.renewables:
-            ren[(n, re.name)] = bld.add_var(None, 0.0,
-                                            noise.renewable_cap[re.name])
+            ren[(n, re.name)] = bld.add_var(0.0, noise.renewable_cap[re.name])
         # ship[(n, i, a, z)]: power sent over line i from bus a to bus z
         for i, line in enumerate(case.lines):
             for a, z in ((line.from_bus, line.to_bus),
                          (line.to_bus, line.from_bus)):
-                ship[(n, i, a, z)] = bld.add_var(None, 0.0, line.capacity)
+                ship[(n, i, a, z)] = bld.add_var(0.0, line.capacity)
         for b in case.buses:
-            deficit[(n, b.name)] = bld.add_var(None, 0.0, np.inf,
+            deficit[(n, b.name)] = bld.add_var(0.0, np.inf,
                                                prob * case.deficit_cost)
         for h in case.hydros:
-            u[(n, h.name)] = bld.add_var(None, 0.0, h.max_turbine)
-            spill[(n, h.name)] = bld.add_var(None, 0.0, np.inf)
-            vout[(n, h.name)] = bld.add_var(None, 0.0, h.max_storage)
-            inflow[(n, h.name)] = bld.add_var(None, -np.inf, np.inf)
+            u[(n, h.name)] = bld.add_var(0.0, h.max_turbine)
+            spill[(n, h.name)] = bld.add_var(0.0, np.inf)
+            vout[(n, h.name)] = bld.add_var(0.0, h.max_storage)
+            inflow[(n, h.name)] = bld.add_var(-np.inf, np.inf)
         for b in case.buses:
             demand = noise.demand.get(b.name, b.demand[node.stage - 1])
             terms = [(deficit[(n, b.name)], 1.0)]

@@ -124,6 +124,12 @@ def _str(obj, key, path):
     return v
 
 
+def _strlist(v, path):
+    if not isinstance(v, list) or any(not isinstance(x, str) for x in v):
+        raise SchemaError(f"{path}: expected a list of strings")
+    return tuple(v)
+
+
 def _numlist(v, path):
     if not isinstance(v, list) or any(
             not isinstance(x, (int, float)) or isinstance(x, bool)
@@ -226,7 +232,7 @@ def parse_case_data(data, source="case") -> ParsedCase:
             max_storage=_num(raw, "max_storage", path),
             max_turbine=_num(raw, "max_turbine", path),
             production=_num(raw, "production", path),
-            upstream=tuple(raw.get("upstream", [])),
+            upstream=_strlist(raw.get("upstream", []), f"{path}.upstream"),
             ar_coeffs=tuple(_numlist(raw.get("ar_coeffs", []),
                                      f"{path}.ar_coeffs")),
             initial_storage=_num(raw, "initial_storage", path, default=0.0),

@@ -5,7 +5,9 @@ Each iteration runs a batch of forward paths (uniform or risk-adjusted
 sampling), logs the deterministic lower bound and the statistical upper
 bound estimate, checks the stopping rule, and then sweeps backward
 appending one distinct cut per (path, stage, opening) to the pool: a cut
-whose stage-LP row the pool already holds is dropped. Cuts created
+whose stage-LP row lies within ``DEDUP_RTOL`` (1e-9 relative, max-norm)
+of a row the pool already holds at that (stage, opening) is dropped, so
+rows that differ only by rounding do not grow the stage LP. Cuts created
 while processing stage t+1 are visible to the stage-t solves of the
 same sweep, matching the backward order of the recursion.
 
@@ -40,6 +42,11 @@ from .scenario import (
     path_rng,
     sample_opening,
 )
+
+# Two stage-LP cut rows closer than this, relative to the larger of the
+# two in max-norm, are one row to the pool (exact equality is distance 0).
+DEDUP_RTOL = 1e-9
+
 
 class EmptyBatch(ValueError):
     """Upper-bound statistics requested over zero paths."""
@@ -79,8 +86,10 @@ class Cut:
 class CutPool:
     """Cut lists indexed by (stage t in 1..T-1, opening l in 0..L-1).
 
-    Each list holds distinct stage-LP rows: ``duplicates`` counts the
-    cuts that ``append`` dropped because their row was already there.
+    Each list holds stage-LP rows ``[gradient | offset]`` that differ
+    from one another by more than ``DEDUP_RTOL`` relative, kept as a
+    ``(k, d+1)`` matrix beside the ``Cut`` objects; ``duplicates`` counts
+    the cuts that ``append`` dropped as equal or near-equal to a kept row.
     """
 
     def __init__(self, num_stages: int, num_openings: int, state_dim: int):
@@ -91,22 +100,25 @@ class CutPool:
         self._cuts = {(t, l): []
                       for t in range(1, num_stages)
                       for l in range(num_openings)}
-        self._rows = {key: set() for key in self._cuts}
+        self._rows = {key: np.empty((0, state_dim + 1)) for key in self._cuts}
         self._stage_sizes = dict.fromkeys(range(1, num_stages), 0)
 
     def append(self, t: int, l: int, cut: Cut) -> bool:
-        """Add ``cut`` unless its row (gradient bytes and offset, compared
-        exactly) is already in the (t, l) list; returns whether it was
-        added."""
+        """Add ``cut`` unless its row r = [gradient | offset] is a
+        duplicate of a row r_i kept at (t, l), meaning
+        max|r - r_i| <= DEDUP_RTOL * max(max|r|, max|r_i|); returns
+        whether it was added. The first of a set of near-equal rows is
+        the one kept, so the pool depends only on the append order."""
         if cut.gradient.shape != (self.state_dim,):
             raise ValueError(
                 f"cut dimension {cut.gradient.shape} != ({self.state_dim},)")
-        rows = self._rows[(t, l)]
-        row = (cut.gradient.tobytes(), cut.offset)
-        if row in rows:
+        kept = self._rows[(t, l)]
+        row = np.append(cut.gradient, cut.offset)
+        scale = np.maximum(np.abs(kept).max(axis=1), np.abs(row).max())
+        if np.any(np.abs(kept - row).max(axis=1) <= DEDUP_RTOL * scale):
             self.duplicates += 1
             return False
-        rows.add(row)
+        self._rows[(t, l)] = np.vstack([kept, row])
         self._cuts[(t, l)].append(cut)
         self._stage_sizes[t] += 1
         return True

@@ -95,11 +95,11 @@ class SystemCase:
     future_lower_bound: float = 0.0  # floor for the epigraph variables
 
     def __post_init__(self):
-        # Reference errors lead with their field path, for example
+        # Errors lead with their field path, for example
         # "thermals[0]: unknown bus 'nowhere'".
         bus_names = {b.name for b in self.buses}
         if len(bus_names) != len(self.buses):
-            raise ValueError("duplicate bus names")
+            raise ValueError("buses: duplicate names")
         for attr in ("lines", "thermals", "hydros", "renewables"):
             for i, item in enumerate(getattr(self, attr)):
                 ends = ((item.from_bus, item.to_bus) if attr == "lines"
@@ -108,31 +108,31 @@ class SystemCase:
                     if bus not in bus_names:
                         raise UnknownReference(
                             f"{attr}[{i}]: unknown bus {bus!r}")
-        for line in self.lines:
+        for i, line in enumerate(self.lines):
             if line.capacity < 0:
-                raise ValueError("line capacity must be nonnegative")
+                raise ValueError(f"lines[{i}]: negative capacity")
         names = [h.name for h in self.hydros]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate hydro names")
+            raise ValueError("hydros: duplicate names")
         for i, h in enumerate(self.hydros):
             if min(h.max_storage, h.max_turbine, h.production) < 0:
-                raise ValueError(f"hydro {h.name!r} has a negative capacity")
+                raise ValueError(f"hydros[{i}]: negative capacity")
             if not 0.0 <= h.initial_storage <= h.max_storage:
-                raise ValueError(f"hydro {h.name!r} initial storage out of bounds")
+                raise ValueError(f"hydros[{i}]: initial storage out of bounds")
             if len(h.initial_lags) != len(h.ar_coeffs):
                 raise ValueError(
-                    f"hydro {h.name!r} needs {len(h.ar_coeffs)} initial lags")
+                    f"hydros[{i}]: needs {len(h.ar_coeffs)} initial lags")
             for up in h.upstream:
                 if up not in names:
                     raise UnknownReference(
                         f"hydros[{i}].upstream: unknown hydro {up!r}")
         check_acyclic(self.hydros)
-        for th in self.thermals:
+        for i, th in enumerate(self.thermals):
             if th.cost < 0 or th.cap < 0:
-                raise ValueError(f"thermal {th.name!r} has negative data")
+                raise ValueError(f"thermals[{i}]: negative data")
             if self.deficit_cost <= th.cost:
                 raise ValueError(
-                    "deficit cost must exceed every thermal cost")
+                    f"deficit_cost: must exceed thermals[{i}].cost")
 
     @property
     def num_stages(self) -> int:

@@ -217,6 +217,37 @@ def test_policy_with_duplicate_cuts_loads_deduplicated(tmp_path):
         assert [c.offset for c in cuts] == [c.offset for c in lcuts]
 
 
+def test_policy_with_near_duplicate_cuts_loads_deduplicated(tmp_path):
+    rng = np.random.default_rng(96)
+    case, lattice = random_case(rng, T=3, L=2)
+    policy, _ = train(case, lattice,
+                      EngineConfig(max_iterations=3, min_iterations=3,
+                                   batch_size=2, seed=1))
+    path = tmp_path / "p.json"
+    write_policy(policy, path)
+    doc = json.loads(path.read_text())
+
+    def nudged(cut):
+        # The same row up to rounding: the intercept moves by 1e-12 of
+        # the row's largest entry.
+        grad, anchor, q = cut
+        row = np.append(grad, q - np.dot(grad, anchor))
+        return [grad, anchor, q + 1e-12 * np.abs(row).max()]
+
+    # A file written under exact dedup: each cut followed by a copy that
+    # differs from it only in the last digits.
+    doc["pool"]["cuts"] = {key: [c for cut in cuts for c in (cut, nudged(cut))]
+                           for key, cuts in doc["pool"]["cuts"].items()}
+    path.write_text(json.dumps(doc))
+    loaded = read_policy(path)
+    assert len(loaded.cuts) == len(policy.cuts) > 0
+    assert loaded.cuts.duplicates == len(policy.cuts)
+    for (key, cuts), (lkey, lcuts) in zip(sorted(policy.cuts.items()),
+                                          sorted(loaded.cuts.items())):
+        assert key == lkey
+        assert [c.offset for c in cuts] == [c.offset for c in lcuts]
+
+
 def test_truncated_policy_is_corrupt(tmp_path):
     rng = np.random.default_rng(94)
     case, lattice = random_case(rng, T=2, L=2)

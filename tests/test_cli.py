@@ -183,6 +183,57 @@ def test_bad_references_exit_2_with_field_path(kind, error, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("upstream", [5, "h1", [1]])
+def test_malformed_upstream_exits_2_with_field_path(upstream, tmp_path,
+                                                    capsys):
+    doc = hydro_case_dict()
+    doc["system"]["hydros"][0]["upstream"] = upstream
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["detequiv", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: system.hydros[0].upstream: "
+                   "expected a list of strings\n")
+    assert "Traceback" not in err
+
+
+def _out_of_range(kind):
+    """A case document with one value out of `SystemCase`'s range."""
+    doc = hydro_case_dict()
+    system = doc["system"]
+    if kind == "line":
+        system["buses"].append({"name": "b2", "demand": [1.0, 1.0]})
+        system["lines"] = [{"from": "b1", "to": "b2", "capacity": -1.0}]
+    elif kind == "hydro_capacity":
+        system["hydros"][0]["max_turbine"] = -1.0
+    elif kind == "initial_storage":
+        system["hydros"][0]["initial_storage"] = 11.0
+    elif kind == "lags":
+        system["hydros"][0]["initial_lags"] = [2.0, 1.0]
+    elif kind == "thermal":
+        system["thermals"].append(dict(system["thermals"][0], name="t2",
+                                       cap=-1.0))
+    else:
+        system["deficit_cost"] = 1.0
+    return doc
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("line", "system: lines[0]: negative capacity"),
+    ("hydro_capacity", "system: hydros[0]: negative capacity"),
+    ("initial_storage", "system: hydros[0]: initial storage out of bounds"),
+    ("lags", "system: hydros[0]: needs 1 initial lags"),
+    ("thermal", "system: thermals[1]: negative data"),
+    ("deficit", "system: deficit_cost: must exceed thermals[0].cost"),
+])
+def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
+                                                   capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_out_of_range(kind)))
+    assert run_cli(["detequiv", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_flags_override_case_defaults(closed_form_case, tmp_path):
     # The case file says lambda=1/alpha=0.5; flags must win.
     outdir = tmp_path / "run"

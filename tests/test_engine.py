@@ -94,15 +94,44 @@ def test_cut_pool_drops_duplicate_rows():
     assert pool.append(1, 0, moved) is False
     assert pool.append(1, 0, cut) is False
     assert (len(pool), pool.duplicates) == (1, 2)
+    # An offset moved by rounding only is the same row as well.
+    assert pool.append(1, 0, Cut(np.array([-1.0, 0.5]), np.array([2.0, 4.0]),
+                                 6.0 + 1e-12)) is False
     # Another gradient, another offset, or another (t, l) is a new row.
     assert pool.append(1, 0, Cut(np.array([-1.0, 0.25]), np.array([2.0, 4.0]),
                                  6.0)) is True
     assert pool.append(1, 0, Cut(np.array([-1.0, 0.5]), np.array([2.0, 4.0]),
-                                 6.0 + 1e-12)) is True
+                                 6.0 + 1e-4)) is True
     assert pool.append(1, 1, cut) is True
     assert pool.append(2, 0, cut) is True
-    assert (len(pool), pool.duplicates) == (5, 2)
+    assert (len(pool), pool.duplicates) == (5, 3)
     assert [len(c) for c in pool.slice(1)] == [3, 1]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
+def test_cut_pool_tolerance_is_relative_to_the_row(scale):
+    # Rows [gradient | offset] with a zero anchor, so the offset is q.
+    rows = [
+        ([-1.0, 0.5], 6.0),               # kept
+        ([-1.0, 0.5], 6.0 * (1 + 1e-6)),  # 1e-6 relative apart: kept
+        ([-1.0, 0.5 * (1 - 3e-12)], 6.0),  # rounding of the first: dropped
+        ([-1.0, 0.5], 6.0 * (1 + 1e-6) + 2e-12),  # of the second: dropped
+        ([3.0, 0.0], -2.0),               # another row: kept
+        ([-1.0, 0.5], 6.0 + 6e-8),        # 1e-8 relative: kept
+        ([-1.0, 0.5], 6.0 + 5e-9),        # 8.3e-10 relative: dropped
+    ]
+    pool = CutPool(2, 2, 2)
+    kept = [pool.append(1, 0, Cut(scale * np.array(g), np.zeros(2), scale * q))
+            for g, q in rows]
+    assert kept == [True, True, False, False, True, True, False]
+    # The zero row and a tiny nonzero row are different rows; each
+    # repeats only itself.
+    tiny = [([0.0, 0.0], 0.0), ([0.0, 0.0], 1e-280), ([0.0, 0.0], 0.0),
+            ([0.0, 1e-290], 0.0), ([0.0, 0.0], 1e-280)]
+    kept = [pool.append(1, 1, Cut(scale * np.array(g), np.zeros(2), scale * q))
+            for g, q in tiny]
+    assert kept == [True, True, False, True, False]
+    assert (len(pool), pool.duplicates) == (7, 5)
 
 
 def test_engine_config_validation():

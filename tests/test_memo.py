@@ -158,4 +158,6 @@ def test_memo_changes_no_result(monkeypatch):
 def test_solve_counts_pinned_on_acceptance_case():
     case, lattice, cfg = acceptance_case()
     policy, _ = train(case, lattice, cfg)
-    assert (policy.stage_solves, policy.reused_solves) == (410, 306)
+    # Near-duplicate cuts (within engine.DEDUP_RTOL) leave the stage
+    # tables in place.
+    assert (policy.stage_solves, policy.reused_solves) == (202, 514)

@@ -39,7 +39,6 @@ from .hydro import (
     Hydro,
     Line,
     Renewable,
-    StateVector,
     SystemCase,
     Thermal,
     UnknownReference,
@@ -75,10 +74,12 @@ class CorruptFile(ValueError):
 class ParsedCase:
     system: SystemCase
     lattice: Lattice
-    initial: StateVector
-    risk: RiskMeasure
-    engine: dict          # EngineConfig overrides from the file
+    config: EngineConfig  # the run settings of the engine and risk blocks
     fingerprint: str
+
+    @property
+    def risk(self) -> RiskMeasure:
+        return self.config.measure
 
 
 def _expect_mapping(obj, path):
@@ -97,13 +98,22 @@ def _expect_keys(obj, path, required, optional=()):
         raise SchemaError(f"{path}: missing key(s) {missing}")
 
 
+def _finite(v):
+    """Whether ``v`` is a JSON number, not a bool, within the float range."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _num(obj, key, path, default=None):
     if key not in obj:
         if default is not None:
             return default
         raise SchemaError(f"{path}.{key}: missing number")
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if not _finite(v):
         raise SchemaError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
@@ -131,9 +141,7 @@ def _strlist(v, path):
 
 
 def _numlist(v, path):
-    if not isinstance(v, list) or any(
-            not isinstance(x, (int, float)) or isinstance(x, bool)
-            or not math.isfinite(x) for x in v):
+    if not isinstance(v, list) or not all(map(_finite, v)):
         raise SchemaError(f"{path}: expected a list of finite numbers")
     return [float(x) for x in v]
 
@@ -146,10 +154,54 @@ def _nummap(obj, key, path, allowed_names, kind):
         if name not in allowed_names:
             raise DanglingReference(
                 f"{path}.{key}: unknown {kind} {name!r}")
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _finite(v):
             raise SchemaError(f"{path}.{key}.{name}: expected a finite number")
         out[name] = float(v)
     return out
+
+
+# Run settings by their case-file names, grouped by the case-file block
+# that holds them. Command-line flags and policy.json's config block use
+# the same names.
+SETTINGS = {"engine": ("max_iterations", "min_iterations", "batch_size",
+                       "seed", "sampling", "ub_confidence"),
+            "risk": ("lambda", "alpha")}
+
+
+def config_from_dict(values: dict, path: str,
+                     base: EngineConfig = EngineConfig()) -> EngineConfig:
+    """``base`` with the run settings in ``values``, keyed by the names
+    of ``SETTINGS``, applied; absent keys keep ``base``'s values and other
+    keys are ignored. A value of the wrong type, or one that
+    ``EngineConfig``, ``RiskMeasure`` or ``SamplerMode.parse`` rejects,
+    raises a SchemaError that leads with ``path.<key>``.
+    """
+    fields = {key: _intval(values, key, path, getattr(base, key))
+              for key in ("max_iterations", "min_iterations", "batch_size",
+                          "seed")}
+    ub_confidence = _num(values, "ub_confidence", path, base.ub_confidence)
+    lam = _num(values, "lambda", path, base.measure.lam)
+    alpha = _num(values, "alpha", path, base.measure.alpha)
+    sampling = (_str(values, "sampling", path) if "sampling" in values
+                else base.sampler_mode.value)
+    try:
+        return EngineConfig(**fields, sampler_mode=SamplerMode.parse(sampling),
+                            measure=RiskMeasure(lam=lam, alpha=alpha),
+                            ub_confidence=ub_confidence)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.{exc}") from None
+
+
+def config_to_dict(config: EngineConfig) -> dict:
+    """The run settings of ``config`` by their case-file names."""
+    return {"max_iterations": config.max_iterations,
+            "min_iterations": config.min_iterations,
+            "batch_size": config.batch_size,
+            "seed": config.seed,
+            "sampling": config.sampler_mode.value,
+            "lambda": config.measure.lam,
+            "alpha": config.measure.alpha,
+            "ub_confidence": config.ub_confidence}
 
 
 def _parse_noise(raw, path, hydro_names, renewable_names, bus_names):
@@ -257,6 +309,9 @@ def parse_case_data(data, source="case") -> ParsedCase:
         for j, h in enumerate(hydros):
             changes = {}
             if h.name in storages:
+                if not 0.0 <= storages[h.name] <= h.max_storage:
+                    raise SchemaError(f"initial_state.storages.{h.name}: "
+                                      f"out of bounds [0, {h.max_storage}]")
                 changes["initial_storage"] = storages[h.name]
             if h.name in lagmap:
                 lags = _numlist(lagmap[h.name],
@@ -308,34 +363,14 @@ def parse_case_data(data, source="case") -> ParsedCase:
             for l, raw in enumerate(per_stage)])
     lattice = Lattice(T, L, stage1, openings)
 
-    initial = initial_state(system)
+    config = EngineConfig()
+    for block, keys in SETTINGS.items():
+        if block in data:
+            _expect_keys(data[block], block, (), keys)
+            config = config_from_dict(data[block], block, config)
 
-    risk = RiskMeasure()
-    if "risk" in data:
-        raw = data["risk"]
-        _expect_keys(raw, "risk", (), ("lambda", "alpha"))
-        try:
-            risk = RiskMeasure(lam=_num(raw, "lambda", "risk", default=0.0),
-                               alpha=_num(raw, "alpha", "risk", default=0.0))
-        except ValueError as exc:
-            raise SchemaError(f"risk: {exc}") from None
-
-    engine = {}
-    if "engine" in data:
-        raw = data["engine"]
-        _expect_keys(raw, "engine", (),
-                     ("max_iterations", "min_iterations", "batch_size",
-                      "seed", "sampling", "stop_gap_tol", "ub_confidence"))
-        engine = dict(raw)
-        if "sampling" in engine:
-            try:
-                SamplerMode.parse(engine["sampling"])
-            except ValueError as exc:
-                raise SchemaError(f"engine.sampling: {exc}") from None
-
-    canon = case_to_dict(system, lattice, initial)
-    return ParsedCase(system, lattice, initial, risk, engine,
-                      fingerprint_of(canon))
+    return ParsedCase(system, lattice, config,
+                      fingerprint_of(case_to_dict(system, lattice)))
 
 
 def parse_case(path) -> ParsedCase:
@@ -358,11 +393,9 @@ def _noise_dict(noise: NoiseRealization) -> dict:
             "demand": dict(sorted(noise.demand.items()))}
 
 
-def case_to_dict(system: SystemCase, lattice: Lattice,
-                 initial: Optional[StateVector] = None) -> dict:
+def case_to_dict(system: SystemCase, lattice: Lattice) -> dict:
     """Schema-conformant document for the in-memory case."""
-    if initial is None:
-        initial = initial_state(system)
+    initial = initial_state(system)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": {
@@ -414,7 +447,6 @@ def fingerprint_of(doc: dict) -> str:
 
 
 def write_policy(policy: TrainedPolicy, path) -> None:
-    cfg = policy.config
     doc = {
         "schema_version": SCHEMA_VERSION,
         "fingerprint": policy.fingerprint,
@@ -427,18 +459,7 @@ def write_policy(policy: TrainedPolicy, path) -> None:
                              for c in cuts]
                 for (t, l), cuts in sorted(policy.cuts.items())},
         },
-        "config": {
-            "max_iterations": cfg.max_iterations,
-            "min_iterations": cfg.min_iterations,
-            "batch_size": cfg.batch_size,
-            "seed": cfg.seed,
-            "sampling": cfg.sampler_mode.value,
-            "lambda": cfg.measure.lam,
-            "alpha": cfg.measure.alpha,
-            "stop_gap_tol": (None if math.isinf(cfg.stop_gap_tol)
-                             else cfg.stop_gap_tol),
-            "ub_confidence": cfg.ub_confidence,
-        },
+        "config": config_to_dict(policy.config),
         "bounds": [[e.iteration, e.lower_bound, e.ub_mean, e.ub_stderr,
                     e.ub_samples, e.sampler, e.wall_ms]
                    for e in policy.bounds],
@@ -466,17 +487,12 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
                 pool.append(int(t_txt), int(l_txt),
                             Cut(np.asarray(grad), np.asarray(anchor),
                                 float(intercept)))
+        # Every run setting is required; other keys, such as the
+        # stop_gap_tol of older files, are ignored.
         cfgraw = doc["config"]
-        config = EngineConfig(
-            max_iterations=cfgraw["max_iterations"],
-            min_iterations=cfgraw["min_iterations"],
-            batch_size=cfgraw["batch_size"],
-            seed=cfgraw["seed"],
-            sampler_mode=SamplerMode.parse(cfgraw["sampling"]),
-            measure=RiskMeasure(lam=cfgraw["lambda"], alpha=cfgraw["alpha"]),
-            stop_gap_tol=(np.inf if cfgraw["stop_gap_tol"] is None
-                          else cfgraw["stop_gap_tol"]),
-            ub_confidence=cfgraw["ub_confidence"])
+        config = config_from_dict(
+            {key: cfgraw[key] for block in SETTINGS.values() for key in block},
+            "config")
         bounds = BoundsLog()
         for row in doc["bounds"]:
             bounds.append(BoundsEntry(*row))
@@ -527,15 +543,18 @@ def read_convergence_csv(path) -> list:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise CorruptFile(f"{path}: ragged CSV row {ln!r}")
-        rows.append({
-            "iteration": int(parts[0]),
-            "lower_bound": float(parts[1]),
-            "ub_mean": float(parts[2]) if parts[2] else None,
-            "ub_stderr": float(parts[3]) if parts[3] else None,
-            "ub_samples": int(parts[4]) if parts[4] else None,
-            "sampler": parts[5],
-            "wall_ms": float(parts[6]),
-        })
+        try:
+            rows.append({
+                "iteration": int(parts[0]),
+                "lower_bound": float(parts[1]),
+                "ub_mean": float(parts[2]) if parts[2] else None,
+                "ub_stderr": float(parts[3]) if parts[3] else None,
+                "ub_samples": int(parts[4]) if parts[4] else None,
+                "sampler": parts[5],
+                "wall_ms": float(parts[6]),
+            })
+        except ValueError:
+            raise CorruptFile(f"{path}: non-numeric CSV field in {ln!r}") from None
     return rows
 
 

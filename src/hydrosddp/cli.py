@@ -11,15 +11,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import caseio
 from .caseio import (
     CorruptFile,
     FingerprintMismatch,
-    ParsedCase,
+    SETTINGS,
     SchemaError,
     bounds_to_csv,
+    config_from_dict,
     parse_case,
     read_convergence_csv,
     read_policy,
@@ -29,7 +28,6 @@ from .engine import EngineConfig, evaluate_policy_exact, simulate_policy, train
 from .hydro import StageInfeasible
 from .lp import LPError, NumericalFailure
 from .plotting import convergence_svg
-from .risk import RiskMeasure
 from .scenario import SamplerMode, TreeTooLarge
 from .treelp import tree_objective
 
@@ -45,23 +43,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "with CVaR-adjusted forward sampling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Run-setting flags, each stored under its case-file name; one left
+    # out keeps the case file's value (the policy's for simulate).
     def add_risk_flags(p):
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="CVaR weight in [0,1] (overrides the case file)")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="CVaR level in [0,1) (overrides the case file)")
+        p.add_argument("--lambda", dest="lambda", type=float,
+                       help="CVaR weight in [0,1]")
+        p.add_argument("--alpha", type=float, help="CVaR level in [0,1)")
+
+    def add_sampling_flags(p):
+        p.add_argument("--paths", dest="batch_size", type=int,
+                       help="forward paths per iteration or rollout")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--sampling", choices=[m.value for m in SamplerMode])
 
     p = sub.add_parser("solve", help="train a policy and write run outputs")
     p.add_argument("case")
-    p.add_argument("--iters", type=int, default=None, help="max iterations")
-    p.add_argument("--min-iters", type=int, default=None)
-    p.add_argument("--paths", type=int, default=None,
-                   help="forward paths per iteration")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--iters", dest="max_iterations", type=int)
+    p.add_argument("--min-iters", dest="min_iterations", type=int)
+    add_sampling_flags(p)
     add_risk_flags(p)
-    p.add_argument("--sampling", choices=[m.value for m in SamplerMode],
-                   default=None)
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("detequiv",
@@ -80,51 +81,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo rollout of a trained policy")
     p.add_argument("case")
     p.add_argument("--policy", required=True)
-    p.add_argument("--paths", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sampling", choices=[m.value for m in SamplerMode],
-                   default=SamplerMode.RISK_ADJUSTED.value)
+    add_sampling_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("plot", help="emit an SVG convergence chart")
     p.add_argument("rundir")
-    p.add_argument("--out", default=None, help="SVG path (default: RUNDIR/convergence.svg)")
+    p.add_argument("--out", help="SVG path (default: RUNDIR/convergence.svg)")
     p.set_defaults(func=cmd_plot)
     return parser
 
 
-def resolve_risk(parsed: ParsedCase, args) -> RiskMeasure:
-    lam = args.lam if getattr(args, "lam", None) is not None else parsed.risk.lam
-    alpha = args.alpha if getattr(args, "alpha", None) is not None else parsed.risk.alpha
-    return RiskMeasure(lam=lam, alpha=alpha)
-
-
-def resolve_config(parsed: ParsedCase, args, measure: RiskMeasure) -> EngineConfig:
-    file_cfg = parsed.engine
-
-    def pick(flag, key, fallback):
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, fallback)
-
-    sampling = pick(args.sampling, "sampling",
-                    SamplerMode.RISK_ADJUSTED.value)
-    stop_gap = file_cfg.get("stop_gap_tol")
-    return EngineConfig(
-        max_iterations=int(pick(args.iters, "max_iterations", 20)),
-        min_iterations=int(pick(args.min_iters, "min_iterations", 1)),
-        batch_size=int(pick(args.paths, "batch_size", 1)),
-        seed=int(pick(args.seed, "seed", 0)),
-        sampler_mode=SamplerMode.parse(sampling),
-        measure=measure,
-        stop_gap_tol=np.inf if stop_gap is None else float(stop_gap),
-        ub_confidence=float(file_cfg.get("ub_confidence", 1.96)))
+def resolve_config(base: EngineConfig, args) -> EngineConfig:
+    """``base`` with the run settings given as flags applied on top."""
+    flags = {key: getattr(args, key) for keys in SETTINGS.values()
+             for key in keys if getattr(args, key, None) is not None}
+    return config_from_dict(flags, "command line", base)
 
 
 def cmd_solve(args) -> int:
     parsed = parse_case(args.case)
-    measure = resolve_risk(parsed, args)
-    config = resolve_config(parsed, args, measure)
+    config = resolve_config(parsed.config, args)
     policy, log = train(parsed.system, parsed.lattice, config,
                         fingerprint=parsed.fingerprint)
 
@@ -146,8 +122,8 @@ def cmd_solve(args) -> int:
         "duplicate_cuts": policy.cuts.duplicates,
         "stage_solves": policy.stage_solves,
         "reused_solves": policy.reused_solves,
-        "lambda": measure.lam,
-        "alpha": measure.alpha,
+        "lambda": config.measure.lam,
+        "alpha": config.measure.alpha,
         "seed": config.seed,
         "fingerprint": parsed.fingerprint,
     }
@@ -162,7 +138,7 @@ def cmd_solve(args) -> int:
 
 def cmd_detequiv(args) -> int:
     parsed = parse_case(args.case)
-    measure = resolve_risk(parsed, args)
+    measure = resolve_config(parsed.config, args).measure
     value = tree_objective(parsed.system, parsed.lattice, measure)
     print(f"{value:.6f}")
     return 0
@@ -180,12 +156,12 @@ def cmd_evaluate(args) -> int:
 def cmd_simulate(args) -> int:
     parsed = parse_case(args.case)
     policy = read_policy(args.policy, parsed.fingerprint)
-    sampler = SamplerMode.parse(args.sampling)
+    config = resolve_config(policy.config, args)
     _, mean, stderr = simulate_policy(parsed.system, parsed.lattice, policy,
-                                      policy.config.measure, sampler,
-                                      args.paths, args.seed)
-    print(f"mean {mean:.6f} stderr {stderr:.6f} paths {args.paths} "
-          f"sampler {sampler.value}")
+                                      config.measure, config.sampler_mode,
+                                      config.batch_size, config.seed)
+    print(f"mean {mean:.6f} stderr {stderr:.6f} paths {config.batch_size} "
+          f"sampler {config.sampler_mode.value}")
     return 0
 
 

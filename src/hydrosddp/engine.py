@@ -150,14 +150,18 @@ class EngineConfig:
     seed: int = 0
     sampler_mode: SamplerMode = SamplerMode.RISK_ADJUSTED
     measure: RiskMeasure = field(default_factory=RiskMeasure)
-    stop_gap_tol: float = np.inf  # extra relative-gap requirement; inf = off
     ub_confidence: float = 1.96
 
     def __post_init__(self):
+        # Each message leads with its setting's case-file name.
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if not 1 <= self.min_iterations <= self.max_iterations:
-            raise ValueError("need 1 <= min_iterations <= max_iterations")
+            raise ValueError("min_iterations must be in [1, max_iterations]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.ub_confidence < 0:
             raise ValueError("ub_confidence must be nonnegative")
 
@@ -344,8 +348,7 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
             eligible = (eff is SamplerMode.RISK_ADJUSTED or measure.lam == 0.0)
             if k >= config.min_iterations and eligible:
                 test_ub = ub_mean - config.ub_confidence * ub_stderr
-                gap_ok = (ub_mean - lb) <= config.stop_gap_tol * max(abs(ub_mean), 1e-12)
-                converged = lb >= test_ub - 1e-12 and gap_ok
+                converged = lb >= test_ub - 1e-12
 
         if not converged:
             backward_pass(case, lattice, pool, paths, measure, memo)

@@ -27,8 +27,9 @@ class RiskMeasure:
     alpha: float = 0.0
 
     def __post_init__(self):
+        # Messages lead with the case-file names, lambda and alpha.
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
+            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(
                 f"alpha must be in [0, 1); the worst-case limit alpha=1 "

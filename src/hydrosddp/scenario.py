@@ -99,8 +99,8 @@ class SamplerMode(enum.Enum):
         for mode in cls:
             if mode.value == text:
                 return mode
-        raise ValueError(f"unknown sampling mode {text!r}; "
-                         f"choose from {[m.value for m in cls]}")
+        raise ValueError(f"sampling must be one of "
+                         f"{[m.value for m in cls]}, got {text!r}")
 
 
 @dataclass(frozen=True)

@@ -79,9 +79,9 @@ def exact_cost_to_go(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     return sol.objective
 
 
-def write_case(path, system, lattice, initial=None, risk=None, engine=None):
+def write_case(path, system, lattice, risk=None, engine=None):
     """Write a case file; ``risk`` and ``engine`` add those blocks."""
-    doc = case_to_dict(system, lattice, initial)
+    doc = case_to_dict(system, lattice)
     if risk is not None:
         doc["risk"] = {"lambda": risk.lam, "alpha": risk.alpha}
     if engine:

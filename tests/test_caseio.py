@@ -1,6 +1,8 @@
 """Case schema validation, fingerprints, policy and CSV round trips."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from hydrosddp.caseio import (
     read_policy,
     write_policy,
 )
-from hydrosddp.engine import EngineConfig, train
+from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
+from hydrosddp.hydro import initial_state
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import SamplerMode
 from oracles import write_case
@@ -68,7 +71,7 @@ def test_parse_minimal_case(tmp_path):
     assert parsed.system.thermals[0].cost == 2.0
     assert parsed.lattice.num_stages == 1
     assert parsed.risk == RiskMeasure()
-    assert parsed.engine == {}
+    assert parsed.config == EngineConfig()
 
 
 def test_fingerprint_ignores_formatting(tmp_path):
@@ -134,8 +137,8 @@ def test_initial_state_override():
                             "inflow_lags": {"h1": [1.25]}}
     parsed = parse_case_data(doc)
     assert parsed.system.hydros[0].initial_storage == 7.5
-    assert parsed.initial.storages[0] == 7.5
-    assert parsed.initial.lags[0][0] == 1.25
+    assert initial_state(parsed.system).storages[0] == 7.5
+    assert initial_state(parsed.system).lags[0][0] == 1.25
 
 
 def test_roundtrip_identity(tmp_path):
@@ -149,14 +152,25 @@ def test_roundtrip_identity(tmp_path):
     assert parsed.system == case
     assert parsed.lattice == lattice
     assert parsed.risk == RiskMeasure(lam=0.5, alpha=0.5)
-    assert parsed.engine["max_iterations"] == 7
+    assert parsed.config.max_iterations == 7
     # serialize -> parse is a fixpoint
-    again = parse_case_data(case_to_dict(parsed.system, parsed.lattice,
-                                         parsed.initial))
+    again = parse_case_data(case_to_dict(parsed.system, parsed.lattice))
     assert again.system == parsed.system
     assert again.lattice == parsed.lattice
-    assert again.initial == parsed.initial
+    assert initial_state(again.system) == initial_state(parsed.system)
     assert again.fingerprint == parsed.fingerprint
+
+
+def test_readme_case_example_parses():
+    # The documented schema, engine block included, must stay parseable.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    parsed = parse_case_data(json.loads(re.sub(r"//[^\n]*", "", block)))
+    assert parsed.config == EngineConfig(
+        max_iterations=30, min_iterations=5, batch_size=2, seed=7,
+        sampler_mode=SamplerMode.RISK_ADJUSTED,
+        measure=RiskMeasure(lam=0.5, alpha=0.5), ub_confidence=1.96)
+    assert initial_state(parsed.system).storages[0] == 7.5
 
 
 def test_policy_roundtrip_bitwise(tmp_path):
@@ -180,6 +194,27 @@ def test_policy_roundtrip_bitwise(tmp_path):
             assert c.intercept == lc.intercept
     for a, b in zip(policy.bounds, loaded.bounds):
         assert a == b
+
+
+def test_policy_with_stop_gap_tol_loads(tmp_path):
+    rng = np.random.default_rng(97)
+    case, lattice = random_case(rng, T=3, L=2)
+    cfg = EngineConfig(max_iterations=3, min_iterations=3, batch_size=2,
+                       seed=1, measure=RiskMeasure(lam=0.5, alpha=0.5))
+    policy, _ = train(case, lattice, cfg)
+    path = tmp_path / "p.json"
+    write_policy(policy, path)
+    doc = json.loads(path.read_text())
+    assert list(doc["config"]) == ["max_iterations", "min_iterations",
+                                   "batch_size", "seed", "sampling", "lambda",
+                                   "alpha", "ub_confidence"]
+    # A file written while the config still had stop_gap_tol (always null).
+    doc["config"]["stop_gap_tol"] = None
+    path.write_text(json.dumps(doc))
+    loaded = read_policy(path)
+    assert loaded.config == cfg
+    assert (evaluate_policy_exact(case, lattice, loaded, cfg.measure)
+            == evaluate_policy_exact(case, lattice, policy, cfg.measure))
 
 
 def test_policy_fingerprint_mismatch(tmp_path):

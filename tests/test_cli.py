@@ -213,6 +213,8 @@ def _out_of_range(kind):
     elif kind == "thermal":
         system["thermals"].append(dict(system["thermals"][0], name="t2",
                                        cap=-1.0))
+    elif kind == "initial_state":
+        doc["initial_state"] = {"storages": {"h1": 50.0}}
     else:
         system["deficit_cost"] = 1.0
     return doc
@@ -224,6 +226,7 @@ def _out_of_range(kind):
     ("initial_storage", "system: hydros[0]: initial storage out of bounds"),
     ("lags", "system: hydros[0]: needs 1 initial lags"),
     ("thermal", "system: thermals[1]: negative data"),
+    ("initial_state", "initial_state.storages.h1: out of bounds [0, 10.0]"),
     ("deficit", "system: deficit_cost: must exceed thermals[0].cost"),
 ])
 def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
@@ -232,6 +235,78 @@ def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
     path.write_text(json.dumps(_out_of_range(kind)))
     assert run_cli(["detequiv", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("engine, argv, message", [
+    ({"max_iterations": True}, ["detequiv"],
+     "engine.max_iterations: expected an integer, got True"),
+    ({"max_iterations": "x"}, ["detequiv"],
+     "engine.max_iterations: expected an integer, got 'x'"),
+    ({"min_iterations": 5, "max_iterations": 3}, ["detequiv"],
+     "engine.min_iterations must be in [1, max_iterations]"),
+    ({"batch_size": 0}, ["detequiv"], "engine.batch_size must be at least 1"),
+    ({"ub_confidence": -1}, ["detequiv"],
+     "engine.ub_confidence must be nonnegative"),
+    ({"seed": -1}, ["detequiv"], "engine.seed must be nonnegative"),
+    ({"stop_gap_tol": 0.1}, ["detequiv"],
+     "engine: unknown key(s) ['stop_gap_tol']"),
+    (None, ["solve", "--iters", "0"],
+     "command line.max_iterations must be at least 1"),
+    (None, ["solve", "--paths", "0"],
+     "command line.batch_size must be at least 1"),
+    (None, ["solve", "--seed", "-1"], "command line.seed must be nonnegative"),
+    (None, ["solve", "--alpha", "1"], "command line.alpha must be in [0, 1)"),
+    (None, ["detequiv", "--lambda", "2"],
+     "command line.lambda must be in [0, 1], got 2.0"),
+    (None, ["simulate", "--paths", "0"],
+     "command line.batch_size must be at least 1"),
+    (None, ["simulate", "--seed", "-1"],
+     "command line.seed must be nonnegative"),
+])
+def test_bad_run_settings_exit_2_with_field_path(engine, argv, message,
+                                                 tmp_path, capsys):
+    doc = hydro_case_dict()
+    if engine is not None:
+        doc["engine"] = engine
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(doc))
+    command, flags = argv[0], argv[1:]
+    if command == "simulate":
+        assert run_cli(["solve", str(case), "--iters", "1",
+                        "--out", str(tmp_path / "run")]) == 0
+        flags += ["--policy", str(tmp_path / "run" / "policy.json")]
+    capsys.readouterr()
+    assert run_cli([command, str(case)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_policy_with_bad_config_exits_2(tmp_path, capsys):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(hydro_case_dict()))
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(case), "--iters", "1",
+                    "--out", str(outdir)]) == 0
+    policy = outdir / "policy.json"
+    doc = json.loads(policy.read_text())
+    doc["config"]["seed"] = "x"
+    policy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["evaluate", str(case), "--policy", str(policy)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {policy}: malformed policy file "
+        f"(config.seed: expected an integer, got 'x')\n")
+
+
+def test_plot_of_non_numeric_csv_exits_2(tmp_path, capsys):
+    (tmp_path / "convergence.csv").write_text(
+        "iteration,lower_bound,ub_mean,ub_stderr,ub_samples,sampler,wall_ms\n"
+        "x,y,,,,risk,1.0\n")
+    assert run_cli(["plot", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-numeric" in err
+    assert not (tmp_path / "convergence.svg").exists()
 
 
 def test_flags_override_case_defaults(closed_form_case, tmp_path):

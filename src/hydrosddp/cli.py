@@ -122,6 +122,8 @@ def cmd_solve(args) -> int:
         "duplicate_cuts": policy.cuts.duplicates,
         "stage_solves": policy.stage_solves,
         "reused_solves": policy.reused_solves,
+        "phase1_pivots": policy.phase1_pivots,
+        "phase2_pivots": policy.phase2_pivots,
         "lambda": config.measure.lam,
         "alpha": config.measure.alpha,
         "seed": config.seed,

@@ -30,7 +30,13 @@ from typing import Optional
 
 import numpy as np
 
-from .hydro import StateVector, SystemCase, initial_state, solve_stage
+from .hydro import (
+    StageTemplate,
+    StateVector,
+    SystemCase,
+    initial_state,
+    solve_stage,
+)
 from .risk import RiskMeasure, sampling_weights, uniform_weights
 from .scenario import (
     ENUMERATION_CAP,
@@ -203,6 +209,8 @@ class TrainedPolicy:
     fingerprint: str = ""
     stage_solves: int = 0    # stage LPs training solved
     reused_solves: int = 0   # stage solves training answered from its memo
+    phase1_pivots: int = 0   # simplex iterations of those stage LPs
+    phase2_pivots: int = 0
 
 
 class StageMemo:
@@ -210,10 +218,12 @@ class StageMemo:
     the opening being None at stage 1.
 
     An entry stays valid while the stage-t cut lists are unchanged; when
-    ``cuts.stage_size(t)`` moves, the stage's whole table is dropped. The
-    case, lattice and measure are fixed for the memo's lifetime, so they
-    stay out of the key. ``solves`` counts the stage LPs solved and
-    ``reuses`` the calls answered from a table.
+    ``cuts.stage_size(t)`` moves, the stage's whole table is dropped,
+    together with the ``StageTemplate`` its solves stamp their LPs from.
+    The case, lattice and measure are fixed for the memo's lifetime, so
+    they stay out of the key. ``solves`` counts the stage LPs solved,
+    ``reuses`` the calls answered from a table, and ``phase1_pivots`` /
+    ``phase2_pivots`` the simplex iterations of the solved LPs.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, cuts: CutPool,
@@ -222,14 +232,17 @@ class StageMemo:
         self.cuts, self.measure = cuts, measure
         self.solves = 0
         self.reuses = 0
-        self._tables = {}   # t -> (stage size, {(state bytes, opening): sol})
+        self.phase1_pivots = 0
+        self.phase2_pivots = 0
+        # t -> (stage size, {(state bytes, opening): sol}, template)
+        self._tables = {}
 
     def solve(self, t: int, state: StateVector, opening: Optional[int]):
         size = self.cuts.stage_size(t)
-        held, table = self._tables.get(t, (None, None))
+        held, table, template = self._tables.get(t, (None, None, None))
         if held != size:
-            table = {}
-            self._tables[t] = (size, table)
+            table, template = {}, StageTemplate()
+            self._tables[t] = (size, table, template)
         key = (state.flatten().tobytes(), opening)
         sol = table.get(key)
         if sol is None:
@@ -237,9 +250,12 @@ class StageMemo:
             sol = solve_stage(self.case, t, state,
                               lattice.stage_noise(t, opening),
                               self.cuts.slice_or_none(t), self.measure,
-                              lattice.num_stages, lattice.num_openings)
+                              lattice.num_stages, lattice.num_openings,
+                              template)
             table[key] = sol
             self.solves += 1
+            self.phase1_pivots += sol.phase1_pivots
+            self.phase2_pivots += sol.phase2_pivots
         else:
             self.reuses += 1
         return sol
@@ -359,8 +375,9 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
         if converged:
             break
 
-    policy = TrainedPolicy(pool, log, config, fingerprint,
-                           memo.solves, memo.reuses)
+    policy = TrainedPolicy(pool, log, config, fingerprint, memo.solves,
+                           memo.reuses, memo.phase1_pivots,
+                           memo.phase2_pivots)
     return policy, log
 
 

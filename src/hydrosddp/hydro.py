@@ -9,7 +9,9 @@ incoming state (storages and inflow lags) enters through dedicated copy
 variables pinned by equality rows; the duals of those rows are exactly
 the state sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
-by its cut pool, aggregated through the CVaR linear form.
+by its cut pool, aggregated through the CVaR linear form. A
+``StageTemplate`` builds that LP once and restamps it for each incoming
+state and noise.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lp import EQUAL, GREATER, OPTIMAL, LPBuilder, solve
+from .lp import EQUAL, GREATER, OPTIMAL, LinearProgram, LPBuilder, solve
 from .risk import RiskMeasure
 from .scenario import NoiseRealization
 
@@ -214,6 +216,24 @@ class StageSolution:
     state_out: StateVector
     state_dual: np.ndarray
     betas: Optional[np.ndarray]   # None at the terminal stage
+    phase1_pivots: int = 0        # the stage LP's simplex iterations
+    phase2_pivots: int = 0
+
+
+def _renewable_cap(noise: NoiseRealization, re: Renewable) -> float:
+    try:
+        return noise.renewable_cap[re.name]
+    except KeyError:
+        raise DimensionMismatch(
+            f"noise lacks a cap for renewable {re.name!r}") from None
+
+
+def _inflow(noise: NoiseRealization, h: Hydro) -> float:
+    try:
+        return float(noise.inflow_noise[h.name])
+    except KeyError:
+        raise DimensionMismatch(
+            f"noise lacks inflow for hydro {h.name!r}") from None
 
 
 def dispatch_columns(bld: LPBuilder, case: SystemCase,
@@ -233,12 +253,7 @@ def dispatch_columns(bld: LPBuilder, case: SystemCase,
     for th in case.thermals:
         add(("g", th.name), 0.0, th.cap)
     for re in case.renewables:
-        try:
-            cap = noise.renewable_cap[re.name]
-        except KeyError:
-            raise DimensionMismatch(
-                f"noise lacks a cap for renewable {re.name!r}") from None
-        add(("r", re.name), 0.0, cap)
+        add(("r", re.name), 0.0, _renewable_cap(noise, re))
     for i, line in enumerate(case.lines):
         add(("f", i, line.from_bus), 0.0, line.capacity)
         add(("f", i, line.to_bus), 0.0, line.capacity)
@@ -261,7 +276,8 @@ def dispatch_cost(case: SystemCase, cols: dict) -> list:
 
 def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
                   noise: NoiseRealization, storage_in, lags_in) -> None:
-    """Add the stage-t bus balance, reservoir mass and AR inflow rows.
+    """Add the stage-t bus balance, reservoir mass and AR inflow rows:
+    one balance row per bus, then each hydro's mass row and AR row.
 
     ``storage_in[j]`` is hydro j's incoming storage and ``lags_in[j][k]``
     its inflow k+1 stages back. Each is a column index (an ``int``) or a
@@ -299,11 +315,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             rhs = float(storage_in[j])
         bld.add_row(terms, EQUAL, rhs)
 
-        try:
-            rhs = float(noise.inflow_noise[h.name])
-        except KeyError:
-            raise DimensionMismatch(
-                f"noise lacks inflow for hydro {h.name!r}") from None
+        rhs = _inflow(noise, h)
         terms = [(cols["a", h.name], 1.0)]
         for coef, lag in zip(h.ar_coeffs, lags_in[j]):
             if isinstance(lag, int):
@@ -322,7 +334,8 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     ``("beta", l)``, the epigraph column of opening l, below the terminal
     stage. The first ``case.state_dimension()`` rows are the copy rows
     ``x_in = state_in``, in ``state_in.flatten()`` order, so the state
-    duals are ``duals[:case.state_dimension()]``.
+    duals are ``duals[:case.state_dimension()]``; ``dispatch_rows``'
+    rows follow them.
 
     ``cuts`` holds one cut list per opening of stage t+1 (ignored at the
     terminal stage); a cut contributes the row
@@ -383,13 +396,81 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     return bld.build(), cols
 
 
+class StageTemplate:
+    """One stage LP, built once by ``build_stage_lp`` and stamped for
+    each (incoming state, noise).
+
+    The stage LPs of one (case, stage, cut lists, measure, lattice shape)
+    differ only in the right-hand sides of the copy rows (the state), the
+    bus balance rows (demand) and the AR rows (inflow noise), and in the
+    renewable columns' upper bounds (caps). A stamp copies those two
+    vectors and shares every other array, since nothing writes a
+    ``LinearProgram``. The template also keeps the column indices that
+    ``solve_stage`` reads.
+    """
+
+    def __init__(self):
+        self.lp = None
+
+    def program(self, case: SystemCase, t: int, state_in: StateVector,
+                noise: NoiseRealization, cuts, measure: RiskMeasure,
+                num_stages: int, num_openings: int) -> LinearProgram:
+        """The stage-t LP at ``state_in`` and ``noise``; the first call
+        builds the template, so every call must pass the same case,
+        stage, cut lists, measure and lattice shape."""
+        if self.lp is None:
+            self._build(case, t, state_in, noise, cuts, measure, num_stages,
+                        num_openings)
+            return self.lp
+        check_state(case, state_in)
+        lp = self.lp
+        rhs = lp.rhs.copy()
+        rhs[:self.copy_rows] = state_in.flatten()
+        rhs[self.demand_rows] = [
+            float(noise.demand.get(b.name, demand))
+            for b, demand in zip(case.buses, self.base_demand)]
+        rhs[self.inflow_rows] = [_inflow(noise, h) for h in case.hydros]
+        upper = lp.upper
+        if case.renewables:
+            upper = upper.copy()
+            upper[self.renewable_cols] = [_renewable_cap(noise, re)
+                                          for re in case.renewables]
+        return LinearProgram(lp.objective, lp.lower, upper, lp.rows,
+                             lp.senses, rhs)
+
+    def _build(self, case, t, state_in, noise, cuts, measure, num_stages,
+               num_openings):
+        self.lp, cols = build_stage_lp(case, t, state_in, noise, cuts,
+                                       measure, num_stages, num_openings)
+        # Row layout: the copy rows, then dispatch_rows' bus balance rows
+        # and each hydro's mass and AR rows.
+        d, buses = case.state_dimension(), len(case.buses)
+        self.copy_rows = d
+        self.demand_rows = np.arange(d, d + buses)
+        self.base_demand = [b.demand[t - 1] for b in case.buses]
+        self.inflow_rows = d + buses + 1 + 2 * np.arange(len(case.hydros))
+        self.renewable_cols = [cols["r", re.name] for re in case.renewables]
+        self.cost_terms = dispatch_cost(case, cols)
+        self.storage_cols = [cols["vout", h.name] for h in case.hydros]
+        self.inflow_cols = [cols["a", h.name] for h in case.hydros]
+        self.beta_cols = ([cols["beta", l] for l in range(num_openings)]
+                          if t < num_stages else [])
+
+
 def solve_stage(case: SystemCase, t: int, state_in: StateVector,
                 noise: NoiseRealization, cuts, measure: RiskMeasure,
-                num_stages: int, num_openings: int) -> StageSolution:
-    """Solve the stage subproblem and unpack state, duals, and betas."""
-    lp, cols = build_stage_lp(case, t, state_in, noise, cuts, measure,
-                              num_stages, num_openings)
-    sol = solve(lp)
+                num_stages: int, num_openings: int,
+                template: Optional[StageTemplate] = None) -> StageSolution:
+    """Solve the stage subproblem and unpack state, duals, and betas.
+
+    ``template`` carries the stage LP between calls that share the case,
+    stage, cut lists, measure and lattice shape, as each stage table of
+    ``engine.StageMemo`` does; without one the LP is built afresh.
+    """
+    if template is None:
+        template = StageTemplate()
+    sol = solve(template.program(case, t, state_in, noise, cuts, measure,
+                                 num_stages, num_openings))
     if sol.status != OPTIMAL:
         raise StageInfeasible(
             f"stage {t} subproblem ended {sol.status}; deficit slack and "
@@ -397,15 +478,17 @@ def solve_stage(case: SystemCase, t: int, state_in: StateVector,
 
     x = sol.primal
     immediate = sum((cost * float(x[col])
-                     for col, cost in dispatch_cost(case, cols)), 0.0)
+                     for col, cost in template.cost_terms), 0.0)
 
-    storages = np.array([x[cols["vout", h.name]] for h in case.hydros])
-    lags = [np.concatenate([[x[cols["a", h.name]]], state_in.lags[j]])
-            [:len(h.ar_coeffs)] for j, h in enumerate(case.hydros)]
+    storages = x[template.storage_cols]
+    lags = [np.concatenate([[x[col]], lag])[:len(h.ar_coeffs)]
+            for h, col, lag in zip(case.hydros, template.inflow_cols,
+                                   state_in.lags)]
     state_out = StateVector(storages, lags)
     dual = sol.duals[:case.state_dimension()].copy()
 
     betas = None
     if t < num_stages:
-        betas = x[[cols["beta", l] for l in range(num_openings)]]
-    return StageSolution(sol.objective, immediate, state_out, dual, betas)
+        betas = x[template.beta_cols]
+    return StageSolution(sol.objective, immediate, state_out, dual, betas,
+                         sol.phase1_pivots, sol.phase2_pivots)

@@ -7,11 +7,14 @@ equality form ``A x + I s = b``, held (phase-1 artificials included)
 only as nonzeros sorted by column, so pricing costs O(nonzeros), with a
 dense explicit basis inverse updated on the rows each pivot changes,
 periodic refactorization, and a Bland's-rule fallback that engages
-after a stall of degenerate pivots.
+after a stall of degenerate pivots. The sweep keeps the basic values,
+bounds and costs in basis order, so an iteration gathers nothing by the
+basis.
 
 Each program picks one of two kernel sets by its row count. Below
 ``_SPARSE_ROWS`` rows the basis is inverted by LAPACK, and the duals and
-the entering column are dense products with the inverse. From
+the entering column are dense products with the inverse, the column
+read from one dense copy of the matrix made per solve. From
 ``_SPARSE_ROWS`` rows on, the basis is factored by its sparsity: column
 and row singletons are peeled into a block triangular form, level by
 level, and only the remaining bump is solved densely (Maros 2003,
@@ -214,13 +217,6 @@ class _Columns:
         return cost - np.bincount(self.col, self.val * y[self.row],
                                   minlength=self.n)
 
-    def column(self, j):
-        """Dense ``A[:, j]``."""
-        a = np.zeros(self.m)
-        k = slice(self.ptr[j], self.ptr[j + 1])
-        a[self.row[k]] = self.val[k]
-        return a
-
     def ftran(self, b_inv, j):
         """``B^-1 A[:, j]`` from the nonzeros of column j alone."""
         k = slice(self.ptr[j], self.ptr[j + 1])
@@ -244,15 +240,10 @@ def solve(lp: LinearProgram) -> LPSolution:
     n, m = lp.num_vars, lp.num_rows
     sparse = m >= _SPARSE_ROWS
 
-    # Equality form: [A | I][x; s] = b with slack bounds encoding senses.
-    slack_lo = np.zeros(m)
-    slack_hi = np.zeros(m)
-    for i, s in enumerate(lp.senses):
-        if s == LESS:
-            slack_hi[i] = np.inf
-        elif s == GREATER:
-            slack_lo[i] = -np.inf
-        # EQUAL keeps [0, 0]
+    # Equality form: [A | I][x; s] = b with slack bounds encoding senses
+    # (EQUAL keeps [0, 0]).
+    slack_lo = np.array([-np.inf if s == GREATER else 0.0 for s in lp.senses])
+    slack_hi = np.array([np.inf if s == LESS else 0.0 for s in lp.senses])
     nz_col, nz_row = np.nonzero(lp.rows.T)
     nz_val = lp.rows[nz_row, nz_col]
     col = [nz_col, np.arange(n, n + m)]
@@ -267,13 +258,10 @@ def solve(lp: LinearProgram) -> LPSolution:
     vstat = np.empty(ncols, dtype=np.int8)
     x = np.zeros(ncols)
     # Nonbasic structural variables sit at a finite bound, free ones at 0.
-    for j in range(n):
-        if np.isfinite(lo[j]):
-            vstat[j], x[j] = _AT_LOWER, lo[j]
-        elif np.isfinite(hi[j]):
-            vstat[j], x[j] = _AT_UPPER, hi[j]
-        else:
-            vstat[j], x[j] = _FREE, 0.0
+    has_lo = np.isfinite(lp.lower)
+    has_hi = np.isfinite(lp.upper)
+    vstat[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
+    x[:n] = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
 
     if sparse:
         resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
@@ -283,35 +271,29 @@ def solve(lp: LinearProgram) -> LPSolution:
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
     # equality row, and one shared by all inequality rows.
-    basis = np.empty(m, dtype=np.intp)
-    art_rows, art_data = [], []
-    ineq_rows = []
-    for i in range(m):
-        v = min(max(resid[i], slack_lo[i]), slack_hi[i])
-        gap = resid[i] - v
-        if abs(gap) <= _TOL_STEP:
-            basis[i] = n + i
-            vstat[n + i] = _BASIC
-            x[n + i] = resid[i]
-        elif slack_lo[i] == slack_hi[i]:
-            vstat[n + i] = _AT_LOWER
-            x[n + i] = v
-            art_rows.append(i)
-            art_data.append(1.0 if gap > 0 else -1.0)
-        else:
-            ineq_rows.append(i)
+    basis = np.arange(n, ncols)
+    vstat[n:] = _BASIC
+    x[n:] = resid
+    gap = resid - np.minimum(np.maximum(resid, slack_lo), slack_hi)
+    fits = np.abs(gap) <= _TOL_STEP
+    equality = slack_lo == slack_hi
+    art_rows = np.flatnonzero(~fits & equality)
+    ineq_rows = np.flatnonzero(~fits & ~equality)
+    # A violated equality row's slack is fixed at 0.
+    vstat[n + art_rows] = _AT_LOWER
+    x[n + art_rows] = 0.0
+    art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
 
-    n_art = len(art_rows) + bool(ineq_rows)
+    n_art = art_rows.size + bool(ineq_rows.size)
     p1_pivots = p1_refactors = 0
     if n_art:
         xa = np.empty(n_art)
-        for k, (i, sgn) in enumerate(zip(art_rows, art_data)):
-            xa[k] = abs(resid[i] - x[n + i])
-            basis[i] = ncols + k
-        col.append(np.arange(ncols, ncols + len(art_rows)))
-        row.append(np.asarray(art_rows, dtype=np.intp))
-        val.append(np.asarray(art_data))
-        if ineq_rows:
+        xa[:art_rows.size] = np.abs(resid[art_rows])
+        basis[art_rows] = ncols + np.arange(art_rows.size)
+        col.append(np.arange(ncols, ncols + art_rows.size))
+        row.append(art_rows)
+        val.append(art_data)
+        if ineq_rows.size:
             # With the shared artificial at value a, row i reads
             # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
             # where sign_i resid_i = |resid_i|. Take a = max |resid_i|.
@@ -323,7 +305,7 @@ def solve(lp: LinearProgram) -> LPSolution:
             # artificial; the basis is the identity with that column
             # replaced by one whose diagonal entry is +-1, so it is
             # nonsingular.
-            rows = np.asarray(ineq_rows)
+            rows = ineq_rows
             sign = np.sign(resid[rows])
             mag = np.abs(resid[rows])
             k = n_art - 1
@@ -345,12 +327,18 @@ def solve(lp: LinearProgram) -> LPSolution:
         x = np.concatenate([x, xa])
     A = _Columns(m, ncols + n_art, np.concatenate(col), np.concatenate(row),
                  np.concatenate(val))
+    dense = None
+    if not sparse:
+        # Row j holds column j of A: each entering column is one
+        # contiguous read.
+        dense = np.zeros((A.n, m))
+        dense[A.col, A.row] = A.val
 
     if n_art:
         phase1_cost = np.zeros(ncols + n_art)
         phase1_cost[ncols:] = 1.0
         status, p1_pivots, p1_refactors = _iterate(A, b, phase1_cost, lo, hi,
-                                                   x, vstat, basis, sparse)
+                                                   x, vstat, basis, dense)
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         if np.maximum(x[ncols:], 0.0).sum() > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
@@ -360,7 +348,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
     status, p2_pivots, refactors = _iterate(A, b, cost, lo, hi, x, vstat,
-                                            basis, sparse)
+                                            basis, dense)
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
@@ -378,14 +366,23 @@ def solve(lp: LinearProgram) -> LPSolution:
                       p1_pivots, p2_pivots, refactors + 1)
 
 
-def _iterate(A, b, cost, lo, hi, x, vstat, basis, sparse):
+def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
     """Primal simplex sweep on the equality form; mutates x/vstat/basis.
 
     Returns (status, iterations, refactorizations), bound flips counted
-    as iterations. With ``sparse`` the duals are carried across pivots
-    and recomputed only at a factorization.
+    as iterations. The basic values, bounds and costs are kept in basis
+    order, so an iteration gathers nothing by the basis; ``x`` holds the
+    nonbasic values and receives the basic ones on return.
+
+    Below ``_SPARSE_ROWS`` rows, ``dense`` holds the matrix with column
+    j of A as row j, the entering column is a BLAS product with the
+    inverse, and so are the duals at every iteration. On the sparse path
+    ``dense`` is None: the entering column is formed from its nonzeros,
+    and the duals are carried across pivots and recomputed only at a
+    factorization.
     """
     m = A.m
+    sparse = dense is None
     b_inv = _invert(A, basis, sparse)
     if b_inv is None:
         raise NumericalFailure("singular starting basis")
@@ -395,84 +392,94 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, sparse):
     bland = False
     stall = 0
     fixed = lo == hi
-    # up[j] / dn[j] are 1 where nonbasic column j may increase / decrease;
-    # a column is eligible where its score, |d| times up[j] if d < 0 and
-    # dn[j] otherwise, exceeds TOL_OPT.
+    # rise[j] is -1.0 and dn[j] 1.0 where nonbasic column j may increase
+    # and decrease, else 0.0, so d * rise = |d| for d < 0: a column may
+    # enter where its score, d * rise if d < 0 and d * dn otherwise,
+    # exceeds TOL_OPT.
     free = vstat == _FREE
-    up = np.where(((vstat == _AT_LOWER) | free) & ~fixed, 1.0, 0.0)
+    rise = np.where(((vstat == _AT_LOWER) | free) & ~fixed, -1.0, 0.0)
     dn = np.where(((vstat == _AT_UPPER) | free) & ~fixed, 1.0, 0.0)
+    xb, lb, ub, cb = x[basis], lo[basis], hi[basis], cost[basis]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
             if it and it % _REFACTOR_EVERY == 0:
+                x[basis] = xb
                 b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:  # pragma: no cover
                     raise NumericalFailure("singular basis on refactorization")
+                xb = x[basis]
                 y = None
 
             if y is None or not sparse:
-                y = _btran(cost[basis], b_inv, sparse)
+                y = _btran(cb, b_inv, sparse)
             d = A.price(cost, y)
-            score = np.abs(d) * np.where(d < 0.0, up, dn)
+            score = d * np.where(d < 0.0, rise, dn)
             q = int(score.argmax())
             if score[q] <= TOL_OPT:
+                x[basis] = xb
                 return OPTIMAL, it, refactors
             if bland:
                 q = int(np.flatnonzero(score > TOL_OPT)[0])
             sigma = 1.0 if d[q] < 0 else -1.0
 
-            w = A.ftran(b_inv, q) if sparse else b_inv @ A.column(q)
-            xb = x[basis]
-            step = sigma * w
+            w = A.ftran(b_inv, q) if sparse else b_inv @ dense[q]
+            step = w if sigma > 0 else -w
             # Blocking ratios for basic variables pushed toward a bound.
-            ratios = np.where(step > _TOL_PIVOT, (xb - lo[basis]) / step,
-                              np.where(step < -_TOL_PIVOT, (xb - hi[basis]) / step,
-                                       np.inf))
-            ratios = np.where(np.isnan(ratios), np.inf, ratios)
-            min_ratio = float(ratios.min(initial=np.inf))
+            mag = np.abs(w)
+            ratios = (xb - np.where(step > _TOL_PIVOT, lb, ub)) / step
+            ratios[mag <= _TOL_PIVOT] = np.inf
+            min_ratio = float(ratios.min()) if m else np.inf
             flip_cap = hi[q] - lo[q]
 
             if flip_cap <= min_ratio:
                 if not np.isfinite(flip_cap):
+                    x[basis] = xb
                     return UNBOUNDED, it, refactors
                 # Bound flip: the entering variable crosses to its other bound.
-                x[basis] = xb - step * flip_cap
+                xb -= step * flip_cap
                 x[q] = hi[q] if sigma > 0 else lo[q]
                 vstat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                up[q], dn[q] = dn[q], up[q]
+                rise[q], dn[q] = -dn[q], -rise[q]
                 stall = 0
                 bland = False
                 continue
 
             delta = max(min_ratio, 0.0)
-            cand = np.flatnonzero(ratios <= delta + 1e-9)
+            near = ratios <= delta + 1e-9
             if bland:
+                cand = np.flatnonzero(near)
                 r = int(cand[np.argmin(basis[cand])])
             else:
-                r = int(cand[np.argmax(np.abs(w[cand]))])
+                # The first of the largest |w| among the near-tied rows;
+                # every one of them has |w| > _TOL_PIVOT.
+                r = int(np.where(near, mag, -1.0).argmax())
 
             leaving = basis[r]
-            x[basis] = xb - step * delta
-            x[q] = x[q] + sigma * delta
+            xb -= step * delta
             to_lower = bool(step[r] > 0)
-            x[leaving] = lo[leaving] if to_lower else hi[leaving]
+            x[leaving] = lb[r] if to_lower else ub[r]
             vstat[leaving] = _AT_LOWER if to_lower else _AT_UPPER
+            xb[r] = x[q] + sigma * delta
+            lb[r], ub[r], cb[r] = lo[q], hi[q], cost[q]
             vstat[q] = _BASIC
             basis[r] = q
-            up[q] = dn[q] = 0.0
+            rise[q] = dn[q] = 0.0
             movable = not fixed[leaving]
-            up[leaving] = float(movable and to_lower)
+            rise[leaving] = -float(movable and to_lower)
             dn[leaving] = float(movable and not to_lower)
 
             # Product-form update of the explicit inverse, on the rows
             # where w is nonzero: the others change by exactly zero.
             piv = w[r]
             if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
+                x[basis] = xb
                 b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:
                     raise NumericalFailure("degenerate pivot produced singular basis")
+                xb = x[basis]
                 y = None
             else:
                 row = b_inv[r] / piv

@@ -339,6 +339,8 @@ def test_solve_reports_dropped_duplicate_cuts(closed_form_case, tmp_path,
     # stage 1 once they do; every later call is answered by the memo.
     assert summary["stage_solves"] == 4
     assert summary["reused_solves"] == 10
+    # Simplex iterations per phase of those four stage LPs.
+    assert (summary["phase1_pivots"], summary["phase2_pivots"]) == (5, 1)
 
 
 def test_help_exits_zero(capsys):

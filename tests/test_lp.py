@@ -182,16 +182,20 @@ def test_negative_lower_bound_via_row():
     assert sol.duals[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_beale_cycling_instance_terminates():
-    # Classic degenerate instance that cycles under naive pivoting.
-    lp = LinearProgram(
+def beale_program():
+    """Beale's classic degenerate instance, which cycles under naive
+    pivoting."""
+    return LinearProgram(
         [-0.75, 150.0, -0.02, 6.0],
         [0.0] * 4, [np.inf] * 4,
         [[0.25, -60.0, -0.04, 9.0],
          [0.5, -90.0, -0.02, 3.0],
          [0.0, 0.0, 1.0, 0.0]],
         [LESS, LESS, LESS], [0.0, 0.0, 1.0])
-    sol = solve(lp)
+
+
+def test_beale_cycling_instance_terminates():
+    sol = solve(beale_program())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -247,21 +251,25 @@ def test_brute_force_vertex_agreement():
     assert n_opt > 20 and n_inf > 5  # both branches genuinely exercised
 
 
+def stress_program(rng):
+    """Harder geometry: negative lower bounds, equality-heavy rows, small
+    integer data prone to degeneracy."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 5))
+    lo = rng.integers(-3, 1, n).astype(float)
+    hi = lo + rng.integers(1, 6, n).astype(float)
+    senses = [(LESS, EQUAL, GREATER, EQUAL)[int(rng.integers(0, 4))]
+              for _ in range(m)]
+    return LinearProgram(rng.integers(-9, 10, n).astype(float), lo, hi,
+                         rng.integers(-3, 4, (m, n)).astype(float),
+                         senses, rng.integers(-6, 7, m).astype(float))
+
+
 def test_stress_negative_bounds_and_equalities():
-    # Harder geometry: negative lower bounds, equality-heavy rows, small
-    # integer data prone to degeneracy.
     rng = np.random.default_rng(424242)
     n_opt = n_inf = 0
     for _ in range(300):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 5))
-        lo = rng.integers(-3, 1, n).astype(float)
-        hi = lo + rng.integers(1, 6, n).astype(float)
-        senses = [(LESS, EQUAL, GREATER, EQUAL)[int(rng.integers(0, 4))]
-                  for _ in range(m)]
-        lp = LinearProgram(rng.integers(-9, 10, n).astype(float), lo, hi,
-                           rng.integers(-3, 4, (m, n)).astype(float),
-                           senses, rng.integers(-6, 7, m).astype(float))
+        lp = stress_program(rng)
         feasible, best = brute_force_min(lp)
         sol = solve(lp)
         if feasible:

@@ -7,10 +7,10 @@ deterministic-equivalent oracle for validation at desk scale.
 
 from .engine import (
     BoundsEntry,
-    BoundsLog,
     Cut,
     CutPool,
     EngineConfig,
+    StageMemo,
     TrainedPolicy,
     backward_pass,
     evaluate_policy_exact,
@@ -25,6 +25,7 @@ from .hydro import (
     Line,
     Renewable,
     StageSolution,
+    StageTemplate,
     StateVector,
     SystemCase,
     Thermal,
@@ -46,12 +47,12 @@ from .treelp import build_tree_lp, tree_objective
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsEntry", "BoundsLog", "Cut", "CutPool", "EngineConfig",
-    "TrainedPolicy", "backward_pass", "evaluate_policy_exact",
+    "BoundsEntry", "Cut", "CutPool", "EngineConfig",
+    "StageMemo", "TrainedPolicy", "backward_pass", "evaluate_policy_exact",
     "forward_pass", "simulate_policy", "train", "upper_bound_estimate",
-    "Bus", "Hydro", "Line", "Renewable", "StageSolution", "StateVector",
-    "SystemCase", "Thermal", "build_stage_lp", "initial_state",
-    "solve_stage",
+    "Bus", "Hydro", "Line", "Renewable", "StageSolution", "StageTemplate",
+    "StateVector", "SystemCase", "Thermal", "build_stage_lp",
+    "initial_state", "solve_stage",
     "LinearProgram", "LPSolution", "solve",
     "RiskMeasure", "WeightVector", "sampling_weights",
     "Lattice", "NoiseRealization", "PathRecord", "SamplerMode",

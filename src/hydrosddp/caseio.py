@@ -27,7 +27,6 @@ import numpy as np
 
 from .engine import (
     BoundsEntry,
-    BoundsLog,
     Cut,
     CutPool,
     EngineConfig,
@@ -131,6 +130,13 @@ def _str(obj, key, path):
     v = obj.get(key)
     if not isinstance(v, str):
         raise SchemaError(f"{path}.{key}: expected a string, got {v!r}")
+    return v
+
+
+def _list(obj, key, path):
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise SchemaError(f"{path}.{key}: expected a list")
     return v
 
 
@@ -243,7 +249,7 @@ def parse_case_data(data, source="case") -> ParsedCase:
         raise SchemaError("lattice: stages and openings must be >= 1")
 
     buses = []
-    for i, raw in enumerate(sysraw.get("buses", [])):
+    for i, raw in enumerate(_list(sysraw, "buses", "system")):
         path = f"system.buses[{i}]"
         _expect_keys(raw, path, ("name", "demand"))
         demand = _numlist(raw["demand"], f"{path}.demand")
@@ -256,14 +262,14 @@ def parse_case_data(data, source="case") -> ParsedCase:
     bus_names = {b.name for b in buses}
 
     lines = []
-    for i, raw in enumerate(sysraw.get("lines", [])):
+    for i, raw in enumerate(_list(sysraw, "lines", "system")):
         path = f"system.lines[{i}]"
         _expect_keys(raw, path, ("from", "to", "capacity"))
         lines.append(Line(_str(raw, "from", path), _str(raw, "to", path),
                           _num(raw, "capacity", path)))
 
     thermals = []
-    for i, raw in enumerate(sysraw.get("thermals", [])):
+    for i, raw in enumerate(_list(sysraw, "thermals", "system")):
         path = f"system.thermals[{i}]"
         _expect_keys(raw, path, ("name", "bus", "cost", "cap"))
         thermals.append(Thermal(_str(raw, "name", path), _str(raw, "bus", path),
@@ -271,7 +277,7 @@ def parse_case_data(data, source="case") -> ParsedCase:
 
     hydros = []
     hydro_names = set()
-    for i, raw in enumerate(sysraw.get("hydros", [])):
+    for i, raw in enumerate(_list(sysraw, "hydros", "system")):
         path = f"system.hydros[{i}]"
         _expect_keys(raw, path,
                      ("name", "bus", "max_storage", "max_turbine",
@@ -325,20 +331,21 @@ def parse_case_data(data, source="case") -> ParsedCase:
                 hydros[j] = dataclasses.replace(h, **changes)
 
     renewables = []
-    for i, raw in enumerate(sysraw.get("renewables", [])):
+    for i, raw in enumerate(_list(sysraw, "renewables", "system")):
         path = f"system.renewables[{i}]"
         _expect_keys(raw, path, ("name", "bus"))
         renewables.append(Renewable(_str(raw, "name", path),
                                     _str(raw, "bus", path)))
     renewable_names = {r.name for r in renewables}
 
+    deficit_cost = _num(sysraw, "deficit_cost", "system")
+    future_lower_bound = _num(sysraw, "future_lower_bound", "system",
+                              default=0.0)
     try:
         system = SystemCase(
             buses=tuple(buses), lines=tuple(lines), thermals=tuple(thermals),
             hydros=tuple(hydros), renewables=tuple(renewables),
-            deficit_cost=_num(sysraw, "deficit_cost", "system"),
-            future_lower_bound=_num(sysraw, "future_lower_bound", "system",
-                                    default=0.0))
+            deficit_cost=deficit_cost, future_lower_bound=future_lower_bound)
     except UnknownReference as exc:
         raise DanglingReference(f"system.{exc}") from None
     except CascadeCycle as exc:
@@ -477,11 +484,18 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
     try:
         if doc["schema_version"] != SCHEMA_VERSION:
             raise CorruptFile(f"{path}: unsupported schema version")
-        fingerprint = doc["fingerprint"]
+        fingerprint = _str(doc, "fingerprint", "policy")
         poolraw = doc["pool"]
-        pool = CutPool(poolraw["num_stages"], poolraw["num_openings"],
-                       poolraw["state_dim"])
-        for key, cuts in poolraw["cuts"].items():
+        T, L, dim = (_intval(poolraw, key, "policy.pool")
+                     for key in ("num_stages", "num_openings", "state_dim"))
+        cutsraw = poolraw["cuts"]
+        # write_policy lists every (t, l) of the pool, so a count that
+        # disagrees is caught before the pool is sized from it.
+        if min(T, L) < 1 or dim < 0 or len(cutsraw) != (T - 1) * L:
+            raise SchemaError("policy.pool: dimensions do not match the "
+                              "cut lists")
+        pool = CutPool(T, L, dim)
+        for key, cuts in cutsraw.items():
             t_txt, l_txt = key.split(",")
             for grad, anchor, intercept in cuts:
                 pool.append(int(t_txt), int(l_txt),
@@ -493,10 +507,9 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
         config = config_from_dict(
             {key: cfgraw[key] for block in SETTINGS.values() for key in block},
             "config")
-        bounds = BoundsLog()
-        for row in doc["bounds"]:
-            bounds.append(BoundsEntry(*row))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        bounds = [BoundsEntry(*row) for row in doc["bounds"]]
+    except (LookupError, AttributeError, TypeError, ValueError,
+            ArithmeticError) as exc:
         raise CorruptFile(f"{path}: malformed policy file ({exc})") from None
     if case_fingerprint is not None and fingerprint != case_fingerprint:
         raise FingerprintMismatch(
@@ -512,14 +525,15 @@ CSV_COLUMNS = ("iteration", "lower_bound", "ub_mean", "ub_stderr",
                "ub_samples", "sampler", "wall_ms")
 
 
-def bounds_to_csv(log: BoundsLog) -> str:
-    """Render the bounds log; UB fields stay empty on non-UB iterations.
+def bounds_to_csv(bounds) -> str:
+    """Render a policy's bounds, one BoundsEntry per iteration; UB fields
+    stay empty on non-UB iterations.
 
     Floats use repr so rerunning an identical seed reproduces identical
     bytes everywhere except wall_ms.
     """
     lines = [",".join(CSV_COLUMNS)]
-    for e in log:
+    for e in bounds:
         lines.append(",".join((
             str(e.iteration),
             repr(float(e.lower_bound)),

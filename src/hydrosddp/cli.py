@@ -1,7 +1,8 @@
 """Command-line surface: solve, detequiv, evaluate, simulate, plot.
 
 Exit codes: 0 success, 1 usage error, 2 data error (schema, references,
-fingerprints, corrupt or oversized inputs), 3 numerical failure.
+fingerprints, corrupt, oversized or mismatched inputs), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -25,14 +26,15 @@ from .caseio import (
     write_policy,
 )
 from .engine import EngineConfig, evaluate_policy_exact, simulate_policy, train
-from .hydro import StageInfeasible
+from .hydro import DimensionMismatch, StageInfeasible
 from .lp import LPError, NumericalFailure
 from .plotting import convergence_svg
 from .scenario import SamplerMode, TreeTooLarge
 from .treelp import tree_objective
 
 DATA_ERRORS = (SchemaError, FingerprintMismatch, CorruptFile, TreeTooLarge,
-               FileNotFoundError, IsADirectoryError, PermissionError)
+               DimensionMismatch, FileNotFoundError, IsADirectoryError,
+               PermissionError)
 NUMERIC_ERRORS = (NumericalFailure, StageInfeasible, LPError, ArithmeticError)
 
 
@@ -101,18 +103,19 @@ def resolve_config(base: EngineConfig, args) -> EngineConfig:
 def cmd_solve(args) -> int:
     parsed = parse_case(args.case)
     config = resolve_config(parsed.config, args)
-    policy, log = train(parsed.system, parsed.lattice, config,
-                        fingerprint=parsed.fingerprint)
+    policy = train(parsed.system, parsed.lattice, config,
+                   fingerprint=parsed.fingerprint)
+    bounds = policy.bounds
 
     stem = os.path.splitext(os.path.basename(args.case))[0]
     outdir = args.out or f"{stem}-run"
     os.makedirs(outdir, exist_ok=True)
     caseio._atomic_write(os.path.join(outdir, "convergence.csv"),
-                         bounds_to_csv(log))
+                         bounds_to_csv(bounds))
     write_policy(policy, os.path.join(outdir, "policy.json"))
-    last = log.entries[-1]
+    last = bounds[-1]
     summary = {
-        "iterations": len(log),
+        "iterations": len(bounds),
         "lower_bound": last.lower_bound,
         "ub_mean": last.ub_mean,
         "ub_stderr": last.ub_stderr,
@@ -131,7 +134,7 @@ def cmd_solve(args) -> int:
     }
     caseio._atomic_write(os.path.join(outdir, "summary.json"),
                          json.dumps(summary, indent=2) + "\n")
-    print(f"trained {len(log)} iteration(s); "
+    print(f"trained {len(bounds)} iteration(s); "
           f"lower bound {last.lower_bound:.6f}; "
           f"{len(policy.cuts)} cuts ({policy.cuts.duplicates} duplicates "
           f"dropped) -> {outdir}")
@@ -149,8 +152,8 @@ def cmd_detequiv(args) -> int:
 def cmd_evaluate(args) -> int:
     parsed = parse_case(args.case)
     policy = read_policy(args.policy, parsed.fingerprint)
-    value = evaluate_policy_exact(parsed.system, parsed.lattice, policy,
-                                  policy.config.measure)
+    value = evaluate_policy_exact(parsed.system, parsed.lattice,
+                                  policy.cuts, policy.config.measure)
     print(f"{value:.6f}")
     return 0
 
@@ -159,9 +162,10 @@ def cmd_simulate(args) -> int:
     parsed = parse_case(args.case)
     policy = read_policy(args.policy, parsed.fingerprint)
     config = resolve_config(policy.config, args)
-    _, mean, stderr = simulate_policy(parsed.system, parsed.lattice, policy,
-                                      config.measure, config.sampler_mode,
-                                      config.batch_size, config.seed)
+    _, mean, stderr = simulate_policy(parsed.system, parsed.lattice,
+                                      policy.cuts, config.measure,
+                                      config.sampler_mode, config.batch_size,
+                                      config.seed)
     print(f"mean {mean:.6f} stderr {stderr:.6f} paths {config.batch_size} "
           f"sampler {config.sampler_mode.value}")
     return 0

@@ -11,11 +11,14 @@ rows that differ only by rounding do not grow the stage LP. Cuts created
 while processing stage t+1 are visible to the stage-t solves of the
 same sweep, matching the backward order of the recursion.
 
-Stage solves go through a ``StageMemo``: a stage LP is a pure function
+Stage solves go through a ``StageMemo``, the one holder of a run's
+case, lattice, cut pool and risk measure: a stage LP is a pure function
 of (stage, incoming state, opening) and the stage's cut lists, so a
-solution is reused until a distinct cut lands at that stage. ``train``
-shares one memo across all its iterations; ``evaluate_policy_exact``
-and each ``forward_pass`` outside training use their own.
+solution is reused until a distinct cut lands at that stage.
+``forward_pass`` and ``backward_pass`` read every fixed input from the
+memo they are given. ``train`` shares one memo across all its
+iterations; ``evaluate_policy_exact`` and ``simulate_policy`` each build
+their own over the pool they are given.
 
 In alternating mode, odd iterations sample uniformly and skip both the
 upper-bound estimate and the convergence check; even iterations use the
@@ -31,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .hydro import (
+    DimensionMismatch,
     StageTemplate,
     StateVector,
     SystemCase,
@@ -82,8 +86,11 @@ class Cut:
                 and np.all(np.isfinite(self.anchor))
                 and np.isfinite(self.intercept)):
             raise ValueError("cut coefficients must be finite")
-        object.__setattr__(self, "offset",
-                           float(self.intercept - self.gradient @ self.anchor))
+        with np.errstate(over="ignore", invalid="ignore"):
+            offset = float(self.intercept - self.gradient @ self.anchor)
+        if not np.isfinite(offset):
+            raise ValueError("cut offset must be finite")
+        object.__setattr__(self, "offset", offset)
 
     def value_at(self, x: np.ndarray) -> float:
         return float(self.intercept + self.gradient @ (x - self.anchor))
@@ -183,28 +190,10 @@ class BoundsEntry:
     wall_ms: float
 
 
-class BoundsLog:
-    def __init__(self):
-        self.entries = []
-
-    def append(self, entry: BoundsEntry) -> None:
-        self.entries.append(entry)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def final_lower_bound(self) -> float:
-        return self.entries[-1].lower_bound
-
-
 @dataclass
 class TrainedPolicy:
     cuts: CutPool
-    bounds: BoundsLog
+    bounds: list             # one BoundsEntry per iteration
     config: EngineConfig
     fingerprint: str = ""
     stage_solves: int = 0    # stage LPs training solved
@@ -219,15 +208,24 @@ class StageMemo:
 
     An entry stays valid while the stage-t cut lists are unchanged; when
     ``cuts.stage_size(t)`` moves, the stage's whole table is dropped,
-    together with the ``StageTemplate`` its solves stamp their LPs from.
-    The case, lattice and measure are fixed for the memo's lifetime, so
-    they stay out of the key. ``solves`` counts the stage LPs solved,
+    together with the ``StageTemplate`` its solves stamp their LPs from,
+    and a template over the grown cut lists takes its place. The case,
+    lattice and measure are fixed for the memo's lifetime, so they stay
+    out of the key; a pool whose shape does not fit the case and lattice
+    raises DimensionMismatch. ``solves`` counts the stage LPs solved,
     ``reuses`` the calls answered from a table, and ``phase1_pivots`` /
     ``phase2_pivots`` the simplex iterations of the solved LPs.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, cuts: CutPool,
                  measure: RiskMeasure):
+        shape = (lattice.num_stages, lattice.num_openings,
+                 case.state_dimension())
+        if (cuts.num_stages, cuts.num_openings, cuts.state_dim) != shape:
+            raise DimensionMismatch(
+                f"cut pool of (stages, openings, state dimension) "
+                f"{(cuts.num_stages, cuts.num_openings, cuts.state_dim)} "
+                f"does not fit the case's {shape}")
         self.case, self.lattice = case, lattice
         self.cuts, self.measure = cuts, measure
         self.solves = 0
@@ -239,19 +237,18 @@ class StageMemo:
 
     def solve(self, t: int, state: StateVector, opening: Optional[int]):
         size = self.cuts.stage_size(t)
+        lattice = self.lattice
         held, table, template = self._tables.get(t, (None, None, None))
         if held != size:
-            table, template = {}, StageTemplate()
+            table = {}
+            template = StageTemplate(self.case, t, self.cuts.slice_or_none(t),
+                                     self.measure, lattice.num_stages,
+                                     lattice.num_openings)
             self._tables[t] = (size, table, template)
         key = (state.flatten().tobytes(), opening)
         sol = table.get(key)
         if sol is None:
-            lattice = self.lattice
-            sol = solve_stage(self.case, t, state,
-                              lattice.stage_noise(t, opening),
-                              self.cuts.slice_or_none(t), self.measure,
-                              lattice.num_stages, lattice.num_openings,
-                              template)
+            sol = solve_stage(template, state, lattice.stage_noise(t, opening))
             table[key] = sol
             self.solves += 1
             self.phase1_pivots += sol.phase1_pivots
@@ -269,20 +266,18 @@ def effective_sampler(mode: SamplerMode, iteration: int) -> SamplerMode:
     return mode
 
 
-def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
-                 measure: RiskMeasure, sampler: SamplerMode, iteration: int,
-                 batch_size: int, seed: int,
-                 memo: Optional[StageMemo] = None):
-    """Run one batch of forward paths.
+def forward_pass(memo: StageMemo, sampler: SamplerMode, iteration: int,
+                 batch_size: int, seed: int):
+    """Run one batch of forward paths through ``memo``'s case, lattice,
+    cut pool and measure.
 
     Returns (paths, stage1_objective); the stage-1 subproblem is
     deterministic, so it is solved once and shared across the batch.
-    Stage solves go through ``memo``, a fresh one when none is given.
     """
-    T, L = lattice.num_stages, lattice.num_openings
-    memo = memo or StageMemo(case, lattice, cuts, measure)
+    T, L = memo.lattice.num_stages, memo.lattice.num_openings
+    measure = memo.measure
     risk_adjusted = effective_sampler(sampler, iteration) is SamplerMode.RISK_ADJUSTED
-    root = memo.solve(1, initial_state(case), None)
+    root = memo.solve(1, initial_state(memo.case), None)
 
     paths = []
     for s in range(batch_size):
@@ -304,18 +299,16 @@ def forward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
     return paths, root.objective
 
 
-def backward_pass(case: SystemCase, lattice: Lattice, cuts: CutPool,
-                  paths, measure: RiskMeasure,
-                  memo: Optional[StageMemo] = None) -> int:
-    """Sweep stages T..2 adding one distinct cut per (path, opening);
-    returns the number of cuts the pool kept.
+def backward_pass(memo: StageMemo, paths) -> int:
+    """Sweep stages T..2 adding one distinct cut per (path, opening) to
+    ``memo``'s pool; returns the number of cuts the pool kept.
 
-    Stage solves go through ``memo`` (a fresh one when none is given), so
-    repeated (state, opening) pairs are solved once while the stage's
-    cuts are unchanged; the pool drops their repeated cuts.
+    Stage solves go through ``memo``, so repeated (state, opening) pairs
+    are solved once while the stage's cuts are unchanged; the pool drops
+    their repeated cuts.
     """
-    T, L = lattice.num_stages, lattice.num_openings
-    memo = memo or StageMemo(case, lattice, cuts, measure)
+    T, L = memo.lattice.num_stages, memo.lattice.num_openings
+    cuts = memo.cuts
     added = 0
     for t in range(T, 1, -1):
         for path in paths:
@@ -340,19 +333,19 @@ def upper_bound_estimate(paths):
 
 
 def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
-          fingerprint: str = ""):
-    """Full training loop; returns (TrainedPolicy, BoundsLog)."""
-    T, L = lattice.num_stages, lattice.num_openings
+          fingerprint: str = "") -> TrainedPolicy:
+    """Full training loop; returns the TrainedPolicy, whose ``bounds``
+    hold one BoundsEntry per iteration."""
     measure = config.measure
-    pool = CutPool(T, L, case.state_dimension())
+    pool = CutPool(lattice.num_stages, lattice.num_openings,
+                   case.state_dimension())
     memo = StageMemo(case, lattice, pool, measure)
-    log = BoundsLog()
+    bounds = []
 
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
-        paths, lb = forward_pass(case, lattice, pool, measure,
-                                 config.sampler_mode, k, config.batch_size,
-                                 config.seed, memo)
+        paths, lb = forward_pass(memo, config.sampler_mode, k,
+                                 config.batch_size, config.seed)
         eff = effective_sampler(config.sampler_mode, k)
         skip_ub = (config.sampler_mode is SamplerMode.ALTERNATING
                    and eff is SamplerMode.UNIFORM)
@@ -367,24 +360,23 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
                 converged = lb >= test_ub - 1e-12
 
         if not converged:
-            backward_pass(case, lattice, pool, paths, measure, memo)
+            backward_pass(memo, paths)
 
         wall_ms = (time.perf_counter() - started) * 1e3
-        log.append(BoundsEntry(k, lb, ub_mean, ub_stderr, ub_count,
-                               eff.value, wall_ms))
+        bounds.append(BoundsEntry(k, lb, ub_mean, ub_stderr, ub_count,
+                                  eff.value, wall_ms))
         if converged:
             break
 
-    policy = TrainedPolicy(pool, log, config, fingerprint, memo.solves,
-                           memo.reuses, memo.phase1_pivots,
-                           memo.phase2_pivots)
-    return policy, log
+    return TrainedPolicy(pool, bounds, config, fingerprint, memo.solves,
+                         memo.reuses, memo.phase1_pivots, memo.phase2_pivots)
 
 
-def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
+def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,
                           measure: RiskMeasure,
                           cap: int = ENUMERATION_CAP) -> float:
-    """Exact nested value of the trained policy over the full tree.
+    """Exact nested value of the policy of the pool ``cuts`` over the
+    full tree.
 
     At each node the stage problem is solved under the pool, the node's
     weight vector is derived from its betas, and children are combined
@@ -394,8 +386,7 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
     if L ** (T - 1) > cap:
         raise TreeTooLarge(
             f"{L ** (T - 1)} scenario paths exceed the cap of {cap}")
-    pool = policy.cuts if isinstance(policy, TrainedPolicy) else policy
-    memo = StageMemo(case, lattice, pool, measure)
+    memo = StageMemo(case, lattice, cuts, measure)
 
     def value(t: int, state: StateVector, opening) -> float:
         sol = memo.solve(t, state, opening)
@@ -411,15 +402,15 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, policy,
     return value(1, initial_state(case), None)
 
 
-def simulate_policy(case: SystemCase, lattice: Lattice, policy,
+def simulate_policy(case: SystemCase, lattice: Lattice, cuts: CutPool,
                     measure: RiskMeasure, sampler: SamplerMode,
                     num_paths: int, seed: int, iteration: int = 0):
-    """Monte Carlo rollout of a trained policy; no cuts are added.
+    """Monte Carlo rollout of the policy of the pool ``cuts``; no cuts
+    are added.
 
     Returns (paths, mean, stderr) of total path costs under `sampler`.
     """
-    pool = policy.cuts if isinstance(policy, TrainedPolicy) else policy
-    paths, _ = forward_pass(case, lattice, pool, measure, sampler,
-                            iteration, num_paths, seed)
+    memo = StageMemo(case, lattice, cuts, measure)
+    paths, _ = forward_pass(memo, sampler, iteration, num_paths, seed)
     mean, stderr = upper_bound_estimate(paths)
     return paths, mean, stderr

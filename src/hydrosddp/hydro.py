@@ -10,8 +10,8 @@ variables pinned by equality rows; the duals of those rows are exactly
 the state sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
 by its cut pool, aggregated through the CVaR linear form. A
-``StageTemplate`` builds that LP once and restamps it for each incoming
-state and noise.
+``StageTemplate`` takes a stage's fixed inputs once, builds that LP once
+and restamps it for each incoming state and noise.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -35,7 +35,8 @@ class DimensionMismatch(ValueError):
 
 
 class StageInfeasible(RuntimeError):
-    """A stage subproblem failed to solve; internal error by design."""
+    """A stage subproblem, or the tree LP that stacks them, failed to
+    solve; internal error by design."""
 
 
 class UnknownReference(ValueError):
@@ -99,9 +100,16 @@ class SystemCase:
     def __post_init__(self):
         # Errors lead with their field path, for example
         # "thermals[0]: unknown bus 'nowhere'".
+        # Names key the dispatch columns, so a repeated one would merge
+        # two entries into one column.
+        for attr in ("buses", "thermals", "hydros", "renewables"):
+            names = [item.name for item in getattr(self, attr)]
+            if len(set(names)) != len(names):
+                raise ValueError(f"{attr}: duplicate names")
         bus_names = {b.name for b in self.buses}
-        if len(bus_names) != len(self.buses):
-            raise ValueError("buses: duplicate names")
+        for i, b in enumerate(self.buses):
+            if min(b.demand, default=0.0) < 0:
+                raise ValueError(f"buses[{i}]: negative demand")
         for attr in ("lines", "thermals", "hydros", "renewables"):
             for i, item in enumerate(getattr(self, attr)):
                 ends = ((item.from_bus, item.to_bus) if attr == "lines"
@@ -113,9 +121,7 @@ class SystemCase:
         for i, line in enumerate(self.lines):
             if line.capacity < 0:
                 raise ValueError(f"lines[{i}]: negative capacity")
-        names = [h.name for h in self.hydros]
-        if len(set(names)) != len(names):
-            raise ValueError("hydros: duplicate names")
+        names = {h.name for h in self.hydros}
         for i, h in enumerate(self.hydros):
             if min(h.max_storage, h.max_turbine, h.production) < 0:
                 raise ValueError(f"hydros[{i}]: negative capacity")
@@ -397,33 +403,37 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
 
 
 class StageTemplate:
-    """One stage LP, built once by ``build_stage_lp`` and stamped for
-    each (incoming state, noise).
+    """The stage-t LP of one (case, cut lists, measure, lattice shape),
+    built once by ``build_stage_lp`` and stamped for each (incoming
+    state, noise).
 
-    The stage LPs of one (case, stage, cut lists, measure, lattice shape)
-    differ only in the right-hand sides of the copy rows (the state), the
-    bus balance rows (demand) and the AR rows (inflow noise), and in the
-    renewable columns' upper bounds (caps). A stamp copies those two
-    vectors and shares every other array, since nothing writes a
-    ``LinearProgram``. The template also keeps the column indices that
-    ``solve_stage`` reads.
+    Those inputs are fixed at construction; the cut lists are copied, so
+    a holder whose pool grows needs a new template, as each stage table
+    of ``engine.StageMemo`` takes one when a distinct cut lands at its
+    stage. The LPs of one template differ only in the right-hand sides
+    of the copy rows (the state), the bus balance rows (demand) and the
+    AR rows (inflow noise), and in the renewable columns' upper bounds
+    (caps). The first ``program`` call builds the LP; each later one
+    copies those two vectors and shares every other array, since nothing
+    writes a ``LinearProgram``. The template also keeps the column
+    indices that ``solve_stage`` reads.
     """
 
-    def __init__(self):
+    def __init__(self, case: SystemCase, t: int, cuts, measure: RiskMeasure,
+                 num_stages: int, num_openings: int):
+        self.case, self.t, self.measure = case, t, measure
+        self.cuts = None if cuts is None else [list(c) for c in cuts]
+        self.num_stages, self.num_openings = num_stages, num_openings
         self.lp = None
 
-    def program(self, case: SystemCase, t: int, state_in: StateVector,
-                noise: NoiseRealization, cuts, measure: RiskMeasure,
-                num_stages: int, num_openings: int) -> LinearProgram:
-        """The stage-t LP at ``state_in`` and ``noise``; the first call
-        builds the template, so every call must pass the same case,
-        stage, cut lists, measure and lattice shape."""
+    def program(self, state_in: StateVector,
+                noise: NoiseRealization) -> LinearProgram:
+        """The stage LP at ``state_in`` and ``noise``."""
         if self.lp is None:
-            self._build(case, t, state_in, noise, cuts, measure, num_stages,
-                        num_openings)
+            self._build(state_in, noise)
             return self.lp
+        case, lp = self.case, self.lp
         check_state(case, state_in)
-        lp = self.lp
         rhs = lp.rhs.copy()
         rhs[:self.copy_rows] = state_in.flatten()
         rhs[self.demand_rows] = [
@@ -438,10 +448,11 @@ class StageTemplate:
         return LinearProgram(lp.objective, lp.lower, upper, lp.rows,
                              lp.senses, rhs)
 
-    def _build(self, case, t, state_in, noise, cuts, measure, num_stages,
-               num_openings):
-        self.lp, cols = build_stage_lp(case, t, state_in, noise, cuts,
-                                       measure, num_stages, num_openings)
+    def _build(self, state_in, noise):
+        case, t = self.case, self.t
+        self.lp, cols = build_stage_lp(case, t, state_in, noise, self.cuts,
+                                       self.measure, self.num_stages,
+                                       self.num_openings)
         # Row layout: the copy rows, then dispatch_rows' bus balance rows
         # and each hydro's mass and AR rows.
         d, buses = case.state_dimension(), len(case.buses)
@@ -453,24 +464,16 @@ class StageTemplate:
         self.cost_terms = dispatch_cost(case, cols)
         self.storage_cols = [cols["vout", h.name] for h in case.hydros]
         self.inflow_cols = [cols["a", h.name] for h in case.hydros]
-        self.beta_cols = ([cols["beta", l] for l in range(num_openings)]
-                          if t < num_stages else [])
+        self.beta_cols = ([cols["beta", l] for l in range(self.num_openings)]
+                          if t < self.num_stages else [])
 
 
-def solve_stage(case: SystemCase, t: int, state_in: StateVector,
-                noise: NoiseRealization, cuts, measure: RiskMeasure,
-                num_stages: int, num_openings: int,
-                template: Optional[StageTemplate] = None) -> StageSolution:
-    """Solve the stage subproblem and unpack state, duals, and betas.
-
-    ``template`` carries the stage LP between calls that share the case,
-    stage, cut lists, measure and lattice shape, as each stage table of
-    ``engine.StageMemo`` does; without one the LP is built afresh.
-    """
-    if template is None:
-        template = StageTemplate()
-    sol = solve(template.program(case, t, state_in, noise, cuts, measure,
-                                 num_stages, num_openings))
+def solve_stage(template: StageTemplate, state_in: StateVector,
+                noise: NoiseRealization) -> StageSolution:
+    """Solve the template's stage LP at ``state_in`` and ``noise`` and
+    unpack state, duals, and betas."""
+    t, case = template.t, template.case
+    sol = solve(template.program(state_in, noise))
     if sol.status != OPTIMAL:
         raise StageInfeasible(
             f"stage {t} subproblem ended {sol.status}; deficit slack and "
@@ -488,7 +491,7 @@ def solve_stage(case: SystemCase, t: int, state_in: StateVector,
     dual = sol.duals[:case.state_dimension()].copy()
 
     betas = None
-    if t < num_stages:
+    if t < template.num_stages:
         betas = x[template.beta_cols]
     return StageSolution(sol.objective, immediate, state_out, dual, betas,
                          sol.phase1_pivots, sol.phase2_pivots)

@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .hydro import (
+    StageInfeasible,
     StateVector,
     SystemCase,
     check_state,
@@ -141,6 +142,6 @@ def tree_objective(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     """Exact optimal nested risk-adjusted cost."""
     sol = solve(build_tree_lp(case, lattice, measure, cap))
     if sol.status != OPTIMAL:
-        raise RuntimeError(f"tree LP ended {sol.status}")
+        raise StageInfeasible(f"tree LP ended {sol.status}")
     return sol.objective
 

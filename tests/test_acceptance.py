@@ -17,6 +17,7 @@ from hydrosddp.caseio import read_convergence_csv
 from hydrosddp.cli import run_cli
 from hydrosddp.engine import (
     EngineConfig,
+    StageMemo,
     evaluate_policy_exact,
     forward_pass,
     simulate_policy,
@@ -57,16 +58,18 @@ def test_criterion_1_full_tree_sanity():
         cfg = EngineConfig(max_iterations=20, min_iterations=20,
                            batch_size=2, seed=7, measure=BLEND,
                            sampler_mode=SamplerMode.RISK_ADJUSTED)
-        policy, log = train(case, lattice, cfg)
-        assert abs(log.final_lower_bound - exact) <= 1e-5 * abs(exact), \
+        policy = train(case, lattice, cfg)
+        lower_bound = policy.bounds[-1].lower_bound
+        assert abs(lower_bound - exact) <= 1e-5 * abs(exact), \
             "(a) lower bound did not close the gap"
 
-        value = evaluate_policy_exact(case, lattice, policy, BLEND)
+        value = evaluate_policy_exact(case, lattice, policy.cuts, BLEND)
         assert abs(value - exact) <= 1e-5 * abs(exact), \
             "(b) exact policy value does not match the tree optimum"
 
         paths, naive_mean, _ = simulate_policy(
-            case, lattice, policy, BLEND, SamplerMode.UNIFORM, 200, seed=99)
+            case, lattice, policy.cuts, BLEND, SamplerMode.UNIFORM, 200,
+            seed=99)
         totals = np.array([p.total_cost for p in paths])
         dispersion = totals.std() / naive_mean
         assert dispersion > 0.01, "case lacks cost dispersion"
@@ -115,7 +118,7 @@ def test_criterion_4_cut_validity():
                                         n_hydro=1, max_lag=1)
             cfg = EngineConfig(max_iterations=4, min_iterations=4,
                                batch_size=2, seed=c, measure=BLEND)
-            policy, _ = train(case, lattice, cfg)
+            policy = train(case, lattice, cfg)
             for (t, l), cuts in policy.cuts.items():
                 assert cuts, "training left an empty pool index"
                 for _ in range(100):
@@ -134,7 +137,7 @@ def test_criterion_5_lower_bound_monotonicity():
                                         T=3, L=2)
             cfg = EngineConfig(max_iterations=30, min_iterations=30,
                                batch_size=1, seed=c, measure=BLEND)
-            _, log = train(case, lattice, cfg)
+            log = train(case, lattice, cfg).bounds
             lbs = [e.lower_bound for e in log]
             assert len(lbs) == 30
             assert all(lbs[i + 1] >= lbs[i] - 1e-9 for i in range(29))
@@ -148,22 +151,25 @@ def test_criterion_6_risk_neutral_regression():
         case, lattice = random_case(rng, T=4, L=2, max_lag=0)
         base = dict(max_iterations=25, min_iterations=25, batch_size=2,
                     seed=13, measure=neutral)
-        policy_r, log_r = train(case, lattice, EngineConfig(
+        policy_r = train(case, lattice, EngineConfig(
             sampler_mode=SamplerMode.RISK_ADJUSTED, **base))
-        policy_u, log_u = train(case, lattice, EngineConfig(
+        policy_u = train(case, lattice, EngineConfig(
             sampler_mode=SamplerMode.UNIFORM, **base))
-        for a, b in zip(log_r, log_u):
+        for a, b in zip(policy_r.bounds, policy_u.bounds):
             assert a.lower_bound == b.lower_bound
             assert a.ub_mean == b.ub_mean
 
-        paths_r, _ = forward_pass(case, lattice, policy_r.cuts, neutral,
+        paths_r, _ = forward_pass(StageMemo(case, lattice, policy_r.cuts,
+                                            neutral),
                                   SamplerMode.RISK_ADJUSTED, 31, 4, seed=5)
-        paths_u, _ = forward_pass(case, lattice, policy_u.cuts, neutral,
+        paths_u, _ = forward_pass(StageMemo(case, lattice, policy_u.cuts,
+                                            neutral),
                                   SamplerMode.UNIFORM, 31, 4, seed=5)
         assert paths_r == paths_u
 
         exact = tree_objective(case, lattice, neutral)
-        assert abs(log_r.final_lower_bound - exact) <= 1e-5 * abs(exact)
+        lower_bound = policy_r.bounds[-1].lower_bound
+        assert abs(lower_bound - exact) <= 1e-5 * abs(exact)
 
 
 def test_criterion_7_lp_solver_soundness():

@@ -178,7 +178,7 @@ def test_policy_roundtrip_bitwise(tmp_path):
     case, lattice = random_case(rng, T=3, L=2)
     cfg = EngineConfig(max_iterations=3, min_iterations=3, batch_size=2,
                        seed=1, measure=RiskMeasure(lam=0.5, alpha=0.5))
-    policy, _ = train(case, lattice, cfg, fingerprint="fp-test")
+    policy = train(case, lattice, cfg, fingerprint="fp-test")
     path = tmp_path / "policy.json"
     write_policy(policy, path)
     loaded = read_policy(path, "fp-test")
@@ -201,7 +201,7 @@ def test_policy_with_stop_gap_tol_loads(tmp_path):
     case, lattice = random_case(rng, T=3, L=2)
     cfg = EngineConfig(max_iterations=3, min_iterations=3, batch_size=2,
                        seed=1, measure=RiskMeasure(lam=0.5, alpha=0.5))
-    policy, _ = train(case, lattice, cfg)
+    policy = train(case, lattice, cfg)
     path = tmp_path / "p.json"
     write_policy(policy, path)
     doc = json.loads(path.read_text())
@@ -213,16 +213,16 @@ def test_policy_with_stop_gap_tol_loads(tmp_path):
     path.write_text(json.dumps(doc))
     loaded = read_policy(path)
     assert loaded.config == cfg
-    assert (evaluate_policy_exact(case, lattice, loaded, cfg.measure)
-            == evaluate_policy_exact(case, lattice, policy, cfg.measure))
+    assert (evaluate_policy_exact(case, lattice, loaded.cuts, cfg.measure)
+            == evaluate_policy_exact(case, lattice, policy.cuts, cfg.measure))
 
 
 def test_policy_fingerprint_mismatch(tmp_path):
     rng = np.random.default_rng(93)
     case, lattice = random_case(rng, T=2, L=2)
-    policy, _ = train(case, lattice,
-                      EngineConfig(max_iterations=1, min_iterations=1),
-                      fingerprint="original")
+    policy = train(case, lattice,
+                   EngineConfig(max_iterations=1, min_iterations=1),
+                   fingerprint="original")
     path = tmp_path / "p.json"
     write_policy(policy, path)
     with pytest.raises(FingerprintMismatch):
@@ -233,9 +233,9 @@ def test_policy_fingerprint_mismatch(tmp_path):
 def test_policy_with_duplicate_cuts_loads_deduplicated(tmp_path):
     rng = np.random.default_rng(96)
     case, lattice = random_case(rng, T=3, L=2)
-    policy, _ = train(case, lattice,
-                      EngineConfig(max_iterations=3, min_iterations=3,
-                                   batch_size=2, seed=1))
+    policy = train(case, lattice,
+                   EngineConfig(max_iterations=3, min_iterations=3,
+                                batch_size=2, seed=1))
     path = tmp_path / "p.json"
     write_policy(policy, path)
     doc = json.loads(path.read_text())
@@ -255,9 +255,9 @@ def test_policy_with_duplicate_cuts_loads_deduplicated(tmp_path):
 def test_policy_with_near_duplicate_cuts_loads_deduplicated(tmp_path):
     rng = np.random.default_rng(96)
     case, lattice = random_case(rng, T=3, L=2)
-    policy, _ = train(case, lattice,
-                      EngineConfig(max_iterations=3, min_iterations=3,
-                                   batch_size=2, seed=1))
+    policy = train(case, lattice,
+                   EngineConfig(max_iterations=3, min_iterations=3,
+                                batch_size=2, seed=1))
     path = tmp_path / "p.json"
     write_policy(policy, path)
     doc = json.loads(path.read_text())
@@ -286,8 +286,8 @@ def test_policy_with_near_duplicate_cuts_loads_deduplicated(tmp_path):
 def test_truncated_policy_is_corrupt(tmp_path):
     rng = np.random.default_rng(94)
     case, lattice = random_case(rng, T=2, L=2)
-    policy, _ = train(case, lattice,
-                      EngineConfig(max_iterations=1, min_iterations=1))
+    policy = train(case, lattice,
+                   EngineConfig(max_iterations=1, min_iterations=1))
     path = tmp_path / "p.json"
     write_policy(policy, path)
     blob = path.read_text()
@@ -305,15 +305,15 @@ def test_csv_contract_and_roundtrip(tmp_path):
     cfg = EngineConfig(max_iterations=4, min_iterations=4, batch_size=2,
                        seed=2, measure=RiskMeasure(lam=1.0, alpha=0.5),
                        sampler_mode=SamplerMode.ALTERNATING)
-    _, log = train(case, lattice, cfg)
+    log = train(case, lattice, cfg).bounds
     text = bounds_to_csv(log)
     header = text.splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
     path = tmp_path / "c.csv"
     path.write_text(text)
     rows = read_convergence_csv(path)
-    assert len(rows) == len(log.entries)
-    for row, entry in zip(rows, log.entries):
+    assert len(rows) == len(log)
+    for row, entry in zip(rows, log):
         assert row["iteration"] == entry.iteration
         assert row["lower_bound"] == entry.lower_bound  # repr round trip
         assert row["ub_mean"] == entry.ub_mean

@@ -215,6 +215,8 @@ def _out_of_range(kind):
                                        cap=-1.0))
     elif kind == "initial_state":
         doc["initial_state"] = {"storages": {"h1": 50.0}}
+    elif kind == "demand":
+        system["buses"][0]["demand"] = [10.0, -1.0]
     else:
         system["deficit_cost"] = 1.0
     return doc
@@ -227,6 +229,7 @@ def _out_of_range(kind):
     ("lags", "system: hydros[0]: needs 1 initial lags"),
     ("thermal", "system: thermals[1]: negative data"),
     ("initial_state", "initial_state.storages.h1: out of bounds [0, 10.0]"),
+    ("demand", "system: buses[0]: negative demand"),
     ("deficit", "system: deficit_cost: must exceed thermals[0].cost"),
 ])
 def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
@@ -235,6 +238,53 @@ def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
     path.write_text(json.dumps(_out_of_range(kind)))
     assert run_cli(["detequiv", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["thermals", "renewables"])
+def test_duplicate_names_exit_2(kind, tmp_path, capsys):
+    # A repeated name would share one dispatch column between two entries
+    # and count it twice in its bus balance.
+    demo = os.path.join(os.path.dirname(__file__), "..", "cases", "demo.json")
+    with open(demo, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["system"][kind].append(dict(doc["system"][kind][0]))
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["detequiv", str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: system: {kind}: duplicate names\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("thermals", 5, "system.thermals: expected a list"),
+    ("hydros", None, "system.hydros: expected a list"),
+    ("buses", {"b1": [10.0, 12.0]}, "system.buses: expected a list"),
+    ("deficit_cost", "x",
+     "system.deficit_cost: expected a finite number, got 'x'"),
+])
+def test_malformed_system_exits_2_with_field_path(key, value, message,
+                                                  tmp_path, capsys):
+    doc = hydro_case_dict()
+    doc["system"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["detequiv", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_infeasible_case_exits_3_from_solve_and_detequiv(tmp_path, capsys):
+    # An inflow that drains the reservoir below empty leaves no feasible
+    # dispatch; the stage LPs and the tree LP report it alike.
+    doc = hydro_case_dict()
+    doc["lattice"]["stage1"]["inflows"]["h1"] = -100.0
+    path = tmp_path / "dry.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve", str(path), "--out", str(tmp_path / "run")],
+                 ["detequiv", str(path)]):
+        assert run_cli(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("engine, argv, message", [
@@ -297,6 +347,25 @@ def test_policy_with_bad_config_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {policy}: malformed policy file "
         f"(config.seed: expected an integer, got 'x')\n")
+
+
+def test_policy_pool_that_does_not_fit_the_case_exits_2(tmp_path, capsys):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(hydro_case_dict()))
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(case), "--iters", "2",
+                    "--out", str(outdir)]) == 0
+    policy = outdir / "policy.json"
+    doc = json.loads(policy.read_text())
+    doc["pool"]["num_openings"] = 1
+    del doc["pool"]["cuts"]["1,1"]
+    policy.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("evaluate", "simulate"):
+        assert run_cli([command, str(case), "--policy", str(policy)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cut pool of (stages, openings, state dimension) "
+            "(2, 1, 2) does not fit the case's (2, 2, 2)\n")
 
 
 def test_plot_of_non_numeric_csv_exits_2(tmp_path, capsys):

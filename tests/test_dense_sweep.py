@@ -15,7 +15,7 @@ import oracles
 from casegen import in_bounds_state, random_case
 from hydrosddp import lp as lpmod
 from hydrosddp.engine import Cut
-from hydrosddp.hydro import build_stage_lp, solve_stage
+from hydrosddp.hydro import StageTemplate, build_stage_lp, solve_stage
 from hydrosddp.lp import (
     _SPARSE_ROWS,
     EQUAL,
@@ -63,8 +63,9 @@ def stage_programs_with_cuts(seed, num_cases, states_per_case):
         for _ in range(int(rng.integers(3, 10))):
             state = in_bounds_state(rng, case)
             for l, opening in enumerate(cuts):
-                sol = solve_stage(case, t + 1, state, lattice.noise(t + 1, l),
-                                  None, BLEND, T, L)
+                sol = solve_stage(
+                    StageTemplate(case, t + 1, None, BLEND, T, L), state,
+                    lattice.noise(t + 1, l))
                 opening.append(Cut(sol.state_dual, state.flatten(),
                                    sol.objective))
         noise = [lattice.stage_noise(t, l if t > 1 else None)

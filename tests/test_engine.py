@@ -5,11 +5,11 @@ import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
 from hydrosddp.engine import (
-    BoundsLog,
     Cut,
     CutPool,
     EmptyBatch,
     EngineConfig,
+    StageMemo,
     backward_pass,
     effective_sampler,
     evaluate_policy_exact,
@@ -150,8 +150,9 @@ def test_effective_sampler_alternation():
 
 def test_forward_single_stage_no_sampling():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
-    paths, lb = forward_pass(case, lattice, fresh_pool(case, lattice),
-                             BLEND, SamplerMode.RISK_ADJUSTED, 1, 3, seed=0)
+    paths, lb = forward_pass(StageMemo(case, lattice,
+                                       fresh_pool(case, lattice), BLEND),
+                             SamplerMode.RISK_ADJUSTED, 1, 3, seed=0)
     assert len(paths) == 3
     for p in paths:
         assert len(p) == 1
@@ -163,18 +164,18 @@ def test_forward_single_stage_no_sampling():
 def test_backward_counts():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
     pool = fresh_pool(case, lattice)
-    paths, _ = forward_pass(case, lattice, pool, NEUTRAL,
+    paths, _ = forward_pass(StageMemo(case, lattice, pool, NEUTRAL),
                             SamplerMode.UNIFORM, 1, 2, seed=0)
-    assert backward_pass(case, lattice, pool, paths, NEUTRAL) == 0
+    assert backward_pass(StageMemo(case, lattice, pool, NEUTRAL), paths) == 0
 
     case, lattice = random_case(np.random.default_rng(8), T=2, L=3)
     pool = fresh_pool(case, lattice)
-    paths, _ = forward_pass(case, lattice, pool, NEUTRAL,
+    paths, _ = forward_pass(StageMemo(case, lattice, pool, NEUTRAL),
                             SamplerMode.UNIFORM, 1, 2, seed=0)
     # Both paths leave the deterministic root in the same state, so their
     # three cuts (one per opening) are the same rows: the pool keeps 3 of
     # the 6 it is offered.
-    assert backward_pass(case, lattice, pool, paths, NEUTRAL) == 3
+    assert backward_pass(StageMemo(case, lattice, pool, NEUTRAL), paths) == 3
     assert len(pool) == 3
     assert pool.duplicates == 3
 
@@ -189,9 +190,9 @@ def test_flat_cut_for_worthless_water():
     noise = NoiseRealization(inflow_noise={"h1": 1.0})
     lattice = Lattice(2, 2, noise, [[noise, noise]])
     pool = fresh_pool(case, lattice)
-    paths, _ = forward_pass(case, lattice, pool, NEUTRAL,
+    paths, _ = forward_pass(StageMemo(case, lattice, pool, NEUTRAL),
                             SamplerMode.UNIFORM, 1, 1, seed=3)
-    backward_pass(case, lattice, pool, paths, NEUTRAL)
+    backward_pass(StageMemo(case, lattice, pool, NEUTRAL), paths)
     for (_, _), cuts in pool.items():
         for cut in cuts:
             assert cut.gradient[0] == pytest.approx(0.0, abs=1e-9)
@@ -200,7 +201,8 @@ def test_flat_cut_for_worthless_water():
 def test_lower_bound_with_empty_pool():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15, T=3)
     # Future epigraph floors at zero, so the bound is the immediate cost.
-    _, lb = forward_pass(case, lattice, fresh_pool(case, lattice), BLEND,
+    _, lb = forward_pass(StageMemo(case, lattice, fresh_pool(case, lattice),
+                                   BLEND),
                          SamplerMode.RISK_ADJUSTED, 1, 1, seed=0)
     assert lb == pytest.approx(20.0, abs=1e-8)
 
@@ -209,11 +211,11 @@ def test_risk_adjusted_sampling_chases_high_beta():
     case, lattice = two_stage_demand_case()
     measure = RiskMeasure(lam=1.0, alpha=0.5)
     pool = fresh_pool(case, lattice)
-    paths, _ = forward_pass(case, lattice, pool, measure,
+    paths, _ = forward_pass(StageMemo(case, lattice, pool, measure),
                             SamplerMode.RISK_ADJUSTED, 1, 2, seed=1)
-    backward_pass(case, lattice, pool, paths, measure)
+    backward_pass(StageMemo(case, lattice, pool, measure), paths)
     # Stage-1 betas are now (1, 3): all mass on the expensive opening.
-    paths, _ = forward_pass(case, lattice, pool, measure,
+    paths, _ = forward_pass(StageMemo(case, lattice, pool, measure),
                             SamplerMode.RISK_ADJUSTED, 2, 8, seed=11)
     for p in paths:
         assert p.steps[0].weights.weights == pytest.approx([0.0, 1.0])
@@ -226,13 +228,13 @@ def test_lambda_zero_modes_are_bitwise_identical():
     pool_a = fresh_pool(case, lattice)
     pool_b = fresh_pool(case, lattice)
     for k in (1, 2, 3):
-        pa, _ = forward_pass(case, lattice, pool_a, NEUTRAL,
+        pa, _ = forward_pass(StageMemo(case, lattice, pool_a, NEUTRAL),
                              SamplerMode.RISK_ADJUSTED, k, 3, seed=42)
-        pb, _ = forward_pass(case, lattice, pool_b, NEUTRAL,
+        pb, _ = forward_pass(StageMemo(case, lattice, pool_b, NEUTRAL),
                              SamplerMode.UNIFORM, k, 3, seed=42)
         assert pa == pb
-        backward_pass(case, lattice, pool_a, pa, NEUTRAL)
-        backward_pass(case, lattice, pool_b, pb, NEUTRAL)
+        backward_pass(StageMemo(case, lattice, pool_a, NEUTRAL), pa)
+        backward_pass(StageMemo(case, lattice, pool_b, NEUTRAL), pb)
 
 
 def test_paths_independent_of_batch_order():
@@ -241,10 +243,10 @@ def test_paths_independent_of_batch_order():
     rng = np.random.default_rng(83)
     case, lattice = random_case(rng, T=3, L=2)
     pool = fresh_pool(case, lattice)
-    batch, _ = forward_pass(case, lattice, pool, BLEND,
+    batch, _ = forward_pass(StageMemo(case, lattice, pool, BLEND),
                             SamplerMode.RISK_ADJUSTED, 4, 5, seed=9)
     for s in (4, 2, 0, 3, 1):  # deliberately scrambled order
-        alone, _ = forward_pass(case, lattice, pool, BLEND,
+        alone, _ = forward_pass(StageMemo(case, lattice, pool, BLEND),
                                 SamplerMode.RISK_ADJUSTED, 4, s + 1, seed=9)
         assert alone[s] == batch[s]
 
@@ -257,14 +259,14 @@ def test_train_single_stage_stops_at_min_iterations():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
     cfg = EngineConfig(max_iterations=10, min_iterations=3, batch_size=2,
                        seed=5, measure=BLEND)
-    policy, log = train(case, lattice, cfg)
-    assert len(log) == 3
-    last = log.entries[-1]
+    policy = train(case, lattice, cfg)
+    assert len(policy.bounds) == 3
+    last = policy.bounds[-1]
     assert last.lower_bound == pytest.approx(20.0, abs=1e-8)
     assert last.ub_mean == pytest.approx(20.0, abs=1e-8)
     assert last.ub_stderr == 0.0
     # single-stage policy value is just the immediate cost
-    assert evaluate_policy_exact(case, lattice, policy, BLEND) == \
+    assert evaluate_policy_exact(case, lattice, policy.cuts, BLEND) == \
         pytest.approx(20.0, abs=1e-8)
 
 
@@ -273,7 +275,7 @@ def test_lower_bound_monotone_and_log_ordered():
     case, lattice = random_case(rng, T=3, L=2)
     cfg = EngineConfig(max_iterations=12, min_iterations=12, batch_size=2,
                        seed=2, measure=BLEND)
-    _, log = train(case, lattice, cfg)
+    log = train(case, lattice, cfg).bounds
     lbs = [e.lower_bound for e in log]
     assert all(lbs[i + 1] >= lbs[i] - 1e-9 for i in range(len(lbs) - 1))
     assert [e.iteration for e in log] == list(range(1, len(log) + 1))
@@ -285,7 +287,7 @@ def test_alternating_mode_skips_ub_on_odd_iterations():
     cfg = EngineConfig(max_iterations=6, min_iterations=6, batch_size=2,
                        seed=3, measure=RiskMeasure(lam=1.0, alpha=0.5),
                        sampler_mode=SamplerMode.ALTERNATING)
-    _, log = train(case, lattice, cfg)
+    log = train(case, lattice, cfg).bounds
     for e in log:
         if e.iteration % 2 == 1:
             assert e.sampler == "uniform"
@@ -301,8 +303,8 @@ def test_train_determinism():
     case, lattice = random_case(rng, T=3, L=2)
     cfg = EngineConfig(max_iterations=8, min_iterations=8, batch_size=2,
                        seed=7, measure=BLEND)
-    _, log1 = train(case, lattice, cfg)
-    _, log2 = train(case, lattice, cfg)
+    log1 = train(case, lattice, cfg).bounds
+    log2 = train(case, lattice, cfg).bounds
     for a, b in zip(log1, log2):
         assert (a.iteration, a.lower_bound, a.ub_mean, a.ub_stderr,
                 a.ub_samples, a.sampler) == \
@@ -316,9 +318,9 @@ def test_converged_bounds_match_tree_oracle():
     exact = tree_objective(case, lattice, BLEND)
     cfg = EngineConfig(max_iterations=30, min_iterations=30, batch_size=2,
                        seed=1, measure=BLEND)
-    policy, log = train(case, lattice, cfg)
-    assert log.final_lower_bound == pytest.approx(exact, rel=1e-5)
-    value = evaluate_policy_exact(case, lattice, policy, BLEND)
+    policy = train(case, lattice, cfg)
+    assert policy.bounds[-1].lower_bound == pytest.approx(exact, rel=1e-5)
+    value = evaluate_policy_exact(case, lattice, policy.cuts, BLEND)
     assert value == pytest.approx(exact, rel=1e-5)
     assert value >= exact - 1e-6  # policy value never beats the optimum
 
@@ -330,9 +332,9 @@ def test_convergence_with_network_and_renewables():
     exact = tree_objective(case, lattice, BLEND)
     cfg = EngineConfig(max_iterations=30, min_iterations=30, batch_size=2,
                        seed=8, measure=BLEND)
-    policy, log = train(case, lattice, cfg)
-    assert log.final_lower_bound == pytest.approx(exact, rel=1e-5)
-    assert evaluate_policy_exact(case, lattice, policy, BLEND) == \
+    policy = train(case, lattice, cfg)
+    assert policy.bounds[-1].lower_bound == pytest.approx(exact, rel=1e-5)
+    assert evaluate_policy_exact(case, lattice, policy.cuts, BLEND) == \
         pytest.approx(exact, rel=1e-5)
 
 
@@ -342,9 +344,9 @@ def test_risk_neutral_policy_value_is_expected_cost():
     exact = tree_objective(case, lattice, NEUTRAL)
     cfg = EngineConfig(max_iterations=25, min_iterations=25, batch_size=2,
                        seed=4, measure=NEUTRAL)
-    policy, log = train(case, lattice, cfg)
-    assert log.final_lower_bound == pytest.approx(exact, rel=1e-5)
-    assert evaluate_policy_exact(case, lattice, policy, NEUTRAL) == \
+    policy = train(case, lattice, cfg)
+    assert policy.bounds[-1].lower_bound == pytest.approx(exact, rel=1e-5)
+    assert evaluate_policy_exact(case, lattice, policy.cuts, NEUTRAL) == \
         pytest.approx(exact, rel=1e-5)
 
 
@@ -353,7 +355,7 @@ def test_cut_validity_against_oracle():
     case, lattice = random_case(rng, T=3, L=2, n_hydro=1, max_lag=1)
     cfg = EngineConfig(max_iterations=4, min_iterations=4, batch_size=2,
                        seed=6, measure=BLEND)
-    policy, _ = train(case, lattice, cfg)
+    policy = train(case, lattice, cfg)
     for (t, l), cuts in policy.cuts.items():
         for _ in range(10):
             state = in_bounds_state(rng, case)
@@ -367,13 +369,13 @@ def test_naive_uniform_ub_underestimates_risk_averse_cost():
     exact = tree_objective(case, lattice, BLEND)
     cfg = EngineConfig(max_iterations=12, min_iterations=12, batch_size=2,
                        seed=3, measure=BLEND)
-    policy, log = train(case, lattice, cfg)
-    assert log.final_lower_bound == pytest.approx(exact, rel=1e-6)
-    paths, naive_mean, _ = simulate_policy(case, lattice, policy, BLEND,
+    policy = train(case, lattice, cfg)
+    assert policy.bounds[-1].lower_bound == pytest.approx(exact, rel=1e-6)
+    paths, naive_mean, _ = simulate_policy(case, lattice, policy.cuts, BLEND,
                                            SamplerMode.UNIFORM, 400, seed=17)
     totals = [p.total_cost for p in paths]
     assert np.std(totals) > 0.01 * naive_mean  # genuinely dispersed
     assert naive_mean < exact  # the known naive-UB defect
-    _, risk_mean, _ = simulate_policy(case, lattice, policy, BLEND,
+    _, risk_mean, _ = simulate_policy(case, lattice, policy.cuts, BLEND,
                                       SamplerMode.RISK_ADJUSTED, 400, seed=17)
     assert risk_mean == pytest.approx(exact, rel=0.05)

@@ -12,6 +12,7 @@ from hydrosddp.hydro import (
     Line,
     Renewable,
     StageInfeasible,
+    StageTemplate,
     StateVector,
     SystemCase,
     Thermal,
@@ -42,8 +43,8 @@ def hydro_case(demand=10.0, storage=10.0, turbine=10.0, production=1.0,
 
 def test_thermal_dispatch_terminal_stage():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, None,
-                      NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), lattice.stage1)
     assert sol.objective == pytest.approx(20.0, abs=1e-8)
     assert sol.immediate_cost == pytest.approx(20.0, abs=1e-8)
     assert sol.betas is None
@@ -51,15 +52,15 @@ def test_thermal_dispatch_terminal_stage():
 
 def test_zero_demand_zero_cost():
     case, lattice = thermal_only_case(demand=0, cost=3, cap=5)
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, None,
-                      NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), lattice.stage1)
     assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_hydro_covers_demand_for_free():
     case, lattice = hydro_case()
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, None,
-                      NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), lattice.stage1)
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
     assert sol.state_out.storages[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -67,16 +68,16 @@ def test_hydro_covers_demand_for_free():
 def test_deficit_penalty_when_capacity_short():
     case, lattice = thermal_only_case(demand=100, cost=1, cap=10,
                                       deficit_cost=50)
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, None,
-                      NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), lattice.stage1)
     assert sol.immediate_cost == pytest.approx(4510.0, abs=1e-7)
 
 
 def test_single_cut_epigraph():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15, T=2)
     cut = Cut(np.zeros(0), np.zeros(0), 7.0)
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, [[cut]],
-                      NEUTRAL, 2, 1)
+    sol = solve_stage(StageTemplate(case, 1, [[cut]], NEUTRAL, 2, 1),
+                      initial_state(case), lattice.stage1)
     assert sol.betas == pytest.approx([7.0], abs=1e-9)
     assert sol.objective == pytest.approx(20.0 + 7.0, abs=1e-8)
     assert sol.immediate_cost == pytest.approx(20.0, abs=1e-8)
@@ -86,8 +87,8 @@ def test_cut_with_storage_gradient():
     # beta >= 5 - 1.0*(v_out - 2): stored water is worth 1/unit up to the cap.
     case, lattice = hydro_case(demand=0.0, storage=4.0, T=2)
     cut = Cut(np.array([-1.0]), np.array([2.0]), 5.0)
-    sol = solve_stage(case, 1, initial_state(case), lattice.stage1, [[cut]],
-                      NEUTRAL, 2, 1)
+    sol = solve_stage(StageTemplate(case, 1, [[cut]], NEUTRAL, 2, 1),
+                      initial_state(case), lattice.stage1)
     # Filling the reservoir to its 4-unit cap leaves beta = 5 - (4-2) = 3.
     assert sol.state_out.storages[0] == pytest.approx(4.0, abs=1e-8)
     assert sol.objective == pytest.approx(3.0, abs=1e-8)
@@ -100,7 +101,8 @@ def test_line_transfer_hits_capacity():
         lines=(Line("b1", "b2", 5.0),),
         thermals=(Thermal("t1", "b1", 1.0, 20.0),),
         deficit_cost=50.0)
-    sol = solve_stage(case, 1, initial_state(case), QUIET, None, NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), QUIET)
     assert sol.immediate_cost == pytest.approx(5.0 * 1.0 + 3.0 * 50.0, abs=1e-7)
 
 
@@ -111,19 +113,21 @@ def test_renewable_displaces_thermal():
         renewables=(Renewable("w1", "b1"),),
         deficit_cost=20.0)
     noise = NoiseRealization(renewable_cap={"w1": 4.0})
-    sol = solve_stage(case, 1, initial_state(case), noise, None, NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), noise)
     assert sol.objective == pytest.approx(2.0 * 6.0, abs=1e-8)
     # cap of zero forces all-thermal dispatch
     dark = NoiseRealization(renewable_cap={"w1": 0.0})
-    sol = solve_stage(case, 1, initial_state(case), dark, None, NEUTRAL, 1, 1)
+    sol = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                      initial_state(case), dark)
     assert sol.objective == pytest.approx(20.0, abs=1e-8)
 
 
 def test_state_dimension_validation():
     case, _ = hydro_case()
     with pytest.raises(DimensionMismatch):
-        solve_stage(case, 1, StateVector([1.0, 2.0], [(), ()]), QUIET, None,
-                    NEUTRAL, 1, 1)
+        solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                    StateVector([1.0, 2.0], [(), ()]), QUIET)
 
 
 def test_infeasible_stage_is_internal_error():
@@ -131,7 +135,8 @@ def test_infeasible_stage_is_internal_error():
     case, _ = hydro_case(demand=0.0, storage=5.0)
     bad = NoiseRealization(inflow_noise={"h1": -50.0})
     with pytest.raises(StageInfeasible):
-        solve_stage(case, 1, initial_state(case), bad, None, NEUTRAL, 1, 1)
+        solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                    initial_state(case), bad)
 
 
 def test_case_validation_errors():
@@ -168,8 +173,9 @@ def test_relatively_complete_recourse():
             noise = lattice.stage_noise(t, l)
             state = in_bounds_state(rng, case)
             cuts = [[] for _ in range(L)] if t < T else None
-            sol = solve_stage(case, t, state, noise, cuts,
-                              RiskMeasure(lam=0.5, alpha=0.5), T, L)
+            sol = solve_stage(
+                StageTemplate(case, t, cuts, RiskMeasure(lam=0.5, alpha=0.5),
+                              T, L), state, noise)
             assert np.isfinite(sol.objective)
 
 
@@ -184,7 +190,8 @@ def test_mass_conservation():
         cuts = [[] for _ in range(L)] if t < T else None
         lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
         x = solve(lp).primal
-        sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
+        sol = solve_stage(StageTemplate(case, t, cuts, NEUTRAL, T, L), state,
+                          noise)
         for j, h in enumerate(case.hydros):
             assert sol.state_out.storages[j] == x[cols["vout", h.name]]
             released = sum(x[cols["u", up]] + x[cols["spill", up]]
@@ -221,7 +228,8 @@ def test_copy_rows_come_first_in_state_order():
         assert np.all(lp.lower[copies] == -np.inf)
         assert np.all(lp.upper[copies] == np.inf)
         duals = solve(lp).duals[:k]
-        sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
+        sol = solve_stage(StageTemplate(case, t, cuts, NEUTRAL, T, L), state,
+                          noise)
         assert np.array_equal(sol.state_dual, duals)
 
 
@@ -241,9 +249,11 @@ def test_state_duals_match_finite_differences():
                                     [h.max_storage - 0.01 for h in case.hydros])
 
         def objective_at(s):
-            return solve_stage(case, t, s, noise, cuts, NEUTRAL, T, L).objective
+            return solve_stage(StageTemplate(case, t, cuts, NEUTRAL, T, L), s,
+                               noise).objective
 
-        sol = solve_stage(case, t, state, noise, cuts, NEUTRAL, T, L)
+        sol = solve_stage(StageTemplate(case, t, cuts, NEUTRAL, T, L), state,
+                          noise)
         flat = state.flatten()
         for c in range(case.state_dimension()):
             def shifted(delta):
@@ -273,8 +283,9 @@ def test_immediate_cost_never_exceeds_objective():
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
         cuts = [[] for _ in range(L)] if t < T else None
-        sol = solve_stage(case, t, in_bounds_state(rng, case), noise, cuts,
-                          RiskMeasure(lam=0.5, alpha=0.5), T, L)
+        sol = solve_stage(StageTemplate(case, t, cuts,
+                                        RiskMeasure(lam=0.5, alpha=0.5), T, L),
+                          in_bounds_state(rng, case), noise)
         assert sol.immediate_cost <= sol.objective + 1e-7
 
 
@@ -290,6 +301,7 @@ def test_storage_monotonicity():
         values = []
         for frac in (0.0, 0.3, 0.6, 1.0):
             state.storages[0] = frac * case.hydros[0].max_storage
-            values.append(solve_stage(case, t, state, noise, cuts, NEUTRAL,
-                                      T, L).objective)
+            values.append(solve_stage(
+                StageTemplate(case, t, cuts, NEUTRAL, T, L), state,
+                noise).objective)
         assert all(values[i + 1] <= values[i] + 1e-8 for i in range(3))

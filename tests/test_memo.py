@@ -16,7 +16,7 @@ from hydrosddp.engine import (
     simulate_policy,
     train,
 )
-from hydrosddp.hydro import initial_state, solve_stage
+from hydrosddp.hydro import StageTemplate, initial_state, solve_stage
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import SamplerMode
 
@@ -52,11 +52,12 @@ def record_stage_solves(monkeypatch, lattice):
             openings[id(lattice.noise(t, l))] = l
     calls = []
 
-    def logged(case, t, state, noise, cuts, *rest):
+    def logged(template, state, noise):
+        cuts = template.cuts
         size = sum(len(c) for c in cuts) if cuts is not None else 0
-        calls.append((t, state.flatten().tobytes(), openings[id(noise)],
-                      size))
-        return solve_stage(case, t, state, noise, cuts, *rest)
+        calls.append((template.t, state.flatten().tobytes(),
+                      openings[id(noise)], size))
+        return solve_stage(template, state, noise)
 
     monkeypatch.setattr(engine, "solve_stage", logged)
     return calls
@@ -76,14 +77,14 @@ def never_hit(monkeypatch):
 def test_train_solves_each_distinct_stage_lp_once(monkeypatch):
     case, lattice, cfg = small_case()
     calls = record_stage_solves(monkeypatch, lattice)
-    policy, _ = train(case, lattice, cfg)
+    policy = train(case, lattice, cfg)
     memo_calls = list(calls)
     assert len(set(memo_calls)) == len(memo_calls)
     assert policy.stage_solves == len(memo_calls)
 
     calls.clear()
     never_hit(monkeypatch)
-    bypassed, _ = train(case, lattice, cfg)
+    bypassed = train(case, lattice, cfg)
     assert set(calls) == set(memo_calls)
     assert len(calls) > len(memo_calls)
     assert bypassed.reused_solves == 0
@@ -109,8 +110,8 @@ def test_new_cut_invalidates_only_its_stage():
     assert pool.append(2, 1, Cut(np.zeros(dim), np.zeros(dim), floor))
     again = memo.solve(2, state, 0)
     assert memo.solves == 4
-    direct = solve_stage(case, 2, state, lattice.noise(2, 0), pool.slice(2),
-                         BLEND, T, L)
+    direct = solve_stage(StageTemplate(case, 2, pool.slice(2), BLEND, T, L),
+                         state, lattice.noise(2, 0))
     assert again.objective == direct.objective > first.objective
     assert again.betas[1] == pytest.approx(floor)
     assert memo.solve(1, initial_state(case), None) is root
@@ -136,13 +137,14 @@ def cut_bytes(pool):
 
 
 def run_all(case, lattice, cfg):
-    policy, log = train(case, lattice, cfg)
-    value = evaluate_policy_exact(case, lattice, policy, cfg.measure)
-    rollouts = [simulate_policy(case, lattice, policy, cfg.measure, sampler,
-                                16, seed=11)
+    policy = train(case, lattice, cfg)
+    value = evaluate_policy_exact(case, lattice, policy.cuts, cfg.measure)
+    rollouts = [simulate_policy(case, lattice, policy.cuts, cfg.measure,
+                                sampler, 16, seed=11)
                 for sampler in (SamplerMode.UNIFORM,
                                 SamplerMode.RISK_ADJUSTED)]
-    return ([e.lower_bound for e in log], [e.ub_mean for e in log],
+    return ([e.lower_bound for e in policy.bounds],
+            [e.ub_mean for e in policy.bounds],
             cut_bytes(policy.cuts), policy.cuts.duplicates, value,
             [(path_bytes(paths), mean, stderr)
              for paths, mean, stderr in rollouts])
@@ -157,7 +159,7 @@ def test_memo_changes_no_result(monkeypatch):
 
 def test_solve_counts_pinned_on_acceptance_case():
     case, lattice, cfg = acceptance_case()
-    policy, _ = train(case, lattice, cfg)
+    policy = train(case, lattice, cfg)
     # Near-duplicate cuts (within engine.DEDUP_RTOL) leave the stage
     # tables in place.
     assert (policy.stage_solves, policy.reused_solves) == (202, 514)

@@ -12,7 +12,12 @@ import pytest
 
 from casegen import in_bounds_state, random_case
 from hydrosddp.engine import Cut
-from hydrosddp.hydro import build_stage_lp, initial_state, solve_stage
+from hydrosddp.hydro import (
+    StageTemplate,
+    build_stage_lp,
+    initial_state,
+    solve_stage,
+)
 from hydrosddp.lp import (
     EQUAL,
     GREATER,
@@ -152,8 +157,9 @@ def sampled_cuts(seed, num_states):
     for _ in range(num_states):
         state = in_bounds_state(rng, case)
         for l, opening in enumerate(cuts):
-            sol = solve_stage(case, 2, state, lattice.noise(2, l), None,
-                              NEUTRAL, 2, lattice.num_openings)
+            sol = solve_stage(StageTemplate(case, 2, None, NEUTRAL, 2,
+                                            lattice.num_openings),
+                              state, lattice.noise(2, l))
             opening.append(Cut(sol.state_dual, state.flatten(),
                                sol.objective))
     return case, lattice, cuts
@@ -174,11 +180,12 @@ def test_doubled_cut_rows_change_nothing():
     case, lattice, cuts = sampled_cuts(6, 12)
     state = initial_state(case)
     for measure in (NEUTRAL, BLEND):
-        once = solve_stage(case, 1, state, lattice.stage1, cuts, measure,
-                           2, lattice.num_openings)
-        twice = solve_stage(case, 1, state, lattice.stage1,
-                            [c + c for c in cuts], measure, 2,
-                            lattice.num_openings)
+        once = solve_stage(StageTemplate(case, 1, cuts, measure, 2,
+                                         lattice.num_openings),
+                           state, lattice.stage1)
+        twice = solve_stage(StageTemplate(case, 1, [c + c for c in cuts],
+                                          measure, 2, lattice.num_openings),
+                            state, lattice.stage1)
         assert twice.objective == pytest.approx(once.objective, rel=1e-9,
                                                 abs=1e-9)
         assert twice.state_dual == pytest.approx(once.state_dual, rel=1e-9,

@@ -71,23 +71,21 @@ def test_stamped_program_equals_built_program(seed):
     for t in (1, 3, T):
         for cuts in (None, [[] for _ in range(L)],
                      random_cuts(rng, case, L, [4, 0, 7])):
-            template = StageTemplate()
+            template = StageTemplate(case, t, cuts, BLEND, T, L)
             first = in_bounds_state(rng, case)
             built, _ = build_stage_lp(case, t, first, lattice.stage1, cuts,
                                       BLEND, T, L)
-            assert_same_program(
-                template.program(case, t, first, lattice.stage1, cuts,
-                                 BLEND, T, L), built)
+            assert_same_program(template.program(first, lattice.stage1),
+                                built)
             for noise in noises(case, lattice, rng):
                 state = in_bounds_state(rng, case)
                 built, _ = build_stage_lp(case, t, state, noise, cuts, BLEND,
                                           T, L)
-                stamped = template.program(case, t, state, noise, cuts,
-                                           BLEND, T, L)
+                stamped = template.program(state, noise)
                 assert_same_program(stamped, built)
-                fresh = solve_stage(case, t, state, noise, cuts, BLEND, T, L)
-                kept = solve_stage(case, t, state, noise, cuts, BLEND, T, L,
-                                   template)
+                fresh = solve_stage(StageTemplate(case, t, cuts, BLEND, T, L),
+                                    state, noise)
+                kept = solve_stage(template, state, noise)
                 assert kept.objective == fresh.objective
                 assert kept.immediate_cost == fresh.immediate_cost
                 assert kept.state_out == fresh.state_out
@@ -137,7 +135,7 @@ def test_training_builds_each_stage_lp_once_per_cut_slice(monkeypatch):
     monkeypatch.setattr(hydro, "build_stage_lp", logged)
     cfg = EngineConfig(max_iterations=6, min_iterations=6, batch_size=3,
                        seed=2, measure=BLEND)
-    policy, _ = train(case, lattice, cfg)
+    policy = train(case, lattice, cfg)
     # Cut lists only grow, so a stage meets each slice size at most once.
     assert len(builds) == len(set(builds))
     assert len(builds) < policy.stage_solves

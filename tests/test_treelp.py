@@ -1,5 +1,7 @@
 """Deterministic-equivalent tree LP against closed forms and fresh oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from casegen import in_bounds_state, random_case, thermal_only_case
 from hydrosddp.hydro import (
     Bus,
     DimensionMismatch,
+    StageTemplate,
     SystemCase,
     Thermal,
     initial_state,
@@ -105,8 +108,8 @@ def expected_value_tree_objective(case, lattice):
 
 def test_single_stage_tree_equals_stage_lp():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
-    stage = solve_stage(case, 1, initial_state(case), lattice.stage1, None,
-                        NEUTRAL, 1, 1)
+    stage = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+                        initial_state(case), lattice.stage1)
     assert tree_objective(case, lattice, NEUTRAL) == pytest.approx(
         stage.objective, abs=1e-8)
 
@@ -156,8 +159,8 @@ def test_terminal_cost_to_go_equals_stage_solve():
     T, L = lattice.num_stages, lattice.num_openings
     for l in range(L):
         state = in_bounds_state(rng, case)
-        direct = solve_stage(case, T, state, lattice.noise(T, l), None,
-                             NEUTRAL, T, L).objective
+        direct = solve_stage(StageTemplate(case, T, None, NEUTRAL, T, L),
+                             state, lattice.noise(T, l)).objective
         oracle = exact_cost_to_go(case, lattice, NEUTRAL, T, state, l)
         assert oracle == pytest.approx(direct, abs=1e-8)
 
@@ -199,3 +202,35 @@ def test_node_cap_enforced():
     # L=1 keeps it tiny, so force the cap instead
     with pytest.raises(TreeTooLarge):
         build_tree_lp(case, lattice, NEUTRAL, cap=5)
+
+
+# Metamorphic properties of the tree optimum on casegen cases. A case
+# whose hydros cover all demand has an optimum of 0, hence the absolute
+# floor.
+METAMORPHIC = dict(rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_objective_ignores_opening_order(seed):
+    rng = np.random.default_rng(seed)
+    case, lattice = random_case(rng, T=3, L=3)
+    measure = RiskMeasure(lam=0.5, alpha=0.5)
+    shuffled = Lattice(lattice.num_stages, lattice.num_openings,
+                       lattice.stage1,
+                       [[stage[i] for i in rng.permutation(len(stage))]
+                        for stage in lattice.openings])
+    assert tree_objective(case, shuffled, measure) == pytest.approx(
+        tree_objective(case, lattice, measure), **METAMORPHIC)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_objective_scales_with_costs(seed):
+    case, lattice = random_case(np.random.default_rng(seed), T=3, L=3)
+    measure = RiskMeasure(lam=0.5, alpha=0.5)
+    S = 3.0
+    scaled = dataclasses.replace(
+        case, deficit_cost=S * case.deficit_cost,
+        thermals=tuple(dataclasses.replace(th, cost=S * th.cost)
+                       for th in case.thermals))
+    assert tree_objective(scaled, lattice, measure) == pytest.approx(
+        S * tree_objective(case, lattice, measure), **METAMORPHIC)

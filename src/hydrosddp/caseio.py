@@ -474,6 +474,28 @@ def write_policy(policy: TrainedPolicy, path) -> None:
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
 
 
+def _bounds_entry(row, path) -> BoundsEntry:
+    """One row of a policy's ``bounds``, as ``write_policy`` writes it:
+    iteration, LB, UB mean, UB standard error, UB sample count, sampler
+    and wall milliseconds."""
+    if not isinstance(row, list) or len(row) != 7:
+        raise SchemaError(f"{path}: expected a list of 7 fields")
+    iteration, lb, mean, stderr, samples, sampler, wall_ms = row
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+    def number(v, optional=False):
+        return (v is None and optional) or _finite(v)
+
+    if not (count(iteration) and number(lb) and number(mean, True)
+            and number(stderr, True) and (samples is None or count(samples))
+            and sampler in [m.value for m in SamplerMode]
+            and number(wall_ms) and wall_ms >= 0):
+        raise SchemaError(f"{path}: malformed row {row!r}")
+    return BoundsEntry(iteration, lb, mean, stderr, samples, sampler, wall_ms)
+
+
 def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
     """Load a policy; verifies the fingerprint when one is supplied."""
     try:
@@ -507,7 +529,8 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
         config = config_from_dict(
             {key: cfgraw[key] for block in SETTINGS.values() for key in block},
             "config")
-        bounds = [BoundsEntry(*row) for row in doc["bounds"]]
+        bounds = [_bounds_entry(row, f"policy.bounds[{i}]")
+                  for i, row in enumerate(doc["bounds"])]
     except (LookupError, AttributeError, TypeError, ValueError,
             ArithmeticError) as exc:
         raise CorruptFile(f"{path}: malformed policy file ({exc})") from None

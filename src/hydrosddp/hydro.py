@@ -445,7 +445,7 @@ class StageTemplate:
             upper = upper.copy()
             upper[self.renewable_cols] = [_renewable_cap(noise, re)
                                           for re in case.renewables]
-        return LinearProgram(lp.objective, lp.lower, upper, lp.rows,
+        return LinearProgram(lp.objective, lp.lower, upper, lp.nonzeros,
                              lp.senses, rhs)
 
     def _build(self, state_in, noise):

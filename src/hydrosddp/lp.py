@@ -2,26 +2,32 @@
 
 Everything downstream (stage subproblems, the full-tree oracle, the CVaR
 linear form) is expressed as a :class:`LinearProgram` and solved here.
+A program holds its constraint matrix only as :class:`Nonzeros`, sorted
+by column, then by row; no solve, stamp or tree build makes a dense m×n
+copy of a large program. ``LinearProgram.rows`` densifies the matrix on
+request, for tests and benchmark reports on small programs.
+
 The solver is a two-phase primal simplex on the bounded-variable
 equality form ``A x + I s = b``, held (phase-1 artificials included)
 only as nonzeros sorted by column, so pricing costs O(nonzeros), with a
 dense explicit basis inverse updated on the rows each pivot changes,
-periodic refactorization, and a Bland's-rule fallback that engages
-after a stall of degenerate pivots. The sweep keeps the basic values,
-bounds and costs in basis order, so an iteration gathers nothing by the
-basis.
+periodic refactorization that drops the old inverse before it forms the
+new one, and a Bland's-rule fallback that engages after a stall of
+degenerate pivots. The sweep keeps the basic values, bounds and costs
+in basis order, so an iteration gathers nothing by the basis.
 
 Each program picks one of two kernel sets by its row count. Below
 ``_SPARSE_ROWS`` rows the basis is inverted by LAPACK, and the duals and
 the entering column are dense products with the inverse, the column
-read from one dense copy of the matrix made per solve. From
-``_SPARSE_ROWS`` rows on, the basis is factored by its sparsity: column
-and row singletons are peeled into a block triangular form, level by
-level, and only the remaining bump is solved densely (Maros 2003,
-*Computational Techniques of the Simplex Method*, ch. 8; Suhl & Suhl
-1990). The entering column is then formed from its nonzeros alone, and
-the duals are updated in O(m) per pivot and recomputed at every
-factorization. Apart from the bump, which LAPACK solves, every product
+read from one dense copy of the matrix made per solve; the starting
+residual is a BLAS product with the matrix, laid out m×n for that one
+product. From ``_SPARSE_ROWS`` rows on, the basis is factored by its
+sparsity: column and row singletons are peeled into a block triangular
+form, level by level, and only the remaining bump is solved densely
+(Maros 2003, *Computational Techniques of the Simplex Method*, ch. 8;
+Suhl & Suhl 1990). The entering column is then formed from its nonzeros
+alone, and the duals are updated in O(m) per pivot and recomputed at
+every factorization. Apart from the bump, which LAPACK solves, every product
 on this path runs in numpy's own loops in a fixed order, so the BLAS
 thread count cannot move a pivot or the last bits of a result.
 
@@ -31,7 +37,9 @@ inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
 in the most violated of them, so a program with many violated cut rows
 pays for one artificial instead of one per row. Each solution reports
 its simplex iterations per phase (bound flips included) and its basis
-factorizations.
+factorizations. The duals come from a fresh factorization of the final
+basis; when phase 2 makes no pivot, that is the one phase 2 started
+from, and it is not formed again.
 
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
@@ -42,6 +50,7 @@ Cut gradients can therefore be read off constraint duals directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,18 +89,31 @@ class NumericalFailure(LPError):
     """Iteration guard exceeded; should not happen with anti-cycling."""
 
 
-class LinearProgram:
-    """Immutable dense minimization LP with per-variable bounds.
+class Nonzeros(NamedTuple):
+    """A constraint matrix as its nonzeros sorted by column, then by row:
+    entry ``k`` is ``A[row[k], col[k]] = val[k]``, each ``(row, col)``
+    at most once and every ``val`` nonzero and finite."""
 
-    Rows are ``(coefficients, sense, rhs)`` with sense in {<=, =, >=}.
-    Columns and rows are addressed by index: a solution's ``primal[j]``
-    is column j and its ``duals[i]`` is row i, in the order given here.
+    col: np.ndarray
+    row: np.ndarray
+    val: np.ndarray
+
+
+class LinearProgram:
+    """Immutable minimization LP with per-variable bounds.
+
+    Row ``i`` reads ``A[i] x  sense[i]  rhs[i]`` with sense in {<=, =, >=}.
+    ``A`` is held only as its :class:`Nonzeros`, given either as such or
+    as a dense m×n matrix (an array or a list of rows), whose nonzeros
+    are taken. Columns and rows are addressed by index: a solution's
+    ``primal[j]`` is column j and its ``duals[i]`` is row i, in the
+    order given here.
     """
 
-    __slots__ = ("num_vars", "objective", "lower", "upper", "rows",
-                 "senses", "rhs")
+    __slots__ = ("num_vars", "num_rows", "objective", "lower", "upper",
+                 "nonzeros", "senses", "rhs")
 
-    def __init__(self, objective, lower, upper, rows, senses, rhs):
+    def __init__(self, objective, lower, upper, matrix, senses, rhs):
         self.objective = np.ascontiguousarray(objective, dtype=float)
         if self.objective.ndim != 1:
             raise MalformedProgram("objective must be a vector")
@@ -103,23 +125,7 @@ class LinearProgram:
         if np.any(self.lower > self.upper):
             raise MalformedProgram("some variable has lower > upper")
         self.senses = tuple(senses)
-        m = len(self.senses)
-        if isinstance(rows, np.ndarray):
-            if rows.shape != (m, n):
-                raise MalformedProgram(
-                    f"row matrix shape {rows.shape} != ({m}, {n})")
-            self.rows = np.ascontiguousarray(rows, dtype=float)
-        else:
-            rows = list(rows)
-            if len(rows) != m:
-                raise MalformedProgram("row count must match senses")
-            self.rows = np.zeros((m, n))
-            for i, row in enumerate(rows):
-                row = np.asarray(row, dtype=float)
-                if row.shape != (n,):
-                    raise MalformedProgram(
-                        f"row {i} has {row.size} coefficients, expected {n}")
-                self.rows[i] = row
+        self.num_rows = m = len(self.senses)
         for s in self.senses:
             if s not in _SENSES:
                 raise MalformedProgram(f"unknown sense {s!r}")
@@ -128,12 +134,70 @@ class LinearProgram:
             raise MalformedProgram("rhs length must match row count")
         if not np.all(np.isfinite(self.rhs)):
             raise MalformedProgram("rhs entries must be finite")
-        if not np.all(np.isfinite(self.rows)):
+        if isinstance(matrix, Nonzeros):
+            self.nonzeros = _checked(matrix, m, n)
+        else:
+            self.nonzeros = _dense_nonzeros(matrix, m, n)
+        if not np.all(np.isfinite(self.nonzeros.val)):
             raise MalformedProgram("row coefficients must be finite")
 
     @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
+    def rows(self) -> np.ndarray:
+        """The constraint matrix as a new dense m×n array. The solver
+        never reads it; it is for tests and benchmark reports on small
+        programs."""
+        return _dense(self.nonzeros, self.num_rows, self.num_vars)
+
+
+def _dense(nz: Nonzeros, m, n) -> np.ndarray:
+    A = np.zeros((m, n))
+    A[nz.row, nz.col] = nz.val
+    return A
+
+
+def _dense_nonzeros(matrix, m, n) -> Nonzeros:
+    """The nonzeros of a dense m×n matrix, given as an array or rows."""
+    if isinstance(matrix, np.ndarray):
+        if matrix.shape != (m, n):
+            raise MalformedProgram(
+                f"row matrix shape {matrix.shape} != ({m}, {n})")
+        dense = np.asarray(matrix, dtype=float)
+    else:
+        matrix = list(matrix)
+        if len(matrix) != m:
+            raise MalformedProgram("row count must match senses")
+        dense = np.zeros((m, n))
+        for i, row in enumerate(matrix):
+            row = np.asarray(row, dtype=float)
+            if row.shape != (n,):
+                raise MalformedProgram(
+                    f"row {i} has {row.size} coefficients, expected {n}")
+            dense[i] = row
+    col, row = np.nonzero(dense.T)
+    return Nonzeros(col, row, dense[row, col])
+
+
+def _checked(nz: Nonzeros, m, n) -> Nonzeros:
+    """``nz`` with index and value dtypes fixed, arrays that have them
+    shared, once its entries are found in range, sorted, distinct and
+    nonzero."""
+    col = np.asarray(nz.col, dtype=np.intp)
+    row = np.asarray(nz.row, dtype=np.intp)
+    val = np.asarray(nz.val, dtype=float)
+    if not (col.ndim == row.ndim == val.ndim == 1
+            and col.size == row.size == val.size):
+        raise MalformedProgram("nonzeros must be three vectors of one length")
+    if col.size:
+        if (col.min() < 0 or col.max() >= n or row.min() < 0
+                or row.max() >= m):
+            raise MalformedProgram("nonzero index out of range")
+        key = col * m + row
+        if np.any(key[1:] <= key[:-1]):
+            raise MalformedProgram(
+                "nonzeros must be sorted by column, then row, once each")
+        if not np.all(val):
+            raise MalformedProgram("nonzeros hold an exact zero")
+    return Nonzeros(col, row, val)
 
 
 @dataclass
@@ -163,7 +227,9 @@ class LPBuilder:
         self._cost = []
         self._lo = []
         self._hi = []
-        self._rows = []          # list of (indices, coefs)
+        self._col = []           # every row's entries, row after row
+        self._val = []
+        self._count = []         # entries per row
         self._senses = []
         self._rhs = []
 
@@ -177,12 +243,11 @@ class LPBuilder:
     def add_row(self, coeffs, sense, rhs) -> int:
         """coeffs: iterable of (var index, coefficient) pairs."""
         idx = len(self._rhs)
-        ind, val = [], []
+        k = len(self._col)
         for j, a in coeffs:
-            ind.append(j)
-            val.append(a)
-        self._rows.append((np.asarray(ind, dtype=np.intp),
-                           np.asarray(val, dtype=float)))
+            self._col.append(j)
+            self._val.append(a)
+        self._count.append(len(self._col) - k)
         self._senses.append(sense)
         self._rhs.append(rhs)
         return idx
@@ -191,12 +256,30 @@ class LPBuilder:
         self._cost[var] = cost
 
     def build(self) -> LinearProgram:
+        """The program, its matrix as nonzeros. Entries repeated within a
+        row are summed in the order they were added, starting from 0.0,
+        and entries that are or sum to an exact zero are dropped, as
+        ``np.add.at`` into a zero matrix and ``np.nonzero`` would do."""
         n, m = len(self._cost), len(self._rhs)
-        rows = np.zeros((m, n))
-        for i, (ind, val) in enumerate(self._rows):
-            np.add.at(rows[i], ind, val)
-        return LinearProgram(self._cost, self._lo, self._hi, rows,
-                             self._senses, self._rhs)
+        col = np.array(self._col, dtype=np.intp)
+        val = np.array(self._val, dtype=float)
+        if col.size and (col.min() < 0 or col.max() >= n):
+            raise MalformedProgram("row entry names a missing column")
+        key = col * m + np.repeat(np.arange(m), self._count)
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        if not first.all():
+            group = np.cumsum(first) - 1
+            total = np.zeros(group[-1] + 1)
+            np.add.at(total, group, val)  # in index order, within a group
+            key, val = key[first], total
+        keep = val != 0.0
+        col, row = np.divmod(key[keep], max(m, 1))
+        return LinearProgram(self._cost, self._lo, self._hi,
+                             Nonzeros(col, row, val[keep]), self._senses,
+                             self._rhs)
 
 
 # vstat codes
@@ -244,8 +327,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     # (EQUAL keeps [0, 0]).
     slack_lo = np.array([-np.inf if s == GREATER else 0.0 for s in lp.senses])
     slack_hi = np.array([np.inf if s == LESS else 0.0 for s in lp.senses])
-    nz_col, nz_row = np.nonzero(lp.rows.T)
-    nz_val = lp.rows[nz_row, nz_col]
+    nz_col, nz_row, nz_val = lp.nonzeros
     col = [nz_col, np.arange(n, n + m)]
     row = [nz_row, np.arange(m)]
     val = [nz_val, np.ones(m)]
@@ -266,7 +348,9 @@ def solve(lp: LinearProgram) -> LPSolution:
     if sparse:
         resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
     else:
-        resid = b - lp.rows @ x[:n]
+        # The dense kernels start from a BLAS product with the matrix,
+        # laid out as a C-ordered m×n block for this product alone.
+        resid = b - _dense(lp.nonzeros, m, n) @ x[:n]
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
@@ -337,8 +421,8 @@ def solve(lp: LinearProgram) -> LPSolution:
     if n_art:
         phase1_cost = np.zeros(ncols + n_art)
         phase1_cost[ncols:] = 1.0
-        status, p1_pivots, p1_refactors = _iterate(A, b, phase1_cost, lo, hi,
-                                                   x, vstat, basis, dense)
+        status, p1_pivots, p1_refactors = _iterate(
+            A, b, phase1_cost, lo, hi, x, vstat, basis, dense)[:3]
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         if np.maximum(x[ncols:], 0.0).sum() > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
@@ -347,32 +431,38 @@ def solve(lp: LinearProgram) -> LPSolution:
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
-    status, p2_pivots, refactors = _iterate(A, b, cost, lo, hi, x, vstat,
-                                            basis, dense)
+    status, p2_pivots, refactors, b_inv = _iterate(A, b, cost, lo, hi, x,
+                                                   vstat, basis, dense)
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
                           np.full(m, np.nan), p1_pivots, p2_pivots, refactors)
 
-    # Fresh factorization for clean duals.
-    b_inv = _invert(A, basis, sparse)
-    if b_inv is None:
-        raise NumericalFailure("singular basis at termination")
+    # Fresh factorization for clean duals, formed after the swept inverse
+    # is dropped. Without a phase-2 pivot, the inverse phase 2 started
+    # from is that factorization already.
+    if p2_pivots:
+        b_inv = None
+        b_inv = _invert(A, basis, sparse)
+        refactors += 1
+        if b_inv is None:
+            raise NumericalFailure("singular basis at termination")
     duals = _btran(cost[basis], b_inv, sparse)
     primal = x[:n].copy()
     objective = (np.einsum("i,i->", lp.objective, primal) if sparse
                  else lp.objective @ primal)
     return LPSolution(OPTIMAL, float(objective), primal, duals,
-                      p1_pivots, p2_pivots, refactors + 1)
+                      p1_pivots, p2_pivots, refactors)
 
 
 def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
     """Primal simplex sweep on the equality form; mutates x/vstat/basis.
 
-    Returns (status, iterations, refactorizations), bound flips counted
-    as iterations. The basic values, bounds and costs are kept in basis
-    order, so an iteration gathers nothing by the basis; ``x`` holds the
-    nonbasic values and receives the basic ones on return.
+    Returns (status, iterations, refactorizations, basis inverse), bound
+    flips counted as iterations. The basic values, bounds and costs are
+    kept in basis order, so an iteration gathers nothing by the basis;
+    ``x`` holds the nonbasic values and receives the basic ones on
+    return.
 
     Below ``_SPARSE_ROWS`` rows, ``dense`` holds the matrix with column
     j of A as row j, the entering column is a BLAS product with the
@@ -405,6 +495,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
         for it in range(max_iters):
             if it and it % _REFACTOR_EVERY == 0:
                 x[basis] = xb
+                b_inv = None    # one m×m inverse live at a time
                 b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:  # pragma: no cover
@@ -419,7 +510,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             q = int(score.argmax())
             if score[q] <= TOL_OPT:
                 x[basis] = xb
-                return OPTIMAL, it, refactors
+                return OPTIMAL, it, refactors, b_inv
             if bland:
                 q = int(np.flatnonzero(score > TOL_OPT)[0])
             sigma = 1.0 if d[q] < 0 else -1.0
@@ -436,7 +527,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             if flip_cap <= min_ratio:
                 if not np.isfinite(flip_cap):
                     x[basis] = xb
-                    return UNBOUNDED, it, refactors
+                    return UNBOUNDED, it, refactors, b_inv
                 # Bound flip: the entering variable crosses to its other bound.
                 xb -= step * flip_cap
                 x[q] = hi[q] if sigma > 0 else lo[q]
@@ -475,6 +566,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             piv = w[r]
             if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
                 x[basis] = xb
+                b_inv = None
                 b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
                 refactors += 1
                 if not ok:

@@ -2,11 +2,14 @@
 
 The risk oracles evaluate VaR, CVaR and the composite measure by sorting
 and scanning, and by the measure's linear program; ``exact_cost_to_go``
-solves the subtree LP rooted at one node; ``write_case`` writes a case
-file with optional risk and engine blocks; ``reference_solve`` is the
-simplex's dense-kernel path as it stood before ``lp`` kept the basic
-values, bounds and costs in basis order, a per-iteration copy of each
-entering column and per-row set-up loops included.
+solves the subtree LP rooted at one node; ``highs_tree_objective``
+solves the whole tree LP with HiGHS from its nonzeros;
+``add_at_nonzeros`` gives the nonzeros of a matrix filled row by row
+with ``np.add.at``; ``write_case`` writes a case file with optional risk
+and engine blocks; ``reference_solve`` is the simplex's dense-kernel
+path as it stood before ``lp`` kept the basic values, bounds and costs
+in basis order, a per-iteration copy of each entering column and
+per-row set-up loops included.
 """
 
 import json
@@ -39,7 +42,11 @@ from hydrosddp.lp import (
 )
 from hydrosddp.risk import RiskMeasure, _atoms, quantile_position
 from hydrosddp.scenario import Lattice
-from hydrosddp.treelp import NODE_CAP, build_subtree_lp
+from hydrosddp.treelp import NODE_CAP, build_subtree_lp, build_tree_lp
+
+# Trees HiGHS takes from their nonzeros may be larger than the bundled
+# simplex's NODE_CAP.
+HIGHS_NODE_CAP = 100_000
 
 
 def var_oracle(values, alpha: float) -> float:
@@ -100,6 +107,46 @@ def exact_cost_to_go(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     if sol.status != OPTIMAL:
         raise RuntimeError(f"subtree LP ended {sol.status}")
     return sol.objective
+
+
+def highs_tree_objective(case: SystemCase, lattice: Lattice,
+                         measure: RiskMeasure,
+                         cap: int = HIGHS_NODE_CAP) -> float:
+    """Optimum of ``build_tree_lp`` by HiGHS, fed the LP's nonzeros."""
+    import pytest
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    lp = build_tree_lp(case, lattice, measure, cap)
+    nz = lp.nonzeros
+    A = csr_array((nz.val, (nz.row, nz.col)),
+                  shape=(lp.num_rows, lp.num_vars))
+    senses = np.array(lp.senses)
+    ub = senses != "="
+    sign = np.where(senses[ub] == GREATER, -1.0, 1.0)
+    res = linprog(lp.objective,
+                  A_ub=A[np.flatnonzero(ub)] * sign[:, None],
+                  b_ub=lp.rhs[ub] * sign,
+                  A_eq=A[np.flatnonzero(~ub)], b_eq=lp.rhs[~ub],
+                  bounds=np.column_stack([lp.lower, lp.upper]),
+                  method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return float(res.fun)
+
+
+def add_at_nonzeros(rows, n):
+    """``(col, row, val)`` of the m×n matrix whose row i is
+    ``np.add.at`` of the ``(column, coefficient)`` pairs ``rows[i]``
+    into zeros, read column by column."""
+    dense = np.zeros((len(rows), n))
+    for i, pairs in enumerate(rows):
+        ind = np.array([j for j, _ in pairs], dtype=np.intp)
+        val = np.array([a for _, a in pairs], dtype=float)
+        np.add.at(dense[i], ind, val)
+    col, row = np.nonzero(dense.T)
+    return col, row, dense[row, col]
 
 
 def write_case(path, system, lattice, risk=None, engine=None):

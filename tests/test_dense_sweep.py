@@ -37,9 +37,13 @@ BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 
 def assert_same_solve(lp):
     ref, sol = reference_solve(lp), solve(lp)
+    # Without a phase-2 pivot, solve takes the inverse phase 2 started
+    # from for the duals, where the reference inverts that basis again.
+    reused = ref.status == OPTIMAL and ref.phase2_pivots == 0
     assert (sol.status, sol.phase1_pivots, sol.phase2_pivots,
             sol.refactorizations) == (ref.status, ref.phase1_pivots,
-                                      ref.phase2_pivots, ref.refactorizations)
+                                      ref.phase2_pivots,
+                                      ref.refactorizations - reused)
     assert (np.float64(sol.objective).tobytes()
             == np.float64(ref.objective).tobytes())
     assert sol.primal.tobytes() == ref.primal.tobytes()

@@ -1,7 +1,7 @@
 """Fuzzed case and policy files: the readers return, or raise their own
 data error, for any JSON value in any run-setting key, at any place in a
 case's system, lattice and initial state, and at any place in a
-policy's pool and fingerprint."""
+policy's pool, fingerprint and bounds."""
 
 import copy
 import json
@@ -17,6 +17,7 @@ from hydrosddp.caseio import (  # noqa: E402
     CorruptFile,
     FingerprintMismatch,
     SchemaError,
+    bounds_to_csv,
     case_to_dict,
     config_from_dict,
     config_to_dict,
@@ -142,13 +143,14 @@ def test_policy_config_loads_or_raises_corrupt_file(saved_policy, config):
 
 # The fingerprint and every place in the pool of the saved policy: its
 # dimensions, the cut lists, and the first cut at (1, 0) down to single
-# coefficients.
+# coefficients; and its bounds, down to each field of the first row.
 CUT = ("pool", "cuts", "1,0", 0)
 POLICY_PATHS = [("fingerprint",), ("pool",), ("pool", "num_stages"),
                 ("pool", "num_openings"), ("pool", "state_dim"),
                 ("pool", "cuts"), ("pool", "cuts", "1,0"), CUT,
                 CUT + (0,), CUT + (0, 1), CUT + (1,), CUT + (1, 0),
-                CUT + (2,)]
+                CUT + (2,), ("bounds",), ("bounds", 0),
+                *[("bounds", 0, k) for k in range(7)]]
 
 
 @FUZZ
@@ -157,6 +159,8 @@ POLICY_PATHS = [("fingerprint",), ("pool",), ("pool", "num_stages"),
 @example(path=("fingerprint",), value=5)
 @example(path=("pool", "num_stages"), value=10 ** 12)
 @example(path=CUT + (0,), value=[1e308, 1e308])
+@example(path=("bounds", 0), value=["x", None, 1, 2, 3, 4, 5])
+@example(path=("bounds", 0, 6), value=-1.0)
 def test_policy_pool_loads_or_raises_corrupt_file(saved_policy, path, value):
     path_out = saved_policy.with_name("fuzzed.json")
     path_out.write_text(json.dumps(
@@ -170,7 +174,10 @@ def test_policy_pool_loads_or_raises_corrupt_file(saved_policy, path, value):
     # What the reader accepts, it accepts again as written back.
     again_path = saved_policy.with_name("again.json")
     write_policy(policy, again_path)
-    assert cut_rows(read_policy(again_path).cuts) == cut_rows(policy.cuts)
+    again = read_policy(again_path)
+    assert cut_rows(again.cuts) == cut_rows(policy.cuts)
+    assert again.bounds == policy.bounds
+    assert bounds_to_csv(again.bounds) == bounds_to_csv(policy.bounds)
 
 
 def cut_rows(pool):

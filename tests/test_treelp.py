@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
+from hydrosddp import engine
+from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
 from hydrosddp.hydro import (
     Bus,
     DimensionMismatch,
@@ -19,7 +21,7 @@ from hydrosddp.lp import EQUAL, OPTIMAL, LPBuilder, solve
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization, TreeTooLarge
 from hydrosddp.treelp import build_tree_lp, expand_tree, tree_objective
-from oracles import exact_cost_to_go
+from oracles import exact_cost_to_go, highs_tree_objective
 
 NEUTRAL = RiskMeasure(lam=0.0, alpha=0.0)
 
@@ -234,3 +236,39 @@ def test_tree_objective_scales_with_costs(seed):
                        for th in case.thermals))
     assert tree_objective(scaled, lattice, measure) == pytest.approx(
         S * tree_objective(case, lattice, measure), **METAMORPHIC)
+
+
+def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
+    # 1,365 nodes: the tree LP has 16,378 rows and 71,294 nonzeros, which
+    # a dense m×n matrix would hold in 4.7 GB.
+    case, lattice = random_case(np.random.default_rng(3), 6, 4, n_hydro=4,
+                                n_thermal=4, max_lag=1, two_bus=True)
+    blend = RiskMeasure(lam=0.5, alpha=0.5)
+    optimum = highs_tree_objective(case, lattice, blend)
+    tol = 1e-9 * abs(optimum)
+
+    # The policy after 6 iterations is the pool as the 6th backward
+    # pass leaves it: with min_iterations at 10, no earlier iteration
+    # stops training.
+    exact, passes = {}, []
+    backward_pass = engine.backward_pass
+
+    def backward_and_evaluate(memo, paths):
+        added = backward_pass(memo, paths)
+        passes.append(added)
+        if len(passes) == 6:
+            exact[6] = evaluate_policy_exact(case, lattice, memo.cuts, blend)
+        return added
+
+    monkeypatch.setattr(engine, "backward_pass", backward_and_evaluate)
+    policy = train(case, lattice, EngineConfig(
+        max_iterations=10, min_iterations=10, batch_size=4, seed=7,
+        measure=blend))
+    monkeypatch.undo()
+    exact[10] = evaluate_policy_exact(case, lattice, policy.cuts, blend)
+
+    assert len(policy.bounds) == 10
+    assert all(b.lower_bound <= optimum + tol for b in policy.bounds)
+    assert policy.bounds[-1].lower_bound > 0.99 * optimum
+    assert sorted(exact) == [6, 10]
+    assert all(value >= optimum - tol for value in exact.values())

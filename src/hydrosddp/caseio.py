@@ -228,13 +228,13 @@ def _parse_noise(raw, path, hydro_names, renewable_names, bus_names):
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def parse_case_data(data, source="case") -> ParsedCase:
+def parse_case_data(data) -> ParsedCase:
     """Validate an already-decoded case document."""
-    _expect_keys(data, source, ("schema_version", "system", "lattice"),
+    _expect_keys(data, "case", ("schema_version", "system", "lattice"),
                  ("initial_state", "risk", "engine"))
     if data["schema_version"] != SCHEMA_VERSION:
         raise SchemaError(
-            f"{source}.schema_version: expected {SCHEMA_VERSION}, "
+            f"case.schema_version: expected {SCHEMA_VERSION}, "
             f"got {data['schema_version']!r}")
 
     sysraw = data["system"]
@@ -387,7 +387,7 @@ def parse_case(path) -> ParsedCase:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    return parse_case_data(data, source="case")
+    return parse_case_data(data)
 
 
 # ---------------------------------------------------------------------------

@@ -241,9 +241,8 @@ class StageMemo:
         held, table, template = self._tables.get(t, (None, None, None))
         if held != size:
             table = {}
-            template = StageTemplate(self.case, t, self.cuts.slice_or_none(t),
-                                     self.measure, lattice.num_stages,
-                                     lattice.num_openings)
+            template = StageTemplate(self.case, lattice, t,
+                                     self.cuts.slice_or_none(t), self.measure)
             self._tables[t] = (size, table, template)
         key = (state.flatten().tobytes(), opening)
         sol = table.get(key)
@@ -404,13 +403,15 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,
 
 def simulate_policy(case: SystemCase, lattice: Lattice, cuts: CutPool,
                     measure: RiskMeasure, sampler: SamplerMode,
-                    num_paths: int, seed: int, iteration: int = 0):
+                    num_paths: int, seed: int):
     """Monte Carlo rollout of the policy of the pool ``cuts``; no cuts
     are added.
 
-    Returns (paths, mean, stderr) of total path costs under `sampler`.
+    The paths are those of a forward pass at iteration 0, so alternating
+    sampling draws them risk-adjusted. Returns (paths, mean, stderr) of
+    total path costs under `sampler`.
     """
     memo = StageMemo(case, lattice, cuts, measure)
-    paths, _ = forward_pass(memo, sampler, iteration, num_paths, seed)
+    paths, _ = forward_pass(memo, sampler, 0, num_paths, seed)
     mean, stderr = upper_bound_estimate(paths)
     return paths, mean, stderr

@@ -10,8 +10,9 @@ variables pinned by equality rows; the duals of those rows are exactly
 the state sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
 by its cut pool, aggregated through the CVaR linear form. A
-``StageTemplate`` takes a stage's fixed inputs once, builds that LP once
-and restamps it for each incoming state and noise.
+``StageTemplate`` builds that LP once, when it is made, at the case's
+initial state and the stage's opening 0, and restamps it for each
+incoming state and noise.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -27,7 +28,7 @@ import numpy as np
 
 from .lp import EQUAL, GREATER, OPTIMAL, LinearProgram, LPBuilder, solve
 from .risk import RiskMeasure
-from .scenario import NoiseRealization
+from .scenario import Lattice, NoiseRealization
 
 
 class DimensionMismatch(ValueError):
@@ -130,10 +131,14 @@ class SystemCase:
             if len(h.initial_lags) != len(h.ar_coeffs):
                 raise ValueError(
                     f"hydros[{i}]: needs {len(h.ar_coeffs)} initial lags")
-            for up in h.upstream:
+            for k, up in enumerate(h.upstream):
                 if up not in names:
                     raise UnknownReference(
                         f"hydros[{i}].upstream: unknown hydro {up!r}")
+                # A repeat would route the upstream water in twice.
+                if up in h.upstream[:k]:
+                    raise ValueError(
+                        f"hydros[{i}].upstream: repeated hydro {up!r}")
         check_acyclic(self.hydros)
         for i, th in enumerate(self.thermals):
             if th.cost < 0 or th.cap < 0:
@@ -403,35 +408,50 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
 
 
 class StageTemplate:
-    """The stage-t LP of one (case, cut lists, measure, lattice shape),
-    built once by ``build_stage_lp`` and stamped for each (incoming
-    state, noise).
+    """The stage-t LP of one (case, lattice, cut lists, measure), built
+    once by ``build_stage_lp`` when the template is made and stamped for
+    each (incoming state, noise).
 
-    Those inputs are fixed at construction; the cut lists are copied, so
-    a holder whose pool grows needs a new template, as each stage table
-    of ``engine.StageMemo`` takes one when a distinct cut lands at its
+    The template is built at the canonical point, ``initial_state(case)``
+    and ``lattice.stage_noise(t, 0)``, so ``lp`` depends on the inputs
+    alone, not on the order of the solves that stamp it; opening-0 noise
+    that does not fit the case raises DimensionMismatch here. A holder
+    whose pool grows needs a new template, as each stage table of
+    ``engine.StageMemo`` takes one when a distinct cut lands at its
     stage. The LPs of one template differ only in the right-hand sides
     of the copy rows (the state), the bus balance rows (demand) and the
     AR rows (inflow noise), and in the renewable columns' upper bounds
-    (caps). The first ``program`` call builds the LP; each later one
-    copies those two vectors and shares every other array, since nothing
-    writes a ``LinearProgram``. The template also keeps the column
-    indices that ``solve_stage`` reads.
+    (caps). ``program`` copies those two vectors and shares every other
+    array, since nothing writes a ``LinearProgram``. The template also
+    keeps the column indices that ``solve_stage`` reads.
     """
 
-    def __init__(self, case: SystemCase, t: int, cuts, measure: RiskMeasure,
-                 num_stages: int, num_openings: int):
-        self.case, self.t, self.measure = case, t, measure
-        self.cuts = None if cuts is None else [list(c) for c in cuts]
-        self.num_stages, self.num_openings = num_stages, num_openings
-        self.lp = None
+    def __init__(self, case: SystemCase, lattice: Lattice, t: int, cuts,
+                 measure: RiskMeasure):
+        self.case, self.t = case, t
+        self.num_stages = lattice.num_stages
+        self.lp, cols = build_stage_lp(case, t, initial_state(case),
+                                       lattice.stage_noise(t, 0), cuts,
+                                       measure, lattice.num_stages,
+                                       lattice.num_openings)
+        # Row layout: the copy rows, then dispatch_rows' bus balance rows
+        # and each hydro's mass and AR rows.
+        d, buses = case.state_dimension(), len(case.buses)
+        self.copy_rows = d
+        self.demand_rows = np.arange(d, d + buses)
+        self.base_demand = [b.demand[t - 1] for b in case.buses]
+        self.inflow_rows = d + buses + 1 + 2 * np.arange(len(case.hydros))
+        self.renewable_cols = [cols["r", re.name] for re in case.renewables]
+        self.cost_terms = dispatch_cost(case, cols)
+        self.storage_cols = [cols["vout", h.name] for h in case.hydros]
+        self.inflow_cols = [cols["a", h.name] for h in case.hydros]
+        self.beta_cols = ([cols["beta", l]
+                           for l in range(lattice.num_openings)]
+                          if t < lattice.num_stages else [])
 
     def program(self, state_in: StateVector,
                 noise: NoiseRealization) -> LinearProgram:
         """The stage LP at ``state_in`` and ``noise``."""
-        if self.lp is None:
-            self._build(state_in, noise)
-            return self.lp
         case, lp = self.case, self.lp
         check_state(case, state_in)
         rhs = lp.rhs.copy()
@@ -447,25 +467,6 @@ class StageTemplate:
                                           for re in case.renewables]
         return LinearProgram(lp.objective, lp.lower, upper, lp.nonzeros,
                              lp.senses, rhs)
-
-    def _build(self, state_in, noise):
-        case, t = self.case, self.t
-        self.lp, cols = build_stage_lp(case, t, state_in, noise, self.cuts,
-                                       self.measure, self.num_stages,
-                                       self.num_openings)
-        # Row layout: the copy rows, then dispatch_rows' bus balance rows
-        # and each hydro's mass and AR rows.
-        d, buses = case.state_dimension(), len(case.buses)
-        self.copy_rows = d
-        self.demand_rows = np.arange(d, d + buses)
-        self.base_demand = [b.demand[t - 1] for b in case.buses]
-        self.inflow_rows = d + buses + 1 + 2 * np.arange(len(case.hydros))
-        self.renewable_cols = [cols["r", re.name] for re in case.renewables]
-        self.cost_terms = dispatch_cost(case, cols)
-        self.storage_cols = [cols["vout", h.name] for h in case.hydros]
-        self.inflow_cols = [cols["a", h.name] for h in case.hydros]
-        self.beta_cols = ([cols["beta", l] for l in range(self.num_openings)]
-                          if t < self.num_stages else [])
 
 
 def solve_stage(template: StageTemplate, state_in: StateVector,

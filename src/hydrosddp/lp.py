@@ -2,10 +2,11 @@
 
 Everything downstream (stage subproblems, the full-tree oracle, the CVaR
 linear form) is expressed as a :class:`LinearProgram` and solved here.
-A program holds its constraint matrix only as :class:`Nonzeros`, sorted
-by column, then by row; no solve, stamp or tree build makes a dense m×n
-copy of a large program. ``LinearProgram.rows`` densifies the matrix on
-request, for tests and benchmark reports on small programs.
+A program is given its constraint matrix only as :class:`Nonzeros`,
+sorted by column, then by row, which ``LPBuilder.build`` emits and a
+stage template's stamps share; no solve, stamp or tree build makes a
+dense m×n copy of a large program. ``LinearProgram.rows`` densifies the
+matrix on request, for tests and benchmark reports on small programs.
 
 The solver is a two-phase primal simplex on the bounded-variable
 equality form ``A x + I s = b``, held (phase-1 artificials included)
@@ -16,20 +17,22 @@ new one, and a Bland's-rule fallback that engages after a stall of
 degenerate pivots. The sweep keeps the basic values, bounds and costs
 in basis order, so an iteration gathers nothing by the basis.
 
-Each program picks one of two kernel sets by its row count. Below
-``_SPARSE_ROWS`` rows the basis is inverted by LAPACK, and the duals and
-the entering column are dense products with the inverse, the column
-read from one dense copy of the matrix made per solve; the starting
-residual is a BLAS product with the matrix, laid out m×n for that one
-product. From ``_SPARSE_ROWS`` rows on, the basis is factored by its
-sparsity: column and row singletons are peeled into a block triangular
-form, level by level, and only the remaining bump is solved densely
-(Maros 2003, *Computational Techniques of the Simplex Method*, ch. 8;
-Suhl & Suhl 1990). The entering column is then formed from its nonzeros
-alone, and the duals are updated in O(m) per pivot and recomputed at
-every factorization. Apart from the bump, which LAPACK solves, every product
-on this path runs in numpy's own loops in a fixed order, so the BLAS
-thread count cannot move a pivot or the last bits of a result.
+Each program picks one of two kernel sets by its row count, and the
+choice travels as one value: the dense copy of the matrix that a solve
+below ``_SPARSE_ROWS`` rows makes, or None. With the copy, the basis is
+inverted by LAPACK from its rows, and the duals and the entering column
+are dense products with the inverse, the column read from the copy; the
+starting residual is a BLAS product with the matrix, laid out m×n for
+that one product. From ``_SPARSE_ROWS`` rows on, the basis is factored
+by its sparsity: column and row singletons are peeled into a block
+triangular form, level by level, and only the remaining bump is solved
+densely (Maros 2003, *Computational Techniques of the Simplex Method*,
+ch. 8; Suhl & Suhl 1990). The entering column is then formed from its
+nonzeros alone, and the duals are updated in O(m) per pivot and
+recomputed at every factorization. Apart from the bump, which LAPACK
+solves, every product on this path runs in numpy's own loops in a fixed
+order, so the BLAS thread count cannot move a pivot or the last bits of
+a result.
 
 Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
@@ -64,7 +67,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 # Feasibility / optimality tolerances; desk-scale data is well conditioned.
-TOL_FEAS = 1e-8
+# Phase 1 declares a program infeasible when its artificials sum to more
+# than TOL_FEAS * (1 + max|b|).
+TOL_FEAS = 1e-7
 TOL_OPT = 1e-9
 _TOL_PIVOT = 1e-10
 _TOL_STEP = 1e-12
@@ -103,17 +108,17 @@ class LinearProgram:
     """Immutable minimization LP with per-variable bounds.
 
     Row ``i`` reads ``A[i] x  sense[i]  rhs[i]`` with sense in {<=, =, >=}.
-    ``A`` is held only as its :class:`Nonzeros`, given either as such or
-    as a dense m×n matrix (an array or a list of rows), whose nonzeros
-    are taken. Columns and rows are addressed by index: a solution's
-    ``primal[j]`` is column j and its ``duals[i]`` is row i, in the
-    order given here.
+    ``A`` is given and held only as its :class:`Nonzeros`, from
+    ``LPBuilder.build`` or a stage template's stamp; any other matrix
+    argument raises MalformedProgram. Columns and rows are addressed by
+    index: a solution's ``primal[j]`` is column j and its ``duals[i]`` is
+    row i, in the order given here.
     """
 
     __slots__ = ("num_vars", "num_rows", "objective", "lower", "upper",
                  "nonzeros", "senses", "rhs")
 
-    def __init__(self, objective, lower, upper, matrix, senses, rhs):
+    def __init__(self, objective, lower, upper, nonzeros, senses, rhs):
         self.objective = np.ascontiguousarray(objective, dtype=float)
         if self.objective.ndim != 1:
             raise MalformedProgram("objective must be a vector")
@@ -134,12 +139,11 @@ class LinearProgram:
             raise MalformedProgram("rhs length must match row count")
         if not np.all(np.isfinite(self.rhs)):
             raise MalformedProgram("rhs entries must be finite")
-        if isinstance(matrix, Nonzeros):
-            self.nonzeros = _checked(matrix, m, n)
-        else:
-            self.nonzeros = _dense_nonzeros(matrix, m, n)
-        if not np.all(np.isfinite(self.nonzeros.val)):
-            raise MalformedProgram("row coefficients must be finite")
+        if not isinstance(nonzeros, Nonzeros):
+            raise MalformedProgram(
+                f"the matrix must be given as Nonzeros, not "
+                f"{type(nonzeros).__name__}")
+        self.nonzeros = _checked(nonzeros, m, n)
 
     @property
     def rows(self) -> np.ndarray:
@@ -155,32 +159,10 @@ def _dense(nz: Nonzeros, m, n) -> np.ndarray:
     return A
 
 
-def _dense_nonzeros(matrix, m, n) -> Nonzeros:
-    """The nonzeros of a dense m×n matrix, given as an array or rows."""
-    if isinstance(matrix, np.ndarray):
-        if matrix.shape != (m, n):
-            raise MalformedProgram(
-                f"row matrix shape {matrix.shape} != ({m}, {n})")
-        dense = np.asarray(matrix, dtype=float)
-    else:
-        matrix = list(matrix)
-        if len(matrix) != m:
-            raise MalformedProgram("row count must match senses")
-        dense = np.zeros((m, n))
-        for i, row in enumerate(matrix):
-            row = np.asarray(row, dtype=float)
-            if row.shape != (n,):
-                raise MalformedProgram(
-                    f"row {i} has {row.size} coefficients, expected {n}")
-            dense[i] = row
-    col, row = np.nonzero(dense.T)
-    return Nonzeros(col, row, dense[row, col])
-
-
 def _checked(nz: Nonzeros, m, n) -> Nonzeros:
     """``nz`` with index and value dtypes fixed, arrays that have them
-    shared, once its entries are found in range, sorted, distinct and
-    nonzero."""
+    shared, once its entries are found in range, sorted, distinct,
+    nonzero and finite."""
     col = np.asarray(nz.col, dtype=np.intp)
     row = np.asarray(nz.row, dtype=np.intp)
     val = np.asarray(nz.val, dtype=float)
@@ -197,6 +179,8 @@ def _checked(nz: Nonzeros, m, n) -> Nonzeros:
                 "nonzeros must be sorted by column, then row, once each")
         if not np.all(val):
             raise MalformedProgram("nonzeros hold an exact zero")
+        if not np.all(np.isfinite(val)):
+            raise MalformedProgram("row coefficients must be finite")
     return Nonzeros(col, row, val)
 
 
@@ -305,14 +289,6 @@ class _Columns:
         k = slice(self.ptr[j], self.ptr[j + 1])
         return np.einsum("ij,j->i", b_inv[:, self.row[k]], self.val[k])
 
-    def basis_matrix(self, basis):
-        """Dense ``A[:, basis]``; nonbasic entries land in a spare column."""
-        pos = np.full(self.n, self.m)
-        pos[basis] = np.arange(self.m)
-        B = np.zeros((self.m, self.m + 1))
-        B[self.row, pos[self.col]] = self.val
-        return B[:, :-1]
-
 
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve a LinearProgram; deterministic for a fixed input.
@@ -321,7 +297,6 @@ def solve(lp: LinearProgram) -> LPSolution:
     convention documented at module level.
     """
     n, m = lp.num_vars, lp.num_rows
-    sparse = m >= _SPARSE_ROWS
 
     # Equality form: [A | I][x; s] = b with slack bounds encoding senses
     # (EQUAL keeps [0, 0]).
@@ -345,7 +320,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     vstat[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
     x[:n] = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
 
-    if sparse:
+    if m >= _SPARSE_ROWS:
         resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
     else:
         # The dense kernels start from a BLAS product with the matrix,
@@ -411,10 +386,10 @@ def solve(lp: LinearProgram) -> LPSolution:
         x = np.concatenate([x, xa])
     A = _Columns(m, ncols + n_art, np.concatenate(col), np.concatenate(row),
                  np.concatenate(val))
+    # The kernel choice: below _SPARSE_ROWS rows, a dense copy whose row j
+    # holds column j of A, so each entering column is one contiguous read.
     dense = None
-    if not sparse:
-        # Row j holds column j of A: each entering column is one
-        # contiguous read.
+    if m < _SPARSE_ROWS:
         dense = np.zeros((A.n, m))
         dense[A.col, A.row] = A.val
 
@@ -425,7 +400,8 @@ def solve(lp: LinearProgram) -> LPSolution:
             A, b, phase1_cost, lo, hi, x, vstat, basis, dense)[:3]
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
-        if np.maximum(x[ncols:], 0.0).sum() > 1e-7 * (1.0 + abs(b).max(initial=0.0)):
+        infeasibility = np.maximum(x[ncols:], 0.0).sum()
+        if infeasibility > TOL_FEAS * (1.0 + abs(b).max(initial=0.0)):
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
                               np.full(m, np.nan), p1_pivots, 0, p1_refactors)
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
@@ -443,13 +419,13 @@ def solve(lp: LinearProgram) -> LPSolution:
     # from is that factorization already.
     if p2_pivots:
         b_inv = None
-        b_inv = _invert(A, basis, sparse)
+        b_inv = _invert(A, basis, dense)
         refactors += 1
         if b_inv is None:
             raise NumericalFailure("singular basis at termination")
-    duals = _btran(cost[basis], b_inv, sparse)
+    duals = _btran(cost[basis], b_inv, dense)
     primal = x[:n].copy()
-    objective = (np.einsum("i,i->", lp.objective, primal) if sparse
+    objective = (np.einsum("i,i->", lp.objective, primal) if dense is None
                  else lp.objective @ primal)
     return LPSolution(OPTIMAL, float(objective), primal, duals,
                       p1_pivots, p2_pivots, refactors)
@@ -472,8 +448,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
     factorization.
     """
     m = A.m
-    sparse = dense is None
-    b_inv = _invert(A, basis, sparse)
+    b_inv = _invert(A, basis, dense)
     if b_inv is None:
         raise NumericalFailure("singular starting basis")
     refactors = 1
@@ -496,15 +471,15 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             if it and it % _REFACTOR_EVERY == 0:
                 x[basis] = xb
                 b_inv = None    # one m×m inverse live at a time
-                b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
+                b_inv, ok = _refactor(A, b, x, vstat, basis, dense)
                 refactors += 1
                 if not ok:  # pragma: no cover
                     raise NumericalFailure("singular basis on refactorization")
                 xb = x[basis]
                 y = None
 
-            if y is None or not sparse:
-                y = _btran(cb, b_inv, sparse)
+            if y is None or dense is not None:
+                y = _btran(cb, b_inv, dense)
             d = A.price(cost, y)
             score = d * np.where(d < 0.0, rise, dn)
             q = int(score.argmax())
@@ -515,7 +490,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
                 q = int(np.flatnonzero(score > TOL_OPT)[0])
             sigma = 1.0 if d[q] < 0 else -1.0
 
-            w = A.ftran(b_inv, q) if sparse else b_inv @ dense[q]
+            w = A.ftran(b_inv, q) if dense is None else b_inv @ dense[q]
             step = w if sigma > 0 else -w
             # Blocking ratios for basic variables pushed toward a bound.
             mag = np.abs(w)
@@ -567,7 +542,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
                 x[basis] = xb
                 b_inv = None
-                b_inv, ok = _refactor(A, b, x, vstat, basis, sparse)
+                b_inv, ok = _refactor(A, b, x, vstat, basis, dense)
                 refactors += 1
                 if not ok:
                     raise NumericalFailure("degenerate pivot produced singular basis")
@@ -579,7 +554,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
                 nz = w.nonzero()[0]
                 b_inv[nz] -= np.outer(w[nz], row)
                 b_inv[r] = row
-                if sparse:
+                if dense is None:
                     # The new basis prices column q at zero: y A_q = cost_q.
                     y += d[q] * row
 
@@ -594,28 +569,36 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
     raise NumericalFailure(f"simplex exceeded {max_iters} iterations")
 
 
-def _refactor(A, b, x, vstat, basis, sparse):
+def _refactor(A, b, x, vstat, basis, dense):
     """Recompute the basis inverse and basic values from scratch."""
-    b_inv = _invert(A, basis, sparse)
+    b_inv = _invert(A, basis, dense)
     if b_inv is None:
         return None, False
     x_n = np.where(vstat != _BASIC, x, 0.0)  # nonbasic values only
     rhs = b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m)
-    x[basis] = np.einsum("ij,j->i", b_inv, rhs) if sparse else b_inv @ rhs
+    x[basis] = (np.einsum("ij,j->i", b_inv, rhs) if dense is None
+                else b_inv @ rhs)
     return b_inv, True
 
 
-def _btran(cost_b, b_inv, sparse):
-    """Duals ``cost_B B^-1``; numpy's einsum loop, not BLAS, when sparse."""
-    return np.einsum("i,ij->j", cost_b, b_inv) if sparse else cost_b @ b_inv
+def _btran(cost_b, b_inv, dense):
+    """Duals ``cost_B B^-1``; numpy's einsum loop, not BLAS, on the sparse
+    kernels (``dense`` None)."""
+    return (np.einsum("i,ij->j", cost_b, b_inv) if dense is None
+            else cost_b @ b_inv)
 
 
-def _invert(A, basis, sparse):
-    """Explicit ``B^-1`` for ``B = A[:, basis]``, or None if B is singular."""
-    if sparse:
+def _invert(A, basis, dense):
+    """Explicit ``B^-1`` for ``B = A[:, basis]``, or None if B is singular.
+
+    On the dense kernels LAPACK inverts ``dense[basis].T``, the basis
+    columns gathered from the solve's dense copy; on the sparse kernels
+    (``dense`` None) ``_sparse_inverse`` factors B by its sparsity.
+    """
+    if dense is None:
         return _sparse_inverse(A, basis)
     try:
-        return np.linalg.inv(A.basis_matrix(basis))
+        return np.linalg.inv(dense[basis].T)
     except np.linalg.LinAlgError:
         return None
 

@@ -16,7 +16,7 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def convergence_svg(rows, title: str = "Convergence") -> str:
+def convergence_svg(rows) -> str:
     if not rows:
         raise ValueError("no convergence rows to plot")
     iters = [r["iteration"] for r in rows]
@@ -48,7 +48,7 @@ def convergence_svg(rows, title: str = "Convergence") -> str:
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        'font-family="sans-serif" font-size="15">Convergence</text>',
         # axes
         f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
         f'y2="{HEIGHT - MARGIN_B}" stroke="black"/>',

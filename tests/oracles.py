@@ -5,7 +5,8 @@ and scanning, and by the measure's linear program; ``exact_cost_to_go``
 solves the subtree LP rooted at one node; ``highs_tree_objective``
 solves the whole tree LP with HiGHS from its nonzeros;
 ``add_at_nonzeros`` gives the nonzeros of a matrix filled row by row
-with ``np.add.at``; ``write_case`` writes a case file with optional risk
+with ``np.add.at``; ``dense_program`` builds a small program from a
+dense matrix; ``write_case`` writes a case file with optional risk
 and engine blocks; ``reference_solve`` is the simplex's dense-kernel
 path as it stood before ``lp`` kept the basic values, bounds and costs
 in basis order, a per-iteration copy of each entering column and
@@ -37,6 +38,7 @@ from hydrosddp.lp import (
     UNBOUNDED,
     LinearProgram,
     LPSolution,
+    Nonzeros,
     NumericalFailure,
     solve,
 )
@@ -47,6 +49,15 @@ from hydrosddp.treelp import NODE_CAP, build_subtree_lp, build_tree_lp
 # Trees HiGHS takes from their nonzeros may be larger than the bundled
 # simplex's NODE_CAP.
 HIGHS_NODE_CAP = 100_000
+
+
+def dense_program(objective, lower, upper, rows, senses, rhs):
+    """A LinearProgram whose matrix is given dense, as an m×n array or a
+    list of m rows; its nonzeros are taken column by column."""
+    A = np.asarray(rows, dtype=float).reshape(len(senses), len(objective))
+    col, row = np.nonzero(A.T)
+    return LinearProgram(objective, lower, upper,
+                         Nonzeros(col, row, A[row, col]), senses, rhs)
 
 
 def var_oracle(values, alpha: float) -> float:
@@ -91,7 +102,7 @@ def rho_lp(values, measure: RiskMeasure):
     lower[0] = -np.inf
     upper = np.full(n + 1, np.inf)
     rows = np.hstack([np.ones((n, 1)), np.eye(n)])  # z + delta_l >= y_l
-    sol = solve(LinearProgram(cost, lower, upper, rows, [GREATER] * n, v))
+    sol = solve(dense_program(cost, lower, upper, rows, [GREATER] * n, v))
     if sol.status != OPTIMAL:  # pragma: no cover - always feasible/bounded
         raise ArithmeticError(f"risk LP ended {sol.status}")
     value = (1.0 - lam) * float(v.mean()) + sol.objective

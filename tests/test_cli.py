@@ -10,6 +10,7 @@ from casegen import random_case
 from hydrosddp.caseio import (
     CyclicCascade,
     DanglingReference,
+    SchemaError,
     parse_case_data,
     read_convergence_csv,
 )
@@ -156,6 +157,12 @@ def _bad_reference(kind):
         system["renewables"] = [{"name": "w1", "bus": "nowhere"}]
     elif kind == "upstream":
         system["hydros"][0]["upstream"] = ["nowhere"]
+    elif kind == "repeated":
+        system["hydros"].append(dict(system["hydros"][0], name="h2",
+                                     upstream=["h1", "h1"]))
+        lattice = doc["lattice"]
+        for noise in [lattice["stage1"], *lattice["noises"][0]]:
+            noise["inflows"]["h2"] = noise["inflows"]["h1"]
     else:
         system["hydros"][0]["upstream"] = ["h1"]
     return doc
@@ -170,6 +177,7 @@ def _bad_reference(kind):
     ("upstream", DanglingReference,
      "system.hydros[0].upstream: unknown hydro 'nowhere'"),
     ("cycle", CyclicCascade, "system.hydros[0].upstream: cascade cycle h1 -> h1"),
+    ("repeated", SchemaError, "system: hydros[1].upstream: repeated hydro 'h1'"),
 ])
 def test_bad_references_exit_2_with_field_path(kind, error, message,
                                                tmp_path, capsys):

@@ -19,11 +19,11 @@ from hydrosddp.lp import (
     GREATER,
     LESS,
     OPTIMAL,
-    LinearProgram,
     solve,
 )
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.treelp import build_tree_lp
+from oracles import dense_program
 from test_lp import dual_objective, feasible_within
 from test_phase1 import highs
 
@@ -132,7 +132,7 @@ def mixed_program(rng, n, m):
     rhs.append(1e3)
     cost = np.concatenate([rng.integers(-9, 10, n).astype(float),
                            -rng.uniform(1.0, 5.0, k)])
-    lp = LinearProgram(cost, np.concatenate([lo, np.zeros(k)]),
+    lp = dense_program(cost, np.concatenate([lo, np.zeros(k)]),
                        np.concatenate([hi, rng.uniform(0.5, 3.0, k)]),
                        np.array(rows), senses, rhs)
     return lp, flips

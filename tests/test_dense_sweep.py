@@ -24,11 +24,10 @@ from hydrosddp.lp import (
     LESS,
     OPTIMAL,
     UNBOUNDED,
-    LinearProgram,
     solve,
 )
 from hydrosddp.risk import RiskMeasure
-from oracles import reference_solve
+from oracles import dense_program, reference_solve
 from test_lp import beale_program, random_feasible_program, stress_program
 from test_phase1 import violated_at_start
 
@@ -68,7 +67,7 @@ def stage_programs_with_cuts(seed, num_cases, states_per_case):
             state = in_bounds_state(rng, case)
             for l, opening in enumerate(cuts):
                 sol = solve_stage(
-                    StageTemplate(case, t + 1, None, BLEND, T, L), state,
+                    StageTemplate(case, lattice, t + 1, None, BLEND), state,
                     lattice.noise(t + 1, l))
                 opening.append(Cut(sol.state_dual, state.flatten(),
                                    sol.objective))
@@ -97,10 +96,10 @@ def test_stage_lps_with_cut_rows_match_the_reference():
 def small_programs():
     rng = np.random.default_rng(31)
     yield beale_program()
-    yield LinearProgram([0.0], [-np.inf], [np.inf], [[1.0], [1.0]],
+    yield dense_program([0.0], [-np.inf], [np.inf], [[1.0], [1.0]],
                         [GREATER, LESS], [1.0, 0.0])
-    yield LinearProgram([-1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
-    yield LinearProgram([-1.0, 0.0], [0.0, 0.0], [np.inf, np.inf],
+    yield dense_program([-1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
+    yield dense_program([-1.0, 0.0], [0.0, 0.0], [np.inf, np.inf],
                         [[1.0, -1.0]], [LESS], [0.0])
     for _ in range(200):
         yield random_feasible_program(rng)

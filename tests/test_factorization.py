@@ -121,9 +121,12 @@ def test_singular_basis_fails_refactorization(name):
     A, basis = column_store(B, np.random.default_rng(1))
     x = np.zeros(m)
     vstat = np.zeros(m, dtype=np.int8)
-    for sparse in (True, False):
-        assert _refactor(A, np.ones(m), x, vstat, basis, sparse) == (None,
-                                                                    False)
+    # The sparse kernels (no dense copy), then the dense ones.
+    dense = np.zeros((A.n, m))
+    dense[A.col, A.row] = A.val
+    for kernels in (None, dense):
+        assert _refactor(A, np.ones(m), x, vstat, basis, kernels) == (None,
+                                                                     False)
 
 
 def tree_lp():

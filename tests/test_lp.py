@@ -22,6 +22,7 @@ from hydrosddp.lp import (
     MalformedProgram,
     solve,
 )
+from oracles import dense_program
 
 
 def feasible_within(lp, x, tol=1e-7):
@@ -110,7 +111,7 @@ def random_feasible_program(rng, n_max=12, m_max=12):
         slack = float(rng.uniform(0.0, 5.0))
         rhs.append(base + slack if s == LESS else base - slack if s == GREATER else base)
         senses.append(s)
-    return LinearProgram(c, lo, hi, rows, senses, rhs)
+    return dense_program(c, lo, hi, rows, senses, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ def random_feasible_program(rng, n_max=12, m_max=12):
 
 
 def test_bound_active_identity():
-    lp = LinearProgram([1.0], [1.0], [np.inf], np.zeros((0, 1)), [], [])
+    lp = dense_program([1.0], [1.0], [np.inf], np.zeros((0, 1)), [], [])
     sol = solve(lp)
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
@@ -126,7 +127,7 @@ def test_bound_active_identity():
 
 
 def test_triangle_vertex_and_row_dual():
-    lp = LinearProgram([-1.0, -2.0], [0.0, 0.0], [np.inf, np.inf],
+    lp = dense_program([-1.0, -2.0], [0.0, 0.0], [np.inf, np.inf],
                        [[1.0, 1.0]], [LESS], [1.0])
     sol = solve(lp)
     assert sol.status == OPTIMAL
@@ -136,32 +137,32 @@ def test_triangle_vertex_and_row_dual():
 
 
 def test_empty_interval_is_infeasible():
-    lp = LinearProgram([0.0], [-np.inf], [np.inf],
+    lp = dense_program([0.0], [-np.inf], [np.inf],
                        [[1.0], [1.0]], [GREATER, LESS], [1.0, 0.0])
     assert solve(lp).status == INFEASIBLE
 
 
 def test_unbounded_ray():
-    lp = LinearProgram([-1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
+    lp = dense_program([-1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
     assert solve(lp).status == UNBOUNDED
 
 
 def test_unbounded_with_row():
-    lp = LinearProgram([-1.0, 0.0], [0.0, 0.0], [np.inf, np.inf],
+    lp = dense_program([-1.0, 0.0], [0.0, 0.0], [np.inf, np.inf],
                        [[1.0, -1.0]], [LESS], [0.0])
     assert solve(lp).status == UNBOUNDED
 
 
 def test_malformed_programs():
     with pytest.raises(MalformedProgram):
-        LinearProgram([1.0, 2.0], [0.0, 0.0], [1.0, 1.0],
-                      [[1.0]], [LESS], [1.0])  # short row
+        dense_program([1.0], [2.0], [1.0], np.zeros((0, 1)), [], [])  # lo > hi
     with pytest.raises(MalformedProgram):
-        LinearProgram([1.0], [2.0], [1.0], np.zeros((0, 1)), [], [])  # lo > hi
+        dense_program([1.0], [0.0], [1.0], [[1.0]], [LESS], [np.inf])  # inf rhs
     with pytest.raises(MalformedProgram):
-        LinearProgram([1.0], [0.0], [1.0], [[1.0]], [LESS], [np.inf])  # inf rhs
-    with pytest.raises(MalformedProgram):
-        LinearProgram([1.0], [0.0], [1.0], [[1.0]], ["<"], [1.0])  # bad sense
+        dense_program([1.0], [0.0], [1.0], [[1.0]], ["<"], [1.0])  # bad sense
+    for rows in (np.ones((1, 1)), [[1.0]]):  # a matrix other than Nonzeros
+        with pytest.raises(MalformedProgram, match="Nonzeros"):
+            LinearProgram([1.0], [0.0], [1.0], rows, [LESS], [1.0])
 
 
 def test_equality_row_and_free_variable():
@@ -176,7 +177,7 @@ def test_equality_row_and_free_variable():
 
 
 def test_negative_lower_bound_via_row():
-    lp = LinearProgram([1.0], [-np.inf], [np.inf], [[1.0]], [GREATER], [-3.0])
+    lp = dense_program([1.0], [-np.inf], [np.inf], [[1.0]], [GREATER], [-3.0])
     sol = solve(lp)
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
     assert sol.duals[0] == pytest.approx(1.0, abs=1e-9)
@@ -185,7 +186,7 @@ def test_negative_lower_bound_via_row():
 def beale_program():
     """Beale's classic degenerate instance, which cycles under naive
     pivoting."""
-    return LinearProgram(
+    return dense_program(
         [-0.75, 150.0, -0.02, 6.0],
         [0.0] * 4, [np.inf] * 4,
         [[0.25, -60.0, -0.04, 9.0],
@@ -232,7 +233,7 @@ def test_brute_force_vertex_agreement():
     for _ in range(150):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(0, 4))
-        lp = LinearProgram(
+        lp = dense_program(
             rng.integers(-9, 10, n).astype(float),
             np.zeros(n),
             rng.integers(1, 6, n).astype(float),
@@ -260,7 +261,7 @@ def stress_program(rng):
     hi = lo + rng.integers(1, 6, n).astype(float)
     senses = [(LESS, EQUAL, GREATER, EQUAL)[int(rng.integers(0, 4))]
               for _ in range(m)]
-    return LinearProgram(rng.integers(-9, 10, n).astype(float), lo, hi,
+    return dense_program(rng.integers(-9, 10, n).astype(float), lo, hi,
                          rng.integers(-3, 4, (m, n)).astype(float),
                          senses, rng.integers(-6, 7, m).astype(float))
 

@@ -45,20 +45,26 @@ def small_case():
 
 def record_stage_solves(monkeypatch, lattice):
     """Patch the engine's solve_stage to log (t, state bytes, opening,
-    cut count) of every stage LP it solves."""
+    cut count) of every stage LP it solves, the cut count taken when the
+    engine builds the template the LP is stamped from."""
     openings = {id(lattice.stage1): None}
     for t in range(2, lattice.num_stages + 1):
         for l in range(lattice.num_openings):
             openings[id(lattice.noise(t, l))] = l
+    sizes = {}
     calls = []
 
+    def built(case, lattice, t, cuts, measure):
+        template = StageTemplate(case, lattice, t, cuts, measure)
+        sizes[template] = sum(len(c) for c in cuts) if cuts is not None else 0
+        return template
+
     def logged(template, state, noise):
-        cuts = template.cuts
-        size = sum(len(c) for c in cuts) if cuts is not None else 0
         calls.append((template.t, state.flatten().tobytes(),
-                      openings[id(noise)], size))
+                      openings[id(noise)], sizes[template]))
         return solve_stage(template, state, noise)
 
+    monkeypatch.setattr(engine, "StageTemplate", built)
     monkeypatch.setattr(engine, "solve_stage", logged)
     return calls
 
@@ -110,7 +116,7 @@ def test_new_cut_invalidates_only_its_stage():
     assert pool.append(2, 1, Cut(np.zeros(dim), np.zeros(dim), floor))
     again = memo.solve(2, state, 0)
     assert memo.solves == 4
-    direct = solve_stage(StageTemplate(case, 2, pool.slice(2), BLEND, T, L),
+    direct = solve_stage(StageTemplate(case, lattice, 2, pool.slice(2), BLEND),
                          state, lattice.noise(2, 0))
     assert again.objective == direct.objective > first.objective
     assert again.betas[1] == pytest.approx(floor)

@@ -24,10 +24,10 @@ from hydrosddp.lp import (
     INFEASIBLE,
     LESS,
     OPTIMAL,
-    LinearProgram,
     solve,
 )
 from hydrosddp.risk import RiskMeasure
+from oracles import dense_program
 from test_lp import dual_objective
 
 NEUTRAL = RiskMeasure(lam=0.0, alpha=0.0)
@@ -97,7 +97,7 @@ def violated_program(rng, n, m_ineq, m_eq):
         rows.append(row)
         senses.append(EQUAL)
         rhs.append(float(row @ anchor))
-    return LinearProgram(c, lo, hi, np.array(rows).reshape(-1, n), senses, rhs)
+    return dense_program(c, lo, hi, np.array(rows).reshape(-1, n), senses, rhs)
 
 
 def test_many_violated_rows_match_highs():
@@ -119,7 +119,7 @@ def test_many_violated_rows_match_highs():
 def test_contradictory_rows_among_violated_rows_are_infeasible():
     # x >= 5 and x <= 3, with further violated rows of both senses and a
     # violated equality row.
-    lp = LinearProgram([1.0, 1.0, 1.0], [0.0, -4.0, 0.0], [10.0, 10.0, 10.0],
+    lp = dense_program([1.0, 1.0, 1.0], [0.0, -4.0, 0.0], [10.0, 10.0, 10.0],
                        [[1.0, 0.0, 0.0],
                         [1.0, 0.0, 0.0],
                         [0.0, 1.0, 0.0],
@@ -140,7 +140,7 @@ def test_contradictory_rows_among_violated_rows_are_infeasible():
         j = int(rng.integers(0, n))
         cap = float(rng.uniform(base.lower[j], base.upper[j]))
         unit = np.eye(n)[j]
-        lp = LinearProgram(base.objective, base.lower, base.upper,
+        lp = dense_program(base.objective, base.lower, base.upper,
                            np.vstack([base.rows, unit, unit]),
                            base.senses + (GREATER, LESS),
                            np.concatenate([base.rhs, [cap + 1.0, cap]]))
@@ -157,8 +157,7 @@ def sampled_cuts(seed, num_states):
     for _ in range(num_states):
         state = in_bounds_state(rng, case)
         for l, opening in enumerate(cuts):
-            sol = solve_stage(StageTemplate(case, 2, None, NEUTRAL, 2,
-                                            lattice.num_openings),
+            sol = solve_stage(StageTemplate(case, lattice, 2, None, NEUTRAL),
                               state, lattice.noise(2, l))
             opening.append(Cut(sol.state_dual, state.flatten(),
                                sol.objective))
@@ -180,11 +179,10 @@ def test_doubled_cut_rows_change_nothing():
     case, lattice, cuts = sampled_cuts(6, 12)
     state = initial_state(case)
     for measure in (NEUTRAL, BLEND):
-        once = solve_stage(StageTemplate(case, 1, cuts, measure, 2,
-                                         lattice.num_openings),
+        once = solve_stage(StageTemplate(case, lattice, 1, cuts, measure),
                            state, lattice.stage1)
-        twice = solve_stage(StageTemplate(case, 1, [c + c for c in cuts],
-                                          measure, 2, lattice.num_openings),
+        twice = solve_stage(StageTemplate(case, lattice, 1,
+                                          [c + c for c in cuts], measure),
                             state, lattice.stage1)
         assert twice.objective == pytest.approx(once.objective, rel=1e-9,
                                                 abs=1e-9)
@@ -214,7 +212,7 @@ def test_violated_cut_rows_cost_few_phase1_pivots():
 
 
 def test_feasible_start_needs_no_phase1():
-    lp = LinearProgram([-1.0, -2.0], [0.0, 0.0], [np.inf, np.inf],
+    lp = dense_program([-1.0, -2.0], [0.0, 0.0], [np.inf, np.inf],
                        [[1.0, 1.0]], [LESS], [1.0])
     sol = solve(lp)
     assert sol.phase1_pivots == 0

@@ -16,6 +16,7 @@ from hydrosddp.hydro import (
     StageTemplate,
     StateVector,
     build_stage_lp,
+    initial_state,
     solve_stage,
 )
 from hydrosddp.risk import RiskMeasure
@@ -71,7 +72,7 @@ def test_stamped_program_equals_built_program(seed):
     for t in (1, 3, T):
         for cuts in (None, [[] for _ in range(L)],
                      random_cuts(rng, case, L, [4, 0, 7])):
-            template = StageTemplate(case, t, cuts, BLEND, T, L)
+            template = StageTemplate(case, lattice, t, cuts, BLEND)
             first = in_bounds_state(rng, case)
             built, _ = build_stage_lp(case, t, first, lattice.stage1, cuts,
                                       BLEND, T, L)
@@ -83,8 +84,8 @@ def test_stamped_program_equals_built_program(seed):
                                           T, L)
                 stamped = template.program(state, noise)
                 assert_same_program(stamped, built)
-                fresh = solve_stage(StageTemplate(case, t, cuts, BLEND, T, L),
-                                    state, noise)
+                fresh = solve_stage(
+                    StageTemplate(case, lattice, t, cuts, BLEND), state, noise)
                 kept = solve_stage(template, state, noise)
                 assert kept.objective == fresh.objective
                 assert kept.immediate_cost == fresh.immediate_cost
@@ -93,6 +94,28 @@ def test_stamped_program_equals_built_program(seed):
                 assert (kept.betas is None) == (t == T)
                 if t < T:
                     assert kept.betas.tobytes() == fresh.betas.tobytes()
+
+
+def test_template_is_built_at_the_canonical_point():
+    case, lattice, rng = lagged_case(7)
+    T, L = lattice.num_stages, lattice.num_openings
+    for t in (1, 2, T):
+        cuts = random_cuts(rng, case, L, [3, 1, 5]) if t < T else None
+        # Two templates of one stage, first stamped at different points.
+        first = StageTemplate(case, lattice, t, cuts, BLEND)
+        first.program(in_bounds_state(rng, case), lattice.stage_noise(t, 1))
+        second = StageTemplate(case, lattice, t, cuts, BLEND)
+        second.program(in_bounds_state(rng, case),
+                       lattice.stage_noise(t, L - 1))
+        canonical = first.program(initial_state(case),
+                                  lattice.stage_noise(t, 0))
+        for lp in (second.lp, canonical):
+            for name in ("objective", "lower", "upper", "rhs"):
+                assert getattr(lp, name).tobytes() == \
+                    getattr(first.lp, name).tobytes(), name
+            for got, kept in zip(lp.nonzeros, first.lp.nonzeros):
+                assert got.tobytes() == kept.tobytes()
+            assert lp.senses == first.lp.senses
 
 
 def test_memo_path_rejects_noise_and_states_that_do_not_fit():
@@ -121,6 +144,14 @@ def test_memo_path_rejects_noise_and_states_that_do_not_fit():
     lags = [np.append(lag, 1.0) for lag in state.lags]
     with pytest.raises(DimensionMismatch, match="lags"):
         memo.solve(2, StateVector(state.storages, lags), 0)
+    # The template is built at opening 0, so noise there that does not
+    # fit fails the stage's first solve, whichever opening it asks for.
+    openings = [list(stage) for stage in lattice.openings]
+    openings[0][0] = no_cap
+    memo = StageMemo(case, Lattice(T, L, lattice.stage1, openings), pool,
+                     BLEND)
+    with pytest.raises(DimensionMismatch, match="cap for renewable"):
+        memo.solve(2, state, 1)
 
 
 def test_training_builds_each_stage_lp_once_per_cut_slice(monkeypatch):

@@ -110,7 +110,7 @@ def expected_value_tree_objective(case, lattice):
 
 def test_single_stage_tree_equals_stage_lp():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15)
-    stage = solve_stage(StageTemplate(case, 1, None, NEUTRAL, 1, 1),
+    stage = solve_stage(StageTemplate(case, lattice, 1, None, NEUTRAL),
                         initial_state(case), lattice.stage1)
     assert tree_objective(case, lattice, NEUTRAL) == pytest.approx(
         stage.objective, abs=1e-8)
@@ -161,7 +161,7 @@ def test_terminal_cost_to_go_equals_stage_solve():
     T, L = lattice.num_stages, lattice.num_openings
     for l in range(L):
         state = in_bounds_state(rng, case)
-        direct = solve_stage(StageTemplate(case, T, None, NEUTRAL, T, L),
+        direct = solve_stage(StageTemplate(case, lattice, T, None, NEUTRAL),
                              state, lattice.noise(T, l)).objective
         oracle = exact_cost_to_go(case, lattice, NEUTRAL, T, state, l)
         assert oracle == pytest.approx(direct, abs=1e-8)
@@ -236,6 +236,17 @@ def test_tree_objective_scales_with_costs(seed):
                        for th in case.thermals))
     assert tree_objective(scaled, lattice, measure) == pytest.approx(
         S * tree_objective(case, lattice, measure), **METAMORPHIC)
+    # Training scales too, iteration by iteration. Degenerate stage LPs
+    # may pivot differently, so only the bounds are compared.
+    cfg = EngineConfig(max_iterations=8, min_iterations=8, batch_size=2,
+                       seed=7, measure=measure)
+    base = train(case, lattice, cfg).bounds
+    bounds = train(scaled, lattice, cfg).bounds
+    assert len(bounds) == len(base) == 8
+    for got, want in zip(bounds, base):
+        assert got.lower_bound == pytest.approx(S * want.lower_bound,
+                                                **METAMORPHIC)
+        assert got.ub_mean == pytest.approx(S * want.ub_mean, **METAMORPHIC)
 
 
 def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):

@@ -122,6 +122,9 @@ class SystemCase:
         for i, line in enumerate(self.lines):
             if line.capacity < 0:
                 raise ValueError(f"lines[{i}]: negative capacity")
+            # Both flow columns of such a line would key on one bus.
+            if line.from_bus == line.to_bus:
+                raise ValueError(f"lines[{i}]: from and to bus are the same")
         names = {h.name for h in self.hydros}
         for i, h in enumerate(self.hydros):
             if min(h.max_storage, h.max_turbine, h.production) < 0:
@@ -421,9 +424,12 @@ class StageTemplate:
     stage. The LPs of one template differ only in the right-hand sides
     of the copy rows (the state), the bus balance rows (demand) and the
     AR rows (inflow noise), and in the renewable columns' upper bounds
-    (caps). ``program`` copies those two vectors and shares every other
-    array, since nothing writes a ``LinearProgram``. The template also
-    keeps the column indices that ``solve_stage`` reads.
+    (caps). ``program`` copies those two vectors and stamps ``lp`` with
+    them (``LinearProgram.stamp``), which shares every other array, since
+    nothing writes a ``LinearProgram``, and ``lp``'s equality form, so a
+    solve sets up only what the stamp changes. The form is built at the
+    first stamp and freed with the template. The template also keeps the
+    column indices that ``solve_stage`` reads.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, t: int, cuts,
@@ -465,8 +471,7 @@ class StageTemplate:
             upper = upper.copy()
             upper[self.renewable_cols] = [_renewable_cap(noise, re)
                                           for re in case.renewables]
-        return LinearProgram(lp.objective, lp.lower, upper, lp.nonzeros,
-                             lp.senses, rhs)
+        return lp.stamp(rhs, upper)
 
 
 def solve_stage(template: StageTemplate, state_in: StateVector,

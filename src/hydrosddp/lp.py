@@ -17,32 +17,42 @@ new one, and a Bland's-rule fallback that engages after a stall of
 degenerate pivots. The sweep keeps the basic values, bounds and costs
 in basis order, so an iteration gathers nothing by the basis.
 
+A program builds the part of its equality form that its right-hand
+sides and upper bounds do not touch once, at its first solve or stamp,
+and keeps it until it dies. ``stamp(rhs, upper)`` makes a program that
+differs only in those two vectors, checks just them, and shares all
+else, the form included, so a stamped solve sets up only its starting
+point and artificials.
+
 Each program picks one of two kernel sets by its row count, and the
-choice travels as one value: the dense copy of the matrix that a solve
-below ``_SPARSE_ROWS`` rows makes, or None. With the copy, the basis is
-inverted by LAPACK from its rows, and the duals and the entering column
-are dense products with the inverse, the column read from the copy; the
-starting residual is a BLAS product with the matrix, laid out m×n for
-that one product. From ``_SPARSE_ROWS`` rows on, the basis is factored
-by its sparsity: column and row singletons are peeled into a block
-triangular form, level by level, and only the remaining bump is solved
-densely (Maros 2003, *Computational Techniques of the Simplex Method*,
-ch. 8; Suhl & Suhl 1990). The entering column is then formed from its
-nonzeros alone, and the duals are updated in O(m) per pivot and
-recomputed at every factorization. Apart from the bump, which LAPACK
-solves, every product on this path runs in numpy's own loops in a fixed
-order, so the BLAS thread count cannot move a pivot or the last bits of
-a result.
+choice is one value in the form: a dense copy of ``[A | I]`` below
+``_SPARSE_ROWS`` rows, or None. With the copy, the basis is inverted by
+LAPACK from its rows, and the duals and the entering column are dense
+products with the inverse, the column read from the copy; the starting
+residual is a BLAS product with the matrix, kept m×n for that product.
+From ``_SPARSE_ROWS`` rows on, the basis is factored by its sparsity:
+column and row singletons are peeled into a block triangular form,
+level by level, and only the remaining bump is solved densely (Maros
+2003, *Computational Techniques of the Simplex Method*, ch. 8; Suhl &
+Suhl 1990). The entering column is then formed from its nonzeros alone,
+the duals are updated in O(m) per pivot and recomputed at every
+factorization, and a pivot row of the inverse with fewer than m/4
+nonzeros updates only the entries in its nonzero columns. Apart from
+the bump, which LAPACK solves, every product on this path runs in
+numpy's own loops in a fixed order, so the BLAS thread count cannot
+move a pivot or the last bits of a result.
 
 Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
 inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
 in the most violated of them, so a program with many violated cut rows
-pays for one artificial instead of one per row. Each solution reports
-its simplex iterations per phase (bound flips included) and its basis
-factorizations. The duals come from a fresh factorization of the final
-basis; when phase 2 makes no pivot, that is the one phase 2 started
-from, and it is not formed again.
+pays for one artificial instead of one per row. On the dense kernels
+the inverse of that basis is written down in closed form, bit for bit
+LAPACK's. Each solution reports its simplex iterations per phase (bound
+flips included) and its basis factorizations, that start among them.
+The duals come from a fresh factorization of the final basis; when
+phase 2 makes no pivot, that is the one phase 2 started from, and it is
+not formed again.
 
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
@@ -116,7 +126,7 @@ class LinearProgram:
     """
 
     __slots__ = ("num_vars", "num_rows", "objective", "lower", "upper",
-                 "nonzeros", "senses", "rhs")
+                 "nonzeros", "senses", "rhs", "_form")
 
     def __init__(self, objective, lower, upper, nonzeros, senses, rhs):
         self.objective = np.ascontiguousarray(objective, dtype=float)
@@ -124,26 +134,39 @@ class LinearProgram:
             raise MalformedProgram("objective must be a vector")
         self.num_vars = n = self.objective.shape[0]
         self.lower = np.ascontiguousarray(lower, dtype=float)
-        self.upper = np.ascontiguousarray(upper, dtype=float)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
+        if self.lower.shape != (n,):
             raise MalformedProgram("bound vectors must match num_vars")
-        if np.any(self.lower > self.upper):
-            raise MalformedProgram("some variable has lower > upper")
+        self.upper = _checked_upper(self.lower, upper)
         self.senses = tuple(senses)
         self.num_rows = m = len(self.senses)
         for s in self.senses:
             if s not in _SENSES:
                 raise MalformedProgram(f"unknown sense {s!r}")
-        self.rhs = np.ascontiguousarray(rhs, dtype=float)
-        if self.rhs.shape != (m,):
-            raise MalformedProgram("rhs length must match row count")
-        if not np.all(np.isfinite(self.rhs)):
-            raise MalformedProgram("rhs entries must be finite")
+        self.rhs = _checked_rhs(rhs, m)
         if not isinstance(nonzeros, Nonzeros):
             raise MalformedProgram(
                 f"the matrix must be given as Nonzeros, not "
                 f"{type(nonzeros).__name__}")
         self.nonzeros = _checked(nonzeros, m, n)
+        self._form = None
+
+    def stamp(self, rhs, upper) -> LinearProgram:
+        """This program with ``rhs`` and ``upper`` in place of its
+        right-hand sides and upper bounds, checked as ``__init__`` checks
+        them; it shares every other array and the equality form."""
+        lp = object.__new__(LinearProgram)
+        lp.num_vars, lp.num_rows = self.num_vars, self.num_rows
+        lp.objective, lp.lower = self.objective, self.lower
+        lp.upper = _checked_upper(self.lower, upper)
+        lp.nonzeros, lp.senses = self.nonzeros, self.senses
+        lp.rhs = _checked_rhs(rhs, self.num_rows)
+        lp._form = self._equality_form()
+        return lp
+
+    def _equality_form(self) -> _EqualityForm:
+        if self._form is None:
+            self._form = _EqualityForm(self)
+        return self._form
 
     @property
     def rows(self) -> np.ndarray:
@@ -151,6 +174,24 @@ class LinearProgram:
         never reads it; it is for tests and benchmark reports on small
         programs."""
         return _dense(self.nonzeros, self.num_rows, self.num_vars)
+
+
+def _checked_upper(lower, upper) -> np.ndarray:
+    upper = np.ascontiguousarray(upper, dtype=float)
+    if upper.shape != lower.shape:
+        raise MalformedProgram("bound vectors must match num_vars")
+    if (lower > upper).any():
+        raise MalformedProgram("some variable has lower > upper")
+    return upper
+
+
+def _checked_rhs(rhs, m) -> np.ndarray:
+    rhs = np.ascontiguousarray(rhs, dtype=float)
+    if rhs.shape != (m,):
+        raise MalformedProgram("rhs length must match row count")
+    if not np.isfinite(rhs).all():
+        raise MalformedProgram("rhs entries must be finite")
+    return rhs
 
 
 def _dense(nz: Nonzeros, m, n) -> np.ndarray:
@@ -274,20 +315,67 @@ class _Columns:
     """Constraint matrix of the equality form as nonzeros sorted by
     column, ``(col, row, val)``, with column ``j`` at ``ptr[j]:ptr[j+1]``."""
 
-    def __init__(self, m, n, col, row, val):
+    def __init__(self, m, n, col, row, val, ptr=None):
         self.m, self.n = m, n
         self.col, self.row, self.val = col, row, val
-        self.ptr = np.searchsorted(col, np.arange(n + 1))
+        self.ptr = (np.searchsorted(col, np.arange(n + 1)) if ptr is None
+                    else ptr)
 
-    def price(self, cost, y):
-        """Reduced costs ``cost - y A``."""
-        return cost - np.bincount(self.col, self.val * y[self.row],
-                                  minlength=self.n)
+    def appended(self, count, row, val) -> _Columns:
+        """These columns followed by ``count.size`` more, column ``k``
+        of them holding the next ``count[k]`` entries of ``row``/``val``."""
+        n = self.n + count.size
+        col = np.repeat(np.arange(self.n, n), count)
+        return _Columns(
+            self.m, n, np.concatenate([self.col, col]),
+            np.concatenate([self.row, row]), np.concatenate([self.val, val]),
+            np.concatenate([self.ptr, self.ptr[-1] + np.cumsum(count)]))
 
     def ftran(self, b_inv, j):
         """``B^-1 A[:, j]`` from the nonzeros of column j alone."""
         k = slice(self.ptr[j], self.ptr[j + 1])
         return np.einsum("ij,j->i", b_inv[:, self.row[k]], self.val[k])
+
+
+class _EqualityForm:
+    """The equality form ``[A | I][x; s] = b`` of a program and its
+    stamps, but for the right-hand sides, upper bounds and artificials.
+
+    The slack bounds encode the senses (EQUAL keeps [0, 0]). ``lo``,
+    ``hi_tail`` (the slacks' upper bounds) and the costs run on for the
+    at most ``m`` artificials a solve appends, so a solve slices them.
+    The kernel choice ``dense`` is, below ``_SPARSE_ROWS`` rows, the
+    matrix with column j of ``[A | I]`` as row j, and ``block`` is then A
+    as a C-ordered m×n array for the starting residual; else both are
+    None.
+    """
+
+    __slots__ = ("slack_lo", "slack_hi", "equality", "has_lo", "columns",
+                 "lo", "hi_tail", "cost", "phase1", "dense", "block")
+
+    def __init__(self, lp: LinearProgram):
+        n, m = lp.num_vars, lp.num_rows
+        ncols = n + m
+        self.slack_lo = np.array([-np.inf if s == GREATER else 0.0
+                                  for s in lp.senses])
+        self.slack_hi = np.array([np.inf if s == LESS else 0.0
+                                  for s in lp.senses])
+        self.equality = self.slack_lo == self.slack_hi
+        self.has_lo = np.isfinite(lp.lower)
+        nz_col, nz_row, nz_val = lp.nonzeros
+        self.columns = A = _Columns(
+            m, ncols, np.concatenate([nz_col, np.arange(n, ncols)]),
+            np.concatenate([nz_row, np.arange(m)]),
+            np.concatenate([nz_val, np.ones(m)]))
+        self.lo = np.concatenate([lp.lower, self.slack_lo, np.zeros(m)])
+        self.hi_tail = np.concatenate([self.slack_hi, np.full(m, np.inf)])
+        self.cost = np.concatenate([lp.objective, np.zeros(2 * m)])
+        self.phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
+        self.dense = self.block = None
+        if m < _SPARSE_ROWS:
+            self.dense = np.zeros((ncols, m))
+            self.dense[A.col, A.row] = A.val
+            self.block = _dense(lp.nonzeros, m, n)
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -297,61 +385,51 @@ def solve(lp: LinearProgram) -> LPSolution:
     convention documented at module level.
     """
     n, m = lp.num_vars, lp.num_rows
-
-    # Equality form: [A | I][x; s] = b with slack bounds encoding senses
-    # (EQUAL keeps [0, 0]).
-    slack_lo = np.array([-np.inf if s == GREATER else 0.0 for s in lp.senses])
-    slack_hi = np.array([np.inf if s == LESS else 0.0 for s in lp.senses])
-    nz_col, nz_row, nz_val = lp.nonzeros
-    col = [nz_col, np.arange(n, n + m)]
-    row = [nz_row, np.arange(m)]
-    val = [nz_val, np.ones(m)]
-    lo = np.concatenate([lp.lower, slack_lo])
-    hi = np.concatenate([lp.upper, slack_hi])
-    cost = np.concatenate([lp.objective, np.zeros(m)])
-    b = lp.rhs.copy()
-
+    form = lp._equality_form()
+    dense = form.dense
+    b = lp.rhs
     ncols = n + m
-    vstat = np.empty(ncols, dtype=np.int8)
-    x = np.zeros(ncols)
-    # Nonbasic structural variables sit at a finite bound, free ones at 0.
-    has_lo = np.isfinite(lp.lower)
-    has_hi = np.isfinite(lp.upper)
-    vstat[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
-    x[:n] = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
 
-    if m >= _SPARSE_ROWS:
-        resid = b - np.bincount(nz_row, nz_val * x[nz_col], minlength=m)
+    # Nonbasic structural variables sit at a finite bound, free ones at 0.
+    has_lo, has_hi = form.has_lo, np.isfinite(lp.upper)
+    start = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
+    if dense is None:
+        nz_col, nz_row, nz_val = lp.nonzeros
+        resid = b - np.bincount(nz_row, nz_val * start[nz_col], minlength=m)
     else:
-        # The dense kernels start from a BLAS product with the matrix,
-        # laid out as a C-ordered m×n block for this product alone.
-        resid = b - _dense(lp.nonzeros, m, n) @ x[:n]
+        resid = b - form.block @ start
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
     # equality row, and one shared by all inequality rows.
-    basis = np.arange(n, ncols)
+    gap = resid - np.minimum(np.maximum(resid, form.slack_lo), form.slack_hi)
+    violated = ~(np.abs(gap) <= _TOL_STEP)
+    art_rows = (violated & form.equality).nonzero()[0]
+    ineq_rows = (violated & ~form.equality).nonzero()[0]
+    n_art = art_rows.size + bool(ineq_rows.size)
+    size = ncols + n_art
+    vstat = np.empty(size, dtype=np.int8)
+    x = np.empty(size)
+    vstat[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
+    x[:n] = start
     vstat[n:] = _BASIC
-    x[n:] = resid
-    gap = resid - np.minimum(np.maximum(resid, slack_lo), slack_hi)
-    fits = np.abs(gap) <= _TOL_STEP
-    equality = slack_lo == slack_hi
-    art_rows = np.flatnonzero(~fits & equality)
-    ineq_rows = np.flatnonzero(~fits & ~equality)
-    # A violated equality row's slack is fixed at 0.
+    x[n:ncols] = resid
+    basis = np.arange(n, ncols)
+    # A violated equality row's slack is fixed at 0; its artificial is
+    # basic at |resid|.
     vstat[n + art_rows] = _AT_LOWER
     x[n + art_rows] = 0.0
+    x[ncols:ncols + art_rows.size] = np.abs(resid[art_rows])
+    basis[art_rows] = ncols + np.arange(art_rows.size)
     art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
 
-    n_art = art_rows.size + bool(ineq_rows.size)
+    A = form.columns
+    lo, cost = form.lo[:size], form.cost[:size]
+    hi = np.concatenate([lp.upper, form.hi_tail[:m + n_art]])
     p1_pivots = p1_refactors = 0
     if n_art:
-        xa = np.empty(n_art)
-        xa[:art_rows.size] = np.abs(resid[art_rows])
-        basis[art_rows] = ncols + np.arange(art_rows.size)
-        col.append(np.arange(ncols, ncols + art_rows.size))
-        row.append(art_rows)
-        val.append(art_data)
+        count, row, val = np.ones(n_art, dtype=np.intp), [art_rows], [art_data]
+        shared = None
         if ineq_rows.size:
             # With the shared artificial at value a, row i reads
             # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
@@ -365,39 +443,33 @@ def solve(lp: LinearProgram) -> LPSolution:
             # replaced by one whose diagonal entry is +-1, so it is
             # nonsingular.
             rows = ineq_rows
-            sign = np.sign(resid[rows])
-            mag = np.abs(resid[rows])
-            k = n_art - 1
-            col.append(np.full(len(rows), ncols + k))
+            over = resid[rows]
+            sign = np.sign(over)
+            mag = np.abs(over)
+            count[-1] = rows.size
             row.append(rows)
             val.append(sign)
-            xa[k] = mag.max()
-            vstat[n + rows] = _BASIC
-            x[n + rows] = resid[rows] - sign * xa[k]
-            basis[rows] = n + rows
-            r = int(rows[np.argmax(mag)])
-            vstat[n + r] = _AT_LOWER if np.isfinite(slack_lo[r]) else _AT_UPPER
+            x[size - 1] = a = mag.max()
+            x[n + rows] = over - sign * a
+            top = int(mag.argmax())
+            r = int(rows[top])
+            vstat[n + r] = (_AT_LOWER if np.isfinite(form.slack_lo[r])
+                            else _AT_UPPER)
             x[n + r] = 0.0
-            basis[r] = ncols + k
-        lo = np.concatenate([lo, np.zeros(n_art)])
-        hi = np.concatenate([hi, np.full(n_art, np.inf)])
-        cost = np.concatenate([cost, np.zeros(n_art)])
-        vstat = np.concatenate([vstat, np.full(n_art, _BASIC, dtype=np.int8)])
-        x = np.concatenate([x, xa])
-    A = _Columns(m, ncols + n_art, np.concatenate(col), np.concatenate(row),
-                 np.concatenate(val))
-    # The kernel choice: below _SPARSE_ROWS rows, a dense copy whose row j
-    # holds column j of A, so each entering column is one contiguous read.
-    dense = None
-    if m < _SPARSE_ROWS:
-        dense = np.zeros((A.n, m))
-        dense[A.col, A.row] = A.val
+            basis[r] = size - 1
+            shared = (rows, sign, top)
+        row, val = np.concatenate(row), np.concatenate(val)
+        A = A.appended(count, row, val)
+        if dense is not None:
+            dense = np.concatenate([dense, np.zeros((n_art, m))])
+            dense[A.col[-row.size:], row] = val
 
-    if n_art:
-        phase1_cost = np.zeros(ncols + n_art)
-        phase1_cost[ncols:] = 1.0
+        # The phase-1 start inverse, passed without a name held here so
+        # that the sweep's first refactorization can free it.
         status, p1_pivots, p1_refactors = _iterate(
-            A, b, phase1_cost, lo, hi, x, vstat, basis, dense)[:3]
+            A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
+            _invert(A, basis, dense) if dense is None
+            else _slack_inverse(m, art_rows, art_data, shared))[:3]
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         infeasibility = np.maximum(x[ncols:], 0.0).sum()
@@ -407,8 +479,9 @@ def solve(lp: LinearProgram) -> LPSolution:
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
         x[ncols:] = np.maximum(x[ncols:], 0.0)
 
-    status, p2_pivots, refactors, b_inv = _iterate(A, b, cost, lo, hi, x,
-                                                   vstat, basis, dense)
+    status, p2_pivots, refactors, b_inv = _iterate(
+        A, b, cost, lo, hi, x, vstat, basis, dense,
+        _invert(A, basis, dense))
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
@@ -423,48 +496,83 @@ def solve(lp: LinearProgram) -> LPSolution:
         refactors += 1
         if b_inv is None:
             raise NumericalFailure("singular basis at termination")
-    duals = _btran(cost[basis], b_inv, dense)
     primal = x[:n].copy()
-    objective = (np.einsum("i,i->", lp.objective, primal) if dense is None
-                 else lp.objective @ primal)
+    if dense is None:
+        duals = np.einsum("i,ij->j", cost[basis], b_inv)
+        objective = np.einsum("i,i->", lp.objective, primal)
+    else:
+        duals = cost[basis] @ b_inv
+        objective = lp.objective @ primal
     return LPSolution(OPTIMAL, float(objective), primal, duals,
                       p1_pivots, p2_pivots, refactors)
 
 
-def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
+def _slack_inverse(m, art_rows, art_sign, shared):
+    """The inverse of phase 1's starting basis, in closed form.
+
+    The basis is the identity with column i replaced by ``art_sign[i] *
+    e_i`` at each violated equality row ``art_rows[i]``, and, given
+    ``shared = (rows, sign, top)``, column ``r = rows[top]`` replaced by
+    the shared artificial, ``sign[j]`` in row ``rows[j]``. Its inverse is
+    the identity with row ``art_rows[i]`` scaled by ``1 / art_sign[i]``
+    and row r by ``1 / sign_r``, and ``-sign_j / sign_r`` in column r of
+    the other rows of ``rows``. Scaling a row gives its zeros the sign
+    of the factor, as LAPACK's inverse of that basis does, so the result
+    holds LAPACK's bits (``tests/test_dense_sweep.py`` checks this).
+    """
+    b_inv = np.eye(m)
+    b_inv[art_rows] *= art_sign[:, None]
+    if shared is not None:
+        rows, sign, top = shared
+        r = rows[top]
+        b_inv[r] *= 1.0 / sign[top]
+        b_inv[rows, r] = -sign / sign[top]
+        b_inv[r, r] = 1.0 / sign[top]
+    return b_inv
+
+
+def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
     """Primal simplex sweep on the equality form; mutates x/vstat/basis.
 
-    Returns (status, iterations, refactorizations, basis inverse), bound
-    flips counted as iterations. The basic values, bounds and costs are
-    kept in basis order, so an iteration gathers nothing by the basis;
-    ``x`` holds the nonbasic values and receives the basic ones on
-    return.
+    Starts from ``b_inv``, the caller's inverse of the starting basis
+    (None if that basis is singular), which counts as the first
+    factorization and is updated in place; the caller holds no name for
+    it, so a refactorization frees it before forming the next. Returns
+    (status, iterations, refactorizations, basis inverse), bound flips
+    counted as iterations. The basic values, bounds and costs are kept
+    in basis order, so an iteration gathers nothing by the basis; ``x``
+    holds the nonbasic values and receives the basic ones on return.
 
     Below ``_SPARSE_ROWS`` rows, ``dense`` holds the matrix with column
     j of A as row j, the entering column is a BLAS product with the
-    inverse, and so are the duals at every iteration. On the sparse path
-    ``dense`` is None: the entering column is formed from its nonzeros,
-    and the duals are carried across pivots and recomputed only at a
-    factorization.
+    inverse, and so are the duals at every iteration; each pivot updates
+    the rows of the inverse where the entering column is nonzero. On
+    the sparse path ``dense`` is None: the entering column is formed from
+    its nonzeros, and the duals are carried across pivots and recomputed
+    only at a factorization. A pivot row of the inverse with fewer than
+    m/4 nonzeros updates only the entries in its nonzero columns; the
+    others change by exactly zero.
     """
     m = A.m
-    b_inv = _invert(A, basis, dense)
     if b_inv is None:
         raise NumericalFailure("singular starting basis")
     refactors = 1
     y = None
-    max_iters = 10_000 + 10 * (A.n + m)
+    col, row, val, ncols = A.col, A.row, A.val, A.n
+    max_iters = 10_000 + 10 * (ncols + m)
     bland = False
     stall = 0
     fixed = lo == hi
     # rise[j] is -1.0 and dn[j] 1.0 where nonbasic column j may increase
     # and decrease, else 0.0, so d * rise = |d| for d < 0: a column may
     # enter where its score, d * rise if d < 0 and d * dn otherwise,
-    # exceeds TOL_OPT.
+    # exceeds TOL_OPT. As rise <= 0 <= dn, the score is the larger of
+    # the two products.
     free = vstat == _FREE
     rise = np.where(((vstat == _AT_LOWER) | free) & ~fixed, -1.0, 0.0)
     dn = np.where(((vstat == _AT_UPPER) | free) & ~fixed, 1.0, 0.0)
     xb, lb, ub, cb = x[basis], lo[basis], hi[basis], cost[basis]
+    minimum = np.minimum.reduce
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
@@ -478,10 +586,14 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
                 xb = x[basis]
                 y = None
 
-            if y is None or dense is not None:
-                y = _btran(cb, b_inv, dense)
-            d = A.price(cost, y)
-            score = d * np.where(d < 0.0, rise, dn)
+            # Duals cost_B B^-1 (numpy's einsum loop, not BLAS, on the
+            # sparse kernels), then reduced costs cost - y A.
+            if dense is not None:
+                y = cb @ b_inv
+            elif y is None:
+                y = np.einsum("i,ij->j", cb, b_inv)
+            d = cost - np.bincount(col, val * y[row], minlength=ncols)
+            score = np.maximum(d * rise, d * dn)
             q = int(score.argmax())
             if score[q] <= TOL_OPT:
                 x[basis] = xb
@@ -496,7 +608,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             mag = np.abs(w)
             ratios = (xb - np.where(step > _TOL_PIVOT, lb, ub)) / step
             ratios[mag <= _TOL_PIVOT] = np.inf
-            min_ratio = float(ratios.min()) if m else np.inf
+            min_ratio = float(minimum(ratios)) if m else np.inf
             flip_cap = hi[q] - lo[q]
 
             if flip_cap <= min_ratio:
@@ -520,7 +632,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
             else:
                 # The first of the largest |w| among the near-tied rows;
                 # every one of them has |w| > _TOL_PIVOT.
-                r = int(np.where(near, mag, -1.0).argmax())
+                r = int((mag * near).argmax())
 
             leaving = basis[r]
             xb -= step * delta
@@ -549,14 +661,21 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense):
                 xb = x[basis]
                 y = None
             else:
-                row = b_inv[r] / piv
+                pivot_row = b_inv[r] / piv
                 w[r] = 0.0
-                nz = w.nonzero()[0]
-                b_inv[nz] -= np.outer(w[nz], row)
-                b_inv[r] = row
                 if dense is None:
+                    nz = w.nonzero()[0]
+                    on = pivot_row.nonzero()[0]
+                    if 4 * on.size < m:
+                        b_inv[nz[:, None], on] -= w[nz, None] * pivot_row[on]
+                    else:
+                        b_inv[nz] -= np.outer(w[nz], pivot_row)
                     # The new basis prices column q at zero: y A_q = cost_q.
-                    y += d[q] * row
+                    y += d[q] * pivot_row
+                else:
+                    np.subtract(b_inv, w[:, None] * pivot_row, out=b_inv,
+                                where=(w != 0.0)[:, None])
+                b_inv[r] = pivot_row
 
             if delta <= _TOL_STEP:
                 stall += 1
@@ -579,13 +698,6 @@ def _refactor(A, b, x, vstat, basis, dense):
     x[basis] = (np.einsum("ij,j->i", b_inv, rhs) if dense is None
                 else b_inv @ rhs)
     return b_inv, True
-
-
-def _btran(cost_b, b_inv, dense):
-    """Duals ``cost_B B^-1``; numpy's einsum loop, not BLAS, on the sparse
-    kernels (``dense`` None)."""
-    return (np.einsum("i,ij->j", cost_b, b_inv) if dense is None
-            else cost_b @ b_inv)
 
 
 def _invert(A, basis, dense):

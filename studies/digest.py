@@ -1,0 +1,143 @@
+"""One SHA-256 per command output, to compare two checkouts byte for byte.
+
+    python3 studies/digest.py > digests.txt    # from the root of a checkout
+
+Runs ``solve``, ``evaluate``, ``simulate`` (risk and uniform) and
+``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
+and on the benchmark's case shapes (``perfbench/cases.py``, read only):
+deep at case seeds 7 and 9, wide at 1 and 2, with the benchmark's
+training settings. Each line is ``case command output sha256``.
+
+``solve`` gives one digest per file it writes: ``convergence.csv`` and
+the ``bounds`` rows of ``policy.json`` with their ``wall_ms`` field
+removed, since that is a timing, and ``summary.json`` as written. The
+other commands print rounded numbers, so their digests cover the full
+values their top-level call returned: the objective as ``float.hex``,
+and for ``simulate`` every path's openings, states, stage costs and
+sampling weights, then the mean and standard error. A change that
+claims byte-identical outputs shows no line in a ``diff`` of the two
+checkouts' files.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from hydrosddp import cli  # noqa: E402
+from perfbench import cases  # noqa: E402
+
+# The benchmark's solve settings per shape: iterations, paths per
+# iteration, training seed. Rollouts run 24 paths at seed 1.
+TRAIN = {"deep": (30, 2, 7), "wide": (8, 4, 7)}
+ROLLOUT_PATHS, ROLLOUT_SEED = 24, 1
+CASES = (("demo", None), ("deep", 7), ("deep", 9), ("wide", 1), ("wide", 2))
+
+
+def sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def float_bytes(*values) -> bytes:
+    return b" ".join(float(v).hex().encode() for v in values)
+
+
+def path_bytes(path) -> bytes:
+    parts = []
+    for step in path.steps:
+        parts.append(repr(step.opening).encode())
+        parts.append(np.asarray(step.state_out.flatten(), float).tobytes())
+        parts.append(float_bytes(step.immediate_cost))
+        if step.weights is not None:
+            parts.append(step.weights.weights.tobytes())
+    return b"|".join(parts)
+
+
+def run(argv, kept, name=None):
+    """Run one command quietly; the return value of ``cli.<name>``."""
+    fn = getattr(cli, name) if name else None
+
+    def keep(*args, **kwargs):
+        kept[name] = fn(*args, **kwargs)
+        return kept[name]
+
+    if fn is not None:
+        setattr(cli, name, keep)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run_cli(argv)
+    finally:
+        if fn is not None:
+            setattr(cli, name, fn)
+    if code != 0:
+        raise SystemExit(f"{' '.join(argv)}: exit {code}")
+    return kept.get(name)
+
+
+def solve_digests(rundir):
+    with open(os.path.join(rundir, "convergence.csv"), newline="") as fh:
+        rows = [r[:-1] for r in csv.reader(fh)]     # wall_ms is last
+    yield "convergence.csv", sha(json.dumps(rows))
+    with open(os.path.join(rundir, "policy.json")) as fh:
+        policy = json.load(fh)
+    policy["bounds"] = [row[:-1] for row in policy["bounds"]]
+    yield "policy.json", sha(json.dumps(policy, sort_keys=True))
+    with open(os.path.join(rundir, "summary.json"), "rb") as fh:
+        yield "summary.json", sha(fh.read())
+
+
+def case_digests(label, case, flags, workdir):
+    rundir = os.path.join(workdir, label)
+    policy = os.path.join(rundir, "policy.json")
+    kept = {}
+    run(["solve", case, *flags, "--out", rundir], kept)
+    for output, digest in solve_digests(rundir):
+        yield "solve", output, digest
+    value = run(["evaluate", case, "--policy", policy], kept,
+                "evaluate_policy_exact")
+    yield "evaluate", "value", sha(float_bytes(value))
+    for sampling in ("risk", "uniform"):
+        paths, mean, stderr = run(
+            ["simulate", case, "--policy", policy, "--paths",
+             str(ROLLOUT_PATHS), "--seed", str(ROLLOUT_SEED), "--sampling",
+             sampling], kept, "simulate_policy")
+        yield (f"simulate_{sampling}", "paths",
+               sha(b"\n".join(map(path_bytes, paths))
+                   + float_bytes(mean, stderr)))
+    value = run(["detequiv", case], kept, "tree_objective")
+    yield "detequiv", "value", sha(float_bytes(value))
+
+
+def main():
+    with tempfile.TemporaryDirectory() as workdir:
+        for shape, seed in CASES:
+            if seed is None:
+                label, case, flags = shape, str(ROOT / "cases/demo.json"), []
+            else:
+                label = f"{shape}{seed}"
+                case = os.path.join(workdir, f"{label}.json")
+                with open(case, "w") as fh:
+                    fh.write(cases.dumps(cases.SHAPES[shape](seed)))
+                iters, paths, train_seed = TRAIN[shape]
+                flags = ["--iters", str(iters), "--min-iters", str(iters),
+                         "--paths", str(paths), "--seed", str(train_seed),
+                         "--sampling", "risk"]
+            for command, output, digest in case_digests(label, case, flags,
+                                                        workdir):
+                print(label, command, output, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -212,6 +212,8 @@ def _out_of_range(kind):
     if kind == "line":
         system["buses"].append({"name": "b2", "demand": [1.0, 1.0]})
         system["lines"] = [{"from": "b1", "to": "b2", "capacity": -1.0}]
+    elif kind == "line_ends":
+        system["lines"] = [{"from": "b1", "to": "b1", "capacity": 1.0}]
     elif kind == "hydro_capacity":
         system["hydros"][0]["max_turbine"] = -1.0
     elif kind == "initial_storage":
@@ -232,6 +234,7 @@ def _out_of_range(kind):
 
 @pytest.mark.parametrize("kind, message", [
     ("line", "system: lines[0]: negative capacity"),
+    ("line_ends", "system: lines[0]: from and to bus are the same"),
     ("hydro_capacity", "system: hydros[0]: negative capacity"),
     ("initial_storage", "system: hydros[0]: initial storage out of bounds"),
     ("lags", "system: hydros[0]: needs 1 initial lags"),

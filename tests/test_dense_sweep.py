@@ -2,11 +2,14 @@
 
 Below ``lp._SPARSE_ROWS`` rows, ``lp.solve`` keeps the basic values,
 bounds and costs in basis order, reads entering columns from one dense
-copy of the matrix per solve and sets up the slack basis with array
-operations. ``oracles.reference_solve`` is the dense path as it stood
-before. Each BLAS product, the pricing and each LAPACK inverse are the
-same call on the same values in both, so every pivot and every bit of
-the result must agree.
+copy of the matrix per template (the program a stamp was made from),
+sets up the slack basis with array operations and starts phase 1 from
+the closed-form inverse of that basis. ``oracles.reference_solve`` is
+the dense path as it stood before. Each BLAS product, the pricing and
+each LAPACK inverse are the same call on the same values in both, and
+the closed-form inverse holds LAPACK's bits, so every pivot and every
+bit of the result must agree, whatever order the stamps of one template
+are solved in.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ from hydrosddp.lp import (
 from hydrosddp.risk import RiskMeasure
 from oracles import dense_program, reference_solve
 from test_lp import beale_program, random_feasible_program, stress_program
-from test_phase1 import violated_at_start
+from test_phase1 import violated_at_start, violated_program
 
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 
@@ -50,29 +53,40 @@ def assert_same_solve(lp):
     return sol
 
 
+def case_with_cuts(rng):
+    """A casegen case, a stage t and stage-t cut lists from stage-t+1
+    solves at random states."""
+    case, lattice = random_case(rng, T=3, L=int(rng.integers(2, 5)),
+                                n_hydro=2, max_lag=1,
+                                with_renewable=bool(rng.random() < 0.5),
+                                two_bus=bool(rng.random() < 0.5))
+    t = int(rng.integers(1, lattice.num_stages))
+    cuts = [[] for _ in range(lattice.num_openings)]
+    for _ in range(int(rng.integers(3, 10))):
+        state = in_bounds_state(rng, case)
+        for l, opening in enumerate(cuts):
+            sol = solve_stage(
+                StageTemplate(case, lattice, t + 1, None, BLEND), state,
+                lattice.noise(t + 1, l))
+            opening.append(Cut(sol.state_dual, state.flatten(),
+                               sol.objective))
+    return case, lattice, t, cuts
+
+
+def stage_noises(lattice, t):
+    return [lattice.stage_noise(t, l if t > 1 else None)
+            for l in range(lattice.num_openings)]
+
+
 def stage_programs_with_cuts(seed, num_cases, states_per_case):
     """Stage-t LPs of casegen cases with cut rows from stage-t+1 solves,
     at random incoming states."""
     rng = np.random.default_rng(seed)
     programs = []
     for _ in range(num_cases):
-        case, lattice = random_case(rng, T=3, L=int(rng.integers(2, 5)),
-                                    n_hydro=2, max_lag=1,
-                                    with_renewable=bool(rng.random() < 0.5),
-                                    two_bus=bool(rng.random() < 0.5))
+        case, lattice, t, cuts = case_with_cuts(rng)
         T, L = lattice.num_stages, lattice.num_openings
-        t = int(rng.integers(1, T))
-        cuts = [[] for _ in range(L)]
-        for _ in range(int(rng.integers(3, 10))):
-            state = in_bounds_state(rng, case)
-            for l, opening in enumerate(cuts):
-                sol = solve_stage(
-                    StageTemplate(case, lattice, t + 1, None, BLEND), state,
-                    lattice.noise(t + 1, l))
-                opening.append(Cut(sol.state_dual, state.flatten(),
-                                   sol.objective))
-        noise = [lattice.stage_noise(t, l if t > 1 else None)
-                 for l in range(L)]
+        noise = stage_noises(lattice, t)
         for k in range(states_per_case):
             lp, _ = build_stage_lp(case, t, in_bounds_state(rng, case),
                                    noise[k % L], cuts, BLEND, T, L)
@@ -121,3 +135,58 @@ def test_bland_rule_and_refactorization_match_the_reference(monkeypatch):
         assert_same_solve(lp)
     for lp in stage_programs_with_cuts(7, 3, 10):
         assert_same_solve(lp)
+
+
+def test_stamps_of_one_template_match_the_reference_in_any_order():
+    # Every stamp solves through its template's one equality form, so a
+    # solve must leave nothing in the form that another stamp could read.
+    rng = np.random.default_rng(20261019)
+    stamps = 0
+    for _ in range(6):
+        case, lattice, t, cuts = case_with_cuts(rng)
+        template = StageTemplate(case, lattice, t, cuts, BLEND)
+        programs = [template.program(in_bounds_state(rng, case), noise)
+                    for _ in range(4) for noise in stage_noises(lattice, t)]
+        assert all(lp._form is template.lp._form for lp in programs)
+        assert template.lp.num_rows < _SPARSE_ROWS
+        for _ in range(2):
+            for k in rng.permutation(len(programs)):
+                assert assert_same_solve(programs[k]).status == OPTIMAL
+        stamps += len(programs)
+    assert stamps >= 50
+
+
+def phase1_programs():
+    """Programs whose starts violate equality rows, inequality rows, or
+    both."""
+    rng = np.random.default_rng(20261020)
+    yield from small_programs()
+    for _ in range(60):
+        n = int(rng.integers(3, 15))
+        yield violated_program(rng, n, int(rng.integers(0, 20)),
+                               int(rng.integers(0, min(n, 4))))
+
+
+def test_closed_form_phase1_start_is_lapacks_inverse(monkeypatch):
+    starts = []
+    sweep = lpmod._iterate
+
+    def spy(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
+        # Phase 1 prices the artificials, and nothing else, at 1.
+        if dense is not None and cost[-1] == 1.0:
+            starts.append((b_inv.copy(), np.linalg.inv(dense[basis].T),
+                           int(cost.sum()), A.ptr[-1] - A.ptr[-2]))
+        return sweep(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv)
+
+    monkeypatch.setattr(lpmod, "_iterate", spy)
+    for lp in phase1_programs():
+        solve(lp)
+    for got, lapack, _, _ in starts:
+        assert np.array_equal(got, lapack)
+        assert np.array_equal(np.signbit(got), np.signbit(lapack))
+    # Starts with one artificial per violated equality row, with the
+    # shared artificial over several inequality rows, and with both.
+    own = sum(n_art > 1 for _, _, n_art, _ in starts)
+    shared = sum(entries > 1 for _, _, _, entries in starts)
+    both = sum(n_art > 1 and entries > 1 for _, _, n_art, entries in starts)
+    assert min(own, shared, both) >= 20

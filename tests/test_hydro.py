@@ -107,6 +107,18 @@ def test_line_transfer_hits_capacity():
     assert sol.immediate_cost == pytest.approx(5.0 * 1.0 + 3.0 * 50.0, abs=1e-7)
 
 
+def test_line_with_one_bus_at_both_ends_is_rejected():
+    # Its two flow columns would key on one bus, leaving one of them in
+    # no row of any stage or tree LP.
+    with pytest.raises(ValueError,
+                       match=r"^lines\[1\]: from and to bus are the same$"):
+        SystemCase(
+            buses=(Bus("b1", (1.0,)), Bus("b2", (1.0,))),
+            lines=(Line("b1", "b2", 5.0), Line("b2", "b2", 5.0)),
+            thermals=(Thermal("t1", "b1", 1.0, 20.0),),
+            deficit_cost=50.0)
+
+
 def test_renewable_displaces_thermal():
     case = SystemCase(
         buses=(Bus("b1", (10.0,)),),

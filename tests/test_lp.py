@@ -165,6 +165,21 @@ def test_malformed_programs():
             LinearProgram([1.0], [0.0], [1.0], rows, [LESS], [1.0])
 
 
+def test_stamp_checks_the_vectors_it_replaces():
+    lp = beale_program()
+    for rhs in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 0.0]):
+        with pytest.raises(MalformedProgram, match="rhs"):
+            lp.stamp(rhs, lp.upper)
+    for upper in ([1.0, 1.0, -1.0, 1.0], [1.0] * 3):
+        with pytest.raises(MalformedProgram):
+            lp.stamp(lp.rhs, upper)
+    stamp = lp.stamp([1.0, 2.0, 3.0], [4.0] * 4)
+    assert stamp.rhs.tolist() == [1.0, 2.0, 3.0]
+    assert stamp.upper.tolist() == [4.0] * 4
+    assert stamp.objective is lp.objective and stamp.nonzeros is lp.nonzeros
+    assert solve(stamp).status == OPTIMAL
+
+
 def test_equality_row_and_free_variable():
     bld = LPBuilder()
     x = bld.add_var(lower=-np.inf, upper=np.inf, cost=1.0)

@@ -5,6 +5,8 @@ inputs, array for array and bit for bit, and the memo's path must still
 reject noise and states that do not fit the case.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,19 @@ def test_training_builds_each_stage_lp_once_per_cut_slice(monkeypatch):
     # Cut lists only grow, so a stage meets each slice size at most once.
     assert len(builds) == len(set(builds))
     assert len(builds) < policy.stage_solves
+
+
+def test_equality_form_dies_with_its_memo():
+    # The form, and on the dense kernels its copy of the matrix, lives on
+    # the template's program, so no cache keeps it past the memo.
+    case, lattice, _ = lagged_case(5)
+    T, L = lattice.num_stages, lattice.num_openings
+    memo = StageMemo(case, lattice, CutPool(T, L, case.state_dimension()),
+                     BLEND)
+    memo.solve(1, initial_state(case), None)
+    (_, _, template), = memo._tables.values()
+    dense = weakref.ref(template.lp._form.dense)
+    del template
+    assert dense() is not None
+    del memo
+    assert dense() is None

@@ -372,8 +372,7 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
 
 
 def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,
-                          measure: RiskMeasure,
-                          cap: int = ENUMERATION_CAP) -> float:
+                          measure: RiskMeasure) -> float:
     """Exact nested value of the policy of the pool ``cuts`` over the
     full tree.
 
@@ -382,9 +381,9 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,
     with those weights; leaves contribute their immediate cost.
     """
     T, L = lattice.num_stages, lattice.num_openings
-    if L ** (T - 1) > cap:
-        raise TreeTooLarge(
-            f"{L ** (T - 1)} scenario paths exceed the cap of {cap}")
+    if L ** (T - 1) > ENUMERATION_CAP:
+        raise TreeTooLarge(f"{L ** (T - 1)} scenario paths exceed the cap "
+                           f"of {ENUMERATION_CAP}")
     memo = StageMemo(case, lattice, cuts, measure)
 
     def value(t: int, state: StateVector, opening) -> float:

@@ -26,13 +26,14 @@ point and artificials.
 
 Each program picks one of two kernel sets by its row count, and the
 choice is one value in the form: a dense copy of ``[A | I]`` below
-``_SPARSE_ROWS`` rows, or None. With the copy, the basis is inverted by
-LAPACK from its rows, and the duals and the entering column are dense
-products with the inverse, the column read from the copy; the starting
-residual is a BLAS product with the matrix, kept m×n for that product.
-From ``_SPARSE_ROWS`` rows on, the basis is factored by its sparsity:
-column and row singletons are peeled into a block triangular form,
-level by level, and only the remaining bump is solved densely (Maros
+``_SPARSE_ROWS`` rows, or None. Both sum the starting residual from the
+nonzeros and start phase 1 from one closed form; they differ only where
+their bits would. With the copy, the basis is inverted by LAPACK from
+its rows, and the duals and the entering column are dense products with
+the inverse, the column read from the copy. From ``_SPARSE_ROWS`` rows
+on, the basis is factored by its sparsity: column and row singletons
+are peeled into a block triangular form, level by level, and only the
+remaining bump is solved densely (Maros
 2003, *Computational Techniques of the Simplex Method*, ch. 8; Suhl &
 Suhl 1990). The entering column is then formed from its nonzeros alone,
 the duals are updated in O(m) per pivot and recomputed at every
@@ -46,10 +47,11 @@ Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
 inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
 in the most violated of them, so a program with many violated cut rows
-pays for one artificial instead of one per row. On the dense kernels
-the inverse of that basis is written down in closed form, bit for bit
-LAPACK's. Each solution reports its simplex iterations per phase (bound
-flips included) and its basis factorizations, that start among them.
+pays for one artificial instead of one per row. On both kernel sets
+the inverse of that basis is written down in closed form: bit for bit
+LAPACK's, and in value the sparse factorization's. Each solution
+reports its simplex iterations per phase (bound flips included) and
+its basis factorizations, that start among them.
 The duals come from a fresh factorization of the final basis; when
 phase 2 makes no pivot, that is the one phase 2 started from, and it is
 not formed again.
@@ -132,6 +134,8 @@ class LinearProgram:
         self.objective = np.ascontiguousarray(objective, dtype=float)
         if self.objective.ndim != 1:
             raise MalformedProgram("objective must be a vector")
+        if not np.isfinite(self.objective).all():
+            raise MalformedProgram("objective entries must be finite")
         self.num_vars = n = self.objective.shape[0]
         self.lower = np.ascontiguousarray(lower, dtype=float)
         if self.lower.shape != (n,):
@@ -173,15 +177,21 @@ class LinearProgram:
         """The constraint matrix as a new dense m×n array. The solver
         never reads it; it is for tests and benchmark reports on small
         programs."""
-        return _dense(self.nonzeros, self.num_rows, self.num_vars)
+        A = np.zeros((self.num_rows, self.num_vars))
+        A[self.nonzeros.row, self.nonzeros.col] = self.nonzeros.val
+        return A
 
 
 def _checked_upper(lower, upper) -> np.ndarray:
     upper = np.ascontiguousarray(upper, dtype=float)
     if upper.shape != lower.shape:
         raise MalformedProgram("bound vectors must match num_vars")
-    if (lower > upper).any():
-        raise MalformedProgram("some variable has lower > upper")
+    # One pass: NaN fails every comparison, so it fails this in either
+    # vector, as do lower > upper, lower = +inf and upper = -inf.
+    if not ((lower <= upper) & (lower < np.inf) & (upper > -np.inf)).all():
+        raise MalformedProgram(
+            "some variable has lower > upper, a NaN bound, lower = +inf "
+            "or upper = -inf")
     return upper
 
 
@@ -192,12 +202,6 @@ def _checked_rhs(rhs, m) -> np.ndarray:
     if not np.isfinite(rhs).all():
         raise MalformedProgram("rhs entries must be finite")
     return rhs
-
-
-def _dense(nz: Nonzeros, m, n) -> np.ndarray:
-    A = np.zeros((m, n))
-    A[nz.row, nz.col] = nz.val
-    return A
 
 
 def _checked(nz: Nonzeros, m, n) -> Nonzeros:
@@ -345,13 +349,11 @@ class _EqualityForm:
     ``hi_tail`` (the slacks' upper bounds) and the costs run on for the
     at most ``m`` artificials a solve appends, so a solve slices them.
     The kernel choice ``dense`` is, below ``_SPARSE_ROWS`` rows, the
-    matrix with column j of ``[A | I]`` as row j, and ``block`` is then A
-    as a C-ordered m×n array for the starting residual; else both are
-    None.
+    matrix with column j of ``[A | I]`` as row j, else None.
     """
 
     __slots__ = ("slack_lo", "slack_hi", "equality", "has_lo", "columns",
-                 "lo", "hi_tail", "cost", "phase1", "dense", "block")
+                 "lo", "hi_tail", "cost", "phase1", "dense")
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_rows
@@ -371,11 +373,10 @@ class _EqualityForm:
         self.hi_tail = np.concatenate([self.slack_hi, np.full(m, np.inf)])
         self.cost = np.concatenate([lp.objective, np.zeros(2 * m)])
         self.phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
-        self.dense = self.block = None
+        self.dense = None
         if m < _SPARSE_ROWS:
             self.dense = np.zeros((ncols, m))
             self.dense[A.col, A.row] = A.val
-            self.block = _dense(lp.nonzeros, m, n)
 
 
 def solve(lp: LinearProgram) -> LPSolution:
@@ -393,11 +394,8 @@ def solve(lp: LinearProgram) -> LPSolution:
     # Nonbasic structural variables sit at a finite bound, free ones at 0.
     has_lo, has_hi = form.has_lo, np.isfinite(lp.upper)
     start = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
-    if dense is None:
-        nz_col, nz_row, nz_val = lp.nonzeros
-        resid = b - np.bincount(nz_row, nz_val * start[nz_col], minlength=m)
-    else:
-        resid = b - form.block @ start
+    nz_col, nz_row, nz_val = lp.nonzeros
+    resid = b - np.bincount(nz_row, nz_val * start[nz_col], minlength=m)
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
@@ -468,8 +466,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         # that the sweep's first refactorization can free it.
         status, p1_pivots, p1_refactors = _iterate(
             A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
-            _invert(A, basis, dense) if dense is None
-            else _slack_inverse(m, art_rows, art_data, shared))[:3]
+            _slack_inverse(m, art_rows, art_data, shared))[:3]
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         infeasibility = np.maximum(x[ncols:], 0.0).sum()
@@ -543,6 +540,12 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
     in basis order, so an iteration gathers nothing by the basis; ``x``
     holds the nonbasic values and receives the basic ones on return.
 
+    With finite data the pivot ``w[r]`` exceeds ``_TOL_PIVOT`` in
+    magnitude, so it needs no fallback: the ratio test gives every row
+    with |w| <= ``_TOL_PIVOT`` an infinite ratio, a pivot happens only
+    at a finite smallest ratio, and r is one of the rows within 1e-9 of
+    it.
+
     Below ``_SPARSE_ROWS`` rows, ``dense`` holds the matrix with column
     j of A as row j, the entering column is a BLAS product with the
     inverse, and so are the duals at every iteration; each pivot updates
@@ -579,9 +582,9 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
             if it and it % _REFACTOR_EVERY == 0:
                 x[basis] = xb
                 b_inv = None    # one m×m inverse live at a time
-                b_inv, ok = _refactor(A, b, x, vstat, basis, dense)
+                b_inv = _refactor(A, b, x, vstat, basis, dense)
                 refactors += 1
-                if not ok:  # pragma: no cover
+                if b_inv is None:
                     raise NumericalFailure("singular basis on refactorization")
                 xb = x[basis]
                 y = None
@@ -650,32 +653,21 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
 
             # Product-form update of the explicit inverse, on the rows
             # where w is nonzero: the others change by exactly zero.
-            piv = w[r]
-            if abs(piv) < _TOL_PIVOT:  # pragma: no cover - guarded by ratio test
-                x[basis] = xb
-                b_inv = None
-                b_inv, ok = _refactor(A, b, x, vstat, basis, dense)
-                refactors += 1
-                if not ok:
-                    raise NumericalFailure("degenerate pivot produced singular basis")
-                xb = x[basis]
-                y = None
-            else:
-                pivot_row = b_inv[r] / piv
-                w[r] = 0.0
-                if dense is None:
-                    nz = w.nonzero()[0]
-                    on = pivot_row.nonzero()[0]
-                    if 4 * on.size < m:
-                        b_inv[nz[:, None], on] -= w[nz, None] * pivot_row[on]
-                    else:
-                        b_inv[nz] -= np.outer(w[nz], pivot_row)
-                    # The new basis prices column q at zero: y A_q = cost_q.
-                    y += d[q] * pivot_row
+            pivot_row = b_inv[r] / w[r]
+            w[r] = 0.0
+            if dense is None:
+                nz = w.nonzero()[0]
+                on = pivot_row.nonzero()[0]
+                if 4 * on.size < m:
+                    b_inv[nz[:, None], on] -= w[nz, None] * pivot_row[on]
                 else:
-                    np.subtract(b_inv, w[:, None] * pivot_row, out=b_inv,
-                                where=(w != 0.0)[:, None])
-                b_inv[r] = pivot_row
+                    b_inv[nz] -= np.outer(w[nz], pivot_row)
+                # The new basis prices column q at zero: y A_q = cost_q.
+                y += d[q] * pivot_row
+            else:
+                np.subtract(b_inv, w[:, None] * pivot_row, out=b_inv,
+                            where=(w != 0.0)[:, None])
+            b_inv[r] = pivot_row
 
             if delta <= _TOL_STEP:
                 stall += 1
@@ -689,15 +681,17 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
 
 
 def _refactor(A, b, x, vstat, basis, dense):
-    """Recompute the basis inverse and basic values from scratch."""
+    """The basis inverse, formed anew, with the basic values recomputed
+    from it into ``x``; None, with ``x`` untouched, if the basis is
+    singular."""
     b_inv = _invert(A, basis, dense)
     if b_inv is None:
-        return None, False
+        return None
     x_n = np.where(vstat != _BASIC, x, 0.0)  # nonbasic values only
     rhs = b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m)
     x[basis] = (np.einsum("ij,j->i", b_inv, rhs) if dense is None
                 else b_inv @ rhs)
-    return b_inv, True
+    return b_inv
 
 
 def _invert(A, basis, dense):

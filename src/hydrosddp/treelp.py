@@ -137,10 +137,11 @@ def build_tree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
                             None, cap)
 
 
-def tree_objective(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
-                   cap: int = NODE_CAP) -> float:
-    """Exact optimal nested risk-adjusted cost."""
-    sol = solve(build_tree_lp(case, lattice, measure, cap))
+def tree_objective(case: SystemCase, lattice: Lattice,
+                   measure: RiskMeasure) -> float:
+    """Exact optimal nested risk-adjusted cost, over at most ``NODE_CAP``
+    tree nodes."""
+    sol = solve(build_tree_lp(case, lattice, measure))
     if sol.status != OPTIMAL:
         raise StageInfeasible(f"tree LP ended {sol.status}")
     return sol.objective

@@ -14,9 +14,12 @@ removed, since that is a timing, and ``summary.json`` as written. The
 other commands print rounded numbers, so their digests cover the full
 values their top-level call returned: the objective as ``float.hex``,
 and for ``simulate`` every path's openings, states, stage costs and
-sampling weights, then the mean and standard error. A change that
-claims byte-identical outputs shows no line in a ``diff`` of the two
-checkouts' files.
+sampling weights, then the mean and standard error. ``detequiv`` gives
+a second line for the solution of its tree LP: status, objective as
+``float.hex``, primal and dual bytes, pivots per phase and basis
+factorizations, so a change on the simplex shows there even where the
+objective keeps its bits. A change that claims byte-identical outputs
+shows no line in a ``diff`` of the two checkouts' files.
 """
 
 import contextlib
@@ -34,7 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from hydrosddp import cli  # noqa: E402
+from hydrosddp import cli, treelp  # noqa: E402
 from perfbench import cases  # noqa: E402
 
 # The benchmark's solve settings per shape: iterations, paths per
@@ -65,25 +68,36 @@ def path_bytes(path) -> bytes:
     return b"|".join(parts)
 
 
-def run(argv, kept, name=None):
-    """Run one command quietly; the return value of ``cli.<name>``."""
-    fn = getattr(cli, name) if name else None
+def solution_bytes(sol) -> bytes:
+    return b"|".join([
+        sol.status.encode(), float_bytes(sol.objective), sol.primal.tobytes(),
+        sol.duals.tobytes(),
+        repr((sol.phase1_pivots, sol.phase2_pivots,
+              sol.refactorizations)).encode()])
 
-    def keep(*args, **kwargs):
-        kept[name] = fn(*args, **kwargs)
-        return kept[name]
 
-    if fn is not None:
-        setattr(cli, name, keep)
+def run(argv, *hooks):
+    """Run one command quietly; the last return value of each hooked
+    ``(module, name)`` call, by name."""
+    kept, saved = {}, [(mod, name, getattr(mod, name)) for mod, name in hooks]
+
+    def keep(name, fn):
+        def kept_call(*args, **kwargs):
+            kept[name] = fn(*args, **kwargs)
+            return kept[name]
+        return kept_call
+
+    for mod, name, fn in saved:
+        setattr(mod, name, keep(name, fn))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.run_cli(argv)
     finally:
-        if fn is not None:
-            setattr(cli, name, fn)
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
     if code != 0:
         raise SystemExit(f"{' '.join(argv)}: exit {code}")
-    return kept.get(name)
+    return kept
 
 
 def solve_digests(rundir):
@@ -101,23 +115,23 @@ def solve_digests(rundir):
 def case_digests(label, case, flags, workdir):
     rundir = os.path.join(workdir, label)
     policy = os.path.join(rundir, "policy.json")
-    kept = {}
-    run(["solve", case, *flags, "--out", rundir], kept)
+    run(["solve", case, *flags, "--out", rundir])
     for output, digest in solve_digests(rundir):
         yield "solve", output, digest
-    value = run(["evaluate", case, "--policy", policy], kept,
-                "evaluate_policy_exact")
+    value = run(["evaluate", case, "--policy", policy],
+                (cli, "evaluate_policy_exact"))["evaluate_policy_exact"]
     yield "evaluate", "value", sha(float_bytes(value))
     for sampling in ("risk", "uniform"):
         paths, mean, stderr = run(
             ["simulate", case, "--policy", policy, "--paths",
              str(ROLLOUT_PATHS), "--seed", str(ROLLOUT_SEED), "--sampling",
-             sampling], kept, "simulate_policy")
+             sampling], (cli, "simulate_policy"))["simulate_policy"]
         yield (f"simulate_{sampling}", "paths",
                sha(b"\n".join(map(path_bytes, paths))
                    + float_bytes(mean, stderr)))
-    value = run(["detequiv", case], kept, "tree_objective")
-    yield "detequiv", "value", sha(float_bytes(value))
+    kept = run(["detequiv", case], (cli, "tree_objective"), (treelp, "solve"))
+    yield "detequiv", "value", sha(float_bytes(kept["tree_objective"]))
+    yield "detequiv", "solution", sha(solution_bytes(kept["solve"]))
 
 
 def main():

@@ -7,6 +7,8 @@ complementary slackness under the rhs-derivative convention instead of
 entry by entry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ from hydrosddp.lp import (
     solve,
 )
 from hydrosddp.risk import RiskMeasure
+from hydrosddp.scenario import Lattice
 from hydrosddp.treelp import build_tree_lp
-from oracles import dense_program
+from oracles import dense_program, highs_tree_objective
 from test_lp import dual_objective, feasible_within
 from test_phase1 import highs
 
@@ -66,13 +69,52 @@ def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
     assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
     assert_kkt(lp, sol, 1e-7)
     # One factorization at the start of each phase, one for the duals,
-    # and one every _REFACTOR_EVERY iterations of a phase; at 439 rows
-    # every one of them runs the sparse kernels.
+    # and one every _REFACTOR_EVERY iterations of a phase. At 439 rows
+    # every one of them but phase 1's start, which is written in closed
+    # form, runs the sparse kernels.
     periodic = (sol.phase1_pivots // _REFACTOR_EVERY
                 + sol.phase2_pivots // _REFACTOR_EVERY)
     assert periodic >= 2
     assert sol.refactorizations == 3 + periodic
-    assert sparse == [lp.num_rows] * sol.refactorizations
+    assert sparse == [lp.num_rows] * (sol.refactorizations - 1)
+
+
+def negative_inflow_tree():
+    """The 439-row tree above with hydro h1's stage-1 inflow at -0.5,
+    which its initial storage covers. The starting point violates that
+    AR row from above, so its artificial enters with sign -1 and phase
+    1's start scales the row's inverse by -1."""
+    case, lattice = random_case(np.random.default_rng(20261018), T=6, L=2,
+                                n_hydro=2, n_thermal=2)
+    h = case.hydros[0]
+    lagged = sum(c * lag for c, lag in zip(h.ar_coeffs, h.initial_lags))
+    assert h.initial_storage > 0.5
+    stage1 = dataclasses.replace(lattice.stage1, inflow_noise={
+        **lattice.stage1.inflow_noise, h.name: -0.5 - lagged})
+    return case, Lattice(lattice.num_stages, lattice.num_openings, stage1,
+                         lattice.openings)
+
+
+def test_tree_with_a_negated_start_row_matches_highs(monkeypatch):
+    case, lattice = negative_inflow_tree()
+    measure = RiskMeasure(lam=0.5, alpha=0.5)
+    lp = build_tree_lp(case, lattice, measure)
+    assert lp.num_rows >= _SPARSE_ROWS
+    negated = []
+    slack_inverse = lpmod._slack_inverse
+
+    def spy(m, art_rows, art_sign, shared):
+        b_inv = slack_inverse(m, art_rows, art_sign, shared)
+        negated.extend(np.flatnonzero(np.diag(b_inv) == -1.0))
+        return b_inv
+
+    monkeypatch.setattr(lpmod, "_slack_inverse", spy)
+    sol = solve(lp)
+    assert negated
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(
+        highs_tree_objective(case, lattice, measure), rel=1e-9)
+    assert_kkt(lp, sol, 1e-7)
 
 
 def test_tree_lp_pivot_path_is_pinned():

@@ -9,7 +9,8 @@ the dense path as it stood before. Each BLAS product, the pricing and
 each LAPACK inverse are the same call on the same values in both, and
 the closed-form inverse holds LAPACK's bits, so every pivot and every
 bit of the result must agree, whatever order the stamps of one template
-are solved in.
+are solved in. From ``_SPARSE_ROWS`` rows on, the same closed form
+starts phase 1 and must equal the sparse factorization in value.
 """
 
 import numpy as np
@@ -30,7 +31,9 @@ from hydrosddp.lp import (
     solve,
 )
 from hydrosddp.risk import RiskMeasure
+from hydrosddp.treelp import build_tree_lp
 from oracles import dense_program, reference_solve
+from test_column_store import negative_inflow_tree
 from test_lp import beale_program, random_feasible_program, stress_program
 from test_phase1 import violated_at_start, violated_program
 
@@ -167,15 +170,36 @@ def phase1_programs():
                                int(rng.integers(0, min(n, 4))))
 
 
+def sparse_phase1_programs():
+    """Programs on the sparse kernels whose starts violate rows: casegen
+    tree LPs, which violate only equality rows (the 439-row tree of
+    ``test_column_store.py``, with and without a start row scaled by -1,
+    and the 215-row tree whose pivot path it pins), and two programs
+    whose start also violates over 100 inequality rows."""
+    blend = RiskMeasure(lam=0.5, alpha=0.5)
+    for seed, T in ((20261018, 6), (20240807, 5)):
+        case, lattice = random_case(np.random.default_rng(seed), T=T, L=2,
+                                    n_hydro=2, n_thermal=2)
+        yield build_tree_lp(case, lattice, blend)
+    yield build_tree_lp(*negative_inflow_tree(), blend)
+    rng = np.random.default_rng(20261021)
+    for _ in range(2):
+        yield violated_program(rng, 20, _SPARSE_ROWS + 10, 4)
+
+
 def test_closed_form_phase1_start_is_lapacks_inverse(monkeypatch):
-    starts = []
+    starts, sparse_starts = [], []
     sweep = lpmod._iterate
 
     def spy(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
         # Phase 1 prices the artificials, and nothing else, at 1.
-        if dense is not None and cost[-1] == 1.0:
-            starts.append((b_inv.copy(), np.linalg.inv(dense[basis].T),
-                           int(cost.sum()), A.ptr[-1] - A.ptr[-2]))
+        if cost[-1] == 1.0:
+            if dense is not None:
+                starts.append((b_inv.copy(), np.linalg.inv(dense[basis].T),
+                               int(cost.sum()), A.ptr[-1] - A.ptr[-2]))
+            else:
+                sparse_starts.append((b_inv.copy(),
+                                      lpmod._sparse_inverse(A, basis)))
         return sweep(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv)
 
     monkeypatch.setattr(lpmod, "_iterate", spy)
@@ -190,3 +214,12 @@ def test_closed_form_phase1_start_is_lapacks_inverse(monkeypatch):
     shared = sum(entries > 1 for _, _, _, entries in starts)
     both = sum(n_art > 1 and entries > 1 for _, _, n_art, entries in starts)
     assert min(own, shared, both) >= 20
+    # On the sparse kernels the same closed form starts phase 1, equal in
+    # value to the triangular factorization of that basis. A row scaled
+    # by -1 may hold -0.0 where the factorization holds 0.0.
+    for lp in sparse_phase1_programs():
+        assert lp.num_rows >= _SPARSE_ROWS
+        solve(lp)
+    assert len(sparse_starts) == 5
+    for got, factored in sparse_starts:
+        assert np.array_equal(got, factored)

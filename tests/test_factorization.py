@@ -125,8 +125,7 @@ def test_singular_basis_fails_refactorization(name):
     dense = np.zeros((A.n, m))
     dense[A.col, A.row] = A.val
     for kernels in (None, dense):
-        assert _refactor(A, np.ones(m), x, vstat, basis, kernels) == (None,
-                                                                     False)
+        assert _refactor(A, np.ones(m), x, vstat, basis, kernels) is None
 
 
 def tree_lp():
@@ -142,8 +141,9 @@ def test_singular_refactorization_fails_the_solve(monkeypatch):
     calls = []
 
     def corrupt(A, basis):
-        # At the first periodic refactorization, put row 0's slack into
-        # the first two basis positions: two column singletons in row 0.
+        # At the second periodic refactorization (phase 1's start is
+        # written in closed form), put row 0's slack into the first two
+        # basis positions: two column singletons in row 0.
         calls.append(basis.size)
         if len(calls) == 2:
             basis = basis.copy()

@@ -163,6 +163,16 @@ def test_malformed_programs():
     for rows in (np.ones((1, 1)), [[1.0]]):  # a matrix other than Nonzeros
         with pytest.raises(MalformedProgram, match="Nonzeros"):
             LinearProgram([1.0], [0.0], [1.0], rows, [LESS], [1.0])
+    # Non-finite data the simplex cannot start from: a NaN bound, a
+    # lower bound of +inf or an upper bound of -inf, and any objective
+    # entry that is not finite.
+    for lower, upper in (([np.nan], [1.0]), ([0.0], [np.nan]),
+                         ([np.inf], [np.inf]), ([-np.inf], [-np.inf])):
+        with pytest.raises(MalformedProgram, match="bound"):
+            dense_program([1.0], lower, upper, [[1.0]], [LESS], [1.0])
+    for cost in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MalformedProgram, match="objective"):
+            dense_program([cost], [0.0], [1.0], [[1.0]], [LESS], [1.0])
 
 
 def test_stamp_checks_the_vectors_it_replaces():
@@ -170,7 +180,7 @@ def test_stamp_checks_the_vectors_it_replaces():
     for rhs in ([0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 0.0]):
         with pytest.raises(MalformedProgram, match="rhs"):
             lp.stamp(rhs, lp.upper)
-    for upper in ([1.0, 1.0, -1.0, 1.0], [1.0] * 3):
+    for upper in ([1.0, 1.0, -1.0, 1.0], [1.0] * 3, [1.0, np.nan, 1.0, 1.0]):
         with pytest.raises(MalformedProgram):
             lp.stamp(lp.rhs, upper)
     stamp = lp.stamp([1.0, 2.0, 3.0], [4.0] * 4)

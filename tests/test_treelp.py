@@ -249,6 +249,58 @@ def test_tree_objective_scales_with_costs(seed):
         assert got.ub_mean == pytest.approx(S * want.ub_mean, **METAMORPHIC)
 
 
+def scaled_physically(case, lattice, S):
+    """The case and lattice with every physical quantity times S:
+    demands, capacities, storages, inflows and their lags, renewable
+    caps and the future-cost floor. Production, AR coefficients and
+    costs stay, so every cost scales by S."""
+    def noise(n):
+        return NoiseRealization(
+            inflow_noise={k: S * v for k, v in n.inflow_noise.items()},
+            renewable_cap={k: S * v for k, v in n.renewable_cap.items()},
+            demand={k: S * v for k, v in n.demand.items()})
+
+    scaled = dataclasses.replace(
+        case,
+        buses=tuple(dataclasses.replace(b, demand=tuple(S * d for d in
+                                                        b.demand))
+                    for b in case.buses),
+        lines=tuple(dataclasses.replace(line, capacity=S * line.capacity)
+                    for line in case.lines),
+        thermals=tuple(dataclasses.replace(th, cap=S * th.cap)
+                       for th in case.thermals),
+        hydros=tuple(dataclasses.replace(
+            h, max_storage=S * h.max_storage, max_turbine=S * h.max_turbine,
+            initial_storage=S * h.initial_storage,
+            initial_lags=tuple(S * a for a in h.initial_lags))
+            for h in case.hydros),
+        future_lower_bound=S * case.future_lower_bound)
+    return scaled, Lattice(lattice.num_stages, lattice.num_openings,
+                           noise(lattice.stage1),
+                           [[noise(n) for n in stage]
+                            for stage in lattice.openings])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tree_objective_scales_with_physical_quantities(seed):
+    case, lattice = random_case(np.random.default_rng(seed), T=3, L=3)
+    measure = RiskMeasure(lam=0.5, alpha=0.5)
+    # A power of two, so every scaled datum is exact.
+    S = 4.0
+    scaled, scaled_lattice = scaled_physically(case, lattice, S)
+    assert tree_objective(scaled, scaled_lattice, measure) == pytest.approx(
+        S * tree_objective(case, lattice, measure), **METAMORPHIC)
+    cfg = EngineConfig(max_iterations=8, min_iterations=8, batch_size=2,
+                       seed=7, measure=measure)
+    base = train(case, lattice, cfg).bounds
+    bounds = train(scaled, scaled_lattice, cfg).bounds
+    assert len(bounds) == len(base) == 8
+    for got, want in zip(bounds, base):
+        assert got.lower_bound == pytest.approx(S * want.lower_bound,
+                                                **METAMORPHIC)
+        assert got.ub_mean == pytest.approx(S * want.ub_mean, **METAMORPHIC)
+
+
 def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
     # 1,365 nodes: the tree LP has 16,378 rows and 71,294 nonzeros, which
     # a dense m×n matrix would hold in 4.7 GB.

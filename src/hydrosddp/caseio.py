@@ -107,27 +107,21 @@ def _finite(v):
 
 
 def _num(obj, key, path, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise SchemaError(f"{path}.{key}: missing number")
-    v = obj[key]
+    v = obj.get(key, default)
     if not _finite(v):
         raise SchemaError(f"{path}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
 def _intval(obj, key, path, default=None):
-    if key not in obj and default is not None:
-        return default
-    v = obj.get(key)
+    v = obj.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(f"{path}.{key}: expected an integer, got {v!r}")
     return v
 
 
-def _str(obj, key, path):
-    v = obj.get(key)
+def _str(obj, key, path, default=None):
+    v = obj.get(key, default)
     if not isinstance(v, str):
         raise SchemaError(f"{path}.{key}: expected a string, got {v!r}")
     return v
@@ -188,8 +182,7 @@ def config_from_dict(values: dict, path: str,
     ub_confidence = _num(values, "ub_confidence", path, base.ub_confidence)
     lam = _num(values, "lambda", path, base.measure.lam)
     alpha = _num(values, "alpha", path, base.measure.alpha)
-    sampling = (_str(values, "sampling", path) if "sampling" in values
-                else base.sampler_mode.value)
+    sampling = _str(values, "sampling", path, base.sampler_mode.value)
     try:
         return EngineConfig(**fields, sampler_mode=SamplerMode.parse(sampling),
                             measure=RiskMeasure(lam=lam, alpha=alpha),
@@ -385,7 +378,7 @@ def parse_case(path) -> ParsedCase:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
     return parse_case_data(data)
 
@@ -570,11 +563,17 @@ def bounds_to_csv(bounds) -> str:
 
 
 def read_convergence_csv(path) -> list:
-    """Parse a convergence CSV back into dict rows (None for blanks)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    """Parse a convergence CSV back into dict rows (None for blanks); it
+    must hold at least one row."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"{path}: {exc}") from None
     if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
         raise CorruptFile(f"{path}: unexpected CSV header")
+    if len(lines) == 1:
+        raise CorruptFile(f"{path}: no data rows")
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")

@@ -1,8 +1,9 @@
 """Command-line surface: solve, detequiv, evaluate, simulate, plot.
 
 Exit codes: 0 success, 1 usage error, 2 data error (schema, references,
-fingerprints, corrupt, oversized or mismatched inputs), 3 numerical
-failure.
+fingerprints, corrupt, undecodable, oversized or mismatched inputs, and
+files that cannot be read or written), 3 numerical failure, including a
+solve that cannot certify its point.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ from .caseio import (
 )
 from .engine import EngineConfig, evaluate_policy_exact, simulate_policy, train
 from .hydro import DimensionMismatch, StageInfeasible
-from .lp import LPError, NumericalFailure
+from .lp import LPError
 from .plotting import convergence_svg
 from .scenario import SamplerMode, TreeTooLarge
 from .treelp import tree_objective
 
 DATA_ERRORS = (SchemaError, FingerprintMismatch, CorruptFile, TreeTooLarge,
-               DimensionMismatch, FileNotFoundError, IsADirectoryError,
-               PermissionError)
-NUMERIC_ERRORS = (NumericalFailure, StageInfeasible, LPError, ArithmeticError)
+               DimensionMismatch, OSError)
+NUMERIC_ERRORS = (StageInfeasible, LPError, ArithmeticError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -92,9 +92,6 @@ class Cut:
             raise ValueError("cut offset must be finite")
         object.__setattr__(self, "offset", offset)
 
-    def value_at(self, x: np.ndarray) -> float:
-        return float(self.intercept + self.gradient @ (x - self.anchor))
-
 
 class CutPool:
     """Cut lists indexed by (stage t in 1..T-1, opening l in 0..L-1).
@@ -114,7 +111,6 @@ class CutPool:
                       for t in range(1, num_stages)
                       for l in range(num_openings)}
         self._rows = {key: np.empty((0, state_dim + 1)) for key in self._cuts}
-        self._stage_sizes = dict.fromkeys(range(1, num_stages), 0)
 
     def append(self, t: int, l: int, cut: Cut) -> bool:
         """Add ``cut`` unless its row r = [gradient | offset] is a
@@ -133,20 +129,18 @@ class CutPool:
             return False
         self._rows[(t, l)] = np.vstack([kept, row])
         self._cuts[(t, l)].append(cut)
-        self._stage_sizes[t] += 1
         return True
 
     def stage_size(self, t: int) -> int:
         """Number of cuts feeding the stage-t subproblem (0 at the last
         stage); the lists are append-only, so it identifies the slice."""
-        return self._stage_sizes.get(t, 0)
+        return sum(map(len, self.slice(t) or ()))
 
     def slice(self, t: int):
-        """Per-opening cut lists feeding the stage-t subproblem."""
-        return [self._cuts[(t, l)] for l in range(self.num_openings)]
-
-    def slice_or_none(self, t: int):
-        return None if t >= self.num_stages else self.slice(t)
+        """Per-opening cut lists feeding the stage-t subproblem; None at
+        the last stage, which has no future."""
+        return (None if t >= self.num_stages else
+                [self._cuts[(t, l)] for l in range(self.num_openings)])
 
     def __len__(self):
         return sum(len(v) for v in self._cuts.values())
@@ -242,7 +236,7 @@ class StageMemo:
         if held != size:
             table = {}
             template = StageTemplate(self.case, lattice, t,
-                                     self.cuts.slice_or_none(t), self.measure)
+                                     self.cuts.slice(t), self.measure)
             self._tables[t] = (size, table, template)
         key = (state.flatten().tobytes(), opening)
         sol = table.get(key)

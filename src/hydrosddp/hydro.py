@@ -150,10 +150,6 @@ class SystemCase:
                 raise ValueError(
                     f"deficit_cost: must exceed thermals[{i}].cost")
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.buses[0].demand) if self.buses else 0
-
     def state_dimension(self) -> int:
         return len(self.hydros) + sum(len(h.ar_coeffs) for h in self.hydros)
 
@@ -250,6 +246,10 @@ def _inflow(noise: NoiseRealization, h: Hydro) -> float:
             f"noise lacks inflow for hydro {h.name!r}") from None
 
 
+def _demand(noise: NoiseRealization, bus: Bus, t: int) -> float:
+    return float(noise.demand.get(bus.name, bus.demand[t - 1]))
+
+
 def dispatch_columns(bld: LPBuilder, case: SystemCase,
                      noise: NoiseRealization) -> dict:
     """Add one stage's dispatch columns, all at zero cost; returns
@@ -299,7 +299,6 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
     """
     # Bus energy balance: generation + net imports + deficit = demand.
     for b in case.buses:
-        demand = noise.demand.get(b.name, b.demand[t - 1])
         terms = [(cols["deficit", b.name], 1.0)]
         terms += [(cols["g", th.name], 1.0) for th in case.thermals
                   if th.bus == b.name]
@@ -314,7 +313,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             elif line.from_bus == b.name:
                 terms.append((cols["f", i, line.to_bus], 1.0))
                 terms.append((cols["f", i, line.from_bus], -1.0))
-        bld.add_row(terms, EQUAL, float(demand))
+        bld.add_row(terms, EQUAL, _demand(noise, b, t))
 
     # Reservoir mass balance and the AR inflow equation.
     for j, h in enumerate(case.hydros):
@@ -359,7 +358,6 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
     check_state(case, state_in)
     bld = LPBuilder()
-    terminal = t == num_stages
 
     cols = dispatch_columns(bld, case, noise)
     for col, cost in dispatch_cost(case, cols):
@@ -377,7 +375,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
 
     dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
 
-    if not terminal:
+    if t < num_stages:
         # Column index of every outgoing-state coordinate, in the same
         # flattened order cuts use: storages first, then lags per hydro
         # (newest outgoing lag is this stage's inflow variable).
@@ -385,13 +383,12 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
         for j, h in enumerate(case.hydros):
             state_cols += ([cols["a", h.name]] + lagvar[j])[:len(h.ar_coeffs)]
 
-        lam, alpha = measure.lam, measure.alpha
         L = num_openings
-        beta = [bld.add_var(case.future_lower_bound, np.inf, (1.0 - lam) / L)
+        mean, tail = measure.atom_weights(L)
+        beta = [bld.add_var(case.future_lower_bound, np.inf, mean)
                 for _ in range(L)]
-        z = bld.add_var(-np.inf, np.inf, lam)
-        delta = [bld.add_var(0.0, np.inf, lam / ((1.0 - alpha) * L))
-                 for _ in range(L)]
+        z = bld.add_var(-np.inf, np.inf, measure.lam)
+        delta = [bld.add_var(0.0, np.inf, tail) for _ in range(L)]
         for l in range(L):
             cols["beta", l] = beta[l]
             bld.add_row([(delta[l], 1.0), (beta[l], -1.0), (z, 1.0)],
@@ -429,13 +426,13 @@ class StageTemplate:
     nothing writes a ``LinearProgram``, and ``lp``'s equality form, so a
     solve sets up only what the stamp changes. The form is built at the
     first stamp and freed with the template. The template also keeps the
-    column indices that ``solve_stage`` reads.
+    column indices that ``solve_stage`` reads; ``beta_cols`` is empty
+    exactly at the last stage.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, t: int, cuts,
                  measure: RiskMeasure):
         self.case, self.t = case, t
-        self.num_stages = lattice.num_stages
         self.lp, cols = build_stage_lp(case, t, initial_state(case),
                                        lattice.stage_noise(t, 0), cuts,
                                        measure, lattice.num_stages,
@@ -445,15 +442,12 @@ class StageTemplate:
         d, buses = case.state_dimension(), len(case.buses)
         self.copy_rows = d
         self.demand_rows = np.arange(d, d + buses)
-        self.base_demand = [b.demand[t - 1] for b in case.buses]
         self.inflow_rows = d + buses + 1 + 2 * np.arange(len(case.hydros))
         self.renewable_cols = [cols["r", re.name] for re in case.renewables]
         self.cost_terms = dispatch_cost(case, cols)
         self.storage_cols = [cols["vout", h.name] for h in case.hydros]
         self.inflow_cols = [cols["a", h.name] for h in case.hydros]
-        self.beta_cols = ([cols["beta", l]
-                           for l in range(lattice.num_openings)]
-                          if t < lattice.num_stages else [])
+        self.beta_cols = [c for key, c in cols.items() if key[0] == "beta"]
 
     def program(self, state_in: StateVector,
                 noise: NoiseRealization) -> LinearProgram:
@@ -462,9 +456,8 @@ class StageTemplate:
         check_state(case, state_in)
         rhs = lp.rhs.copy()
         rhs[:self.copy_rows] = state_in.flatten()
-        rhs[self.demand_rows] = [
-            float(noise.demand.get(b.name, demand))
-            for b, demand in zip(case.buses, self.base_demand)]
+        rhs[self.demand_rows] = [_demand(noise, b, self.t)
+                                 for b in case.buses]
         rhs[self.inflow_rows] = [_inflow(noise, h) for h in case.hydros]
         upper = lp.upper
         if case.renewables:
@@ -496,8 +489,6 @@ def solve_stage(template: StageTemplate, state_in: StateVector,
     state_out = StateVector(storages, lags)
     dual = sol.duals[:case.state_dimension()].copy()
 
-    betas = None
-    if t < template.num_stages:
-        betas = x[template.beta_cols]
+    betas = x[template.beta_cols] if template.beta_cols else None
     return StageSolution(sol.objective, immediate, state_out, dual, betas,
                          sol.phase1_pivots, sol.phase2_pivots)

@@ -56,6 +56,11 @@ The duals come from a fresh factorization of the final basis; when
 phase 2 makes no pivot, that is the one phase 2 started from, and it is
 not formed again.
 
+A point reported optimal keeps every row and bound within phase 1's
+tolerance, checked by the residual that sets phase 1 up; basic values
+that drifted in the sweep (as on tree LPs with alpha near 1) raise
+NumericalFailure instead.
+
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
 right-hand side (Lagrangian ``objective + sum_i y_i * (rhs_i - row_i)``).
@@ -80,7 +85,8 @@ UNBOUNDED = "unbounded"
 
 # Feasibility / optimality tolerances; desk-scale data is well conditioned.
 # Phase 1 declares a program infeasible when its artificials sum to more
-# than TOL_FEAS * (1 + max|b|).
+# than TOL_FEAS * (1 + max|b|), and no optimal point misses a row or bound
+# by more.
 TOL_FEAS = 1e-7
 TOL_OPT = 1e-9
 _TOL_PIVOT = 1e-10
@@ -103,7 +109,8 @@ class MalformedProgram(LPError):
 
 
 class NumericalFailure(LPError):
-    """Iteration guard exceeded; should not happen with anti-cycling."""
+    """The simplex cannot certify its result: an iteration guard, a
+    singular basis, or an optimal point off a row or bound."""
 
 
 class Nonzeros(NamedTuple):
@@ -289,11 +296,9 @@ class LPBuilder:
         row are summed in the order they were added, starting from 0.0,
         and entries that are or sum to an exact zero are dropped, as
         ``np.add.at`` into a zero matrix and ``np.nonzero`` would do."""
-        n, m = len(self._cost), len(self._rhs)
+        m = len(self._rhs)
         col = np.array(self._col, dtype=np.intp)
         val = np.array(self._val, dtype=float)
-        if col.size and (col.min() < 0 or col.max() >= n):
-            raise MalformedProgram("row entry names a missing column")
         key = col * m + np.repeat(np.arange(m), self._count)
         order = np.argsort(key, kind="stable")
         key, val = key[order], val[order]
@@ -390,17 +395,16 @@ def solve(lp: LinearProgram) -> LPSolution:
     dense = form.dense
     b = lp.rhs
     ncols = n + m
+    tol_feas = TOL_FEAS * (1.0 + abs(b).max(initial=0.0))
 
     # Nonbasic structural variables sit at a finite bound, free ones at 0.
     has_lo, has_hi = form.has_lo, np.isfinite(lp.upper)
     start = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
-    nz_col, nz_row, nz_val = lp.nonzeros
-    resid = b - np.bincount(nz_row, nz_val * start[nz_col], minlength=m)
+    resid, gap = _row_gap(lp, form, start)
 
     # Slack basis where the residual fits the slack bounds. The violated
     # rows get artificial columns so phase 1 starts feasible: one per
     # equality row, and one shared by all inequality rows.
-    gap = resid - np.minimum(np.maximum(resid, form.slack_lo), form.slack_hi)
     violated = ~(np.abs(gap) <= _TOL_STEP)
     art_rows = (violated & form.equality).nonzero()[0]
     ineq_rows = (violated & ~form.equality).nonzero()[0]
@@ -470,7 +474,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalFailure("phase 1 did not terminate optimal")
         infeasibility = np.maximum(x[ncols:], 0.0).sum()
-        if infeasibility > TOL_FEAS * (1.0 + abs(b).max(initial=0.0)):
+        if infeasibility > tol_feas:
             return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
                               np.full(m, np.nan), p1_pivots, 0, p1_refactors)
         hi[ncols:] = 0.0  # freeze artificials out of phase 2
@@ -494,6 +498,11 @@ def solve(lp: LinearProgram) -> LPSolution:
         if b_inv is None:
             raise NumericalFailure("singular basis at termination")
     primal = x[:n].copy()
+    worst = np.concatenate([abs(_row_gap(lp, form, primal)[1]),
+                            lp.lower - primal, primal - lp.upper])
+    if not worst.max(initial=0.0) <= tol_feas:
+        raise NumericalFailure(f"the optimal point misses a row or bound "
+                               f"by {worst.max():.3g}")
     if dense is None:
         duals = np.einsum("i,ij->j", cost[basis], b_inv)
         objective = np.einsum("i,i->", lp.objective, primal)
@@ -502,6 +511,16 @@ def solve(lp: LinearProgram) -> LPSolution:
         objective = lp.objective @ primal
     return LPSolution(OPTIMAL, float(objective), primal, duals,
                       p1_pivots, p2_pivots, refactors)
+
+
+def _row_gap(lp: LinearProgram, form: _EqualityForm, point):
+    """The residual ``b - A point``, and how far it lies outside the
+    slack bounds, row by row."""
+    nz_col, nz_row, nz_val = lp.nonzeros
+    resid = lp.rhs - np.bincount(nz_row, nz_val * point[nz_col],
+                                 minlength=lp.num_rows)
+    return resid, resid - np.minimum(np.maximum(resid, form.slack_lo),
+                                     form.slack_hi)
 
 
 def _slack_inverse(m, art_rows, art_sign, shared):

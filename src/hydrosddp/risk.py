@@ -4,7 +4,9 @@ The composite measure is ``(1 - lam) * E[Y] + lam * CVaR_alpha[Y]`` over
 equiprobable atoms. It is evaluated through the closed-form weight
 vector whose dot product with the atoms reproduces the measure. The
 weight vector doubles as the forward-sampling distribution over next
-stage openings.
+stage openings. One method, ``RiskMeasure.atom_weights``, gives the
+weights of the measure's linear form; the sampler, the stage LP's
+epigraph costs and the tree LP's risk terms all read them from it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ class RiskMeasure:
             raise ValueError(
                 f"alpha must be in [0, 1); the worst-case limit alpha=1 "
                 f"is not supported (got {self.alpha})")
+
+    def atom_weights(self, n: int, tail_atoms: int = 1):
+        """(mean, tail) weights over n equiprobable atoms: ``(1-lam)/n``
+        per atom, and ``lam * tail_atoms / ((1-alpha) n)`` that many
+        atoms of the CVaR tail carry together."""
+        return ((1.0 - self.lam) / n,
+                self.lam * tail_atoms / ((1.0 - self.alpha) * n))
 
 
 class WeightVector:
@@ -90,14 +99,12 @@ def sampling_weights(betas, measure: RiskMeasure) -> WeightVector:
     """
     b = _atoms(betas)
     n = b.size
-    lam, alpha = measure.lam, measure.alpha
     order = np.argsort(b, kind="stable")
-    nu = quantile_position(alpha, n)
-    base = (1.0 - lam) / n
-    tail = lam / ((1.0 - alpha) * n)
+    nu = quantile_position(measure.alpha, n)
+    base, tail = measure.atom_weights(n)
     sorted_w = np.full(n, base)
     sorted_w[nu:] += tail
-    pivot = base + lam - lam * (n - nu) / ((1.0 - alpha) * n)
+    pivot = base + measure.lam - measure.atom_weights(n, n - nu)[1]
     sorted_w[nu - 1] = max(pivot, 0.0)
     if pivot < 0.0:
         sorted_w /= sorted_w.sum()

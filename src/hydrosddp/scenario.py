@@ -43,47 +43,37 @@ class NoiseRealization:
                 raise ValueError(f"demand override for {name!r} is negative")
 
 
+@dataclass(frozen=True)
 class Lattice:
-    """T stages, L openings per stage from 2..T, deterministic stage 1."""
+    """T stages, L openings per stage from 2..T, deterministic stage 1;
+    ``openings[t - 2]`` holds stage t's openings, stored as tuples."""
 
-    __slots__ = ("num_stages", "num_openings", "stage1", "_openings")
+    num_stages: int
+    num_openings: int
+    stage1: NoiseRealization
+    openings: tuple
 
-    def __init__(self, num_stages: int, num_openings: int,
-                 stage1: NoiseRealization, openings):
-        if num_stages < 1:
+    def __post_init__(self):
+        T, L = self.num_stages, self.num_openings
+        if T < 1:
             raise ValueError("need at least one stage")
-        if num_openings < 1:
+        if L < 1:
             raise ValueError("need at least one opening per stage")
-        openings = tuple(tuple(per_stage) for per_stage in openings)
-        if len(openings) != num_stages - 1:
+        openings = tuple(tuple(per_stage) for per_stage in self.openings)
+        if len(openings) != T - 1:
             raise ValueError(
-                f"expected openings for {num_stages - 1} stages, "
-                f"got {len(openings)}")
+                f"expected openings for {T - 1} stages, got {len(openings)}")
         for t, per_stage in enumerate(openings, start=2):
-            if len(per_stage) != num_openings:
+            if len(per_stage) != L:
                 raise ValueError(f"stage {t} has {len(per_stage)} openings, "
-                                 f"expected {num_openings}")
-        self.num_stages = num_stages
-        self.num_openings = num_openings
-        self.stage1 = stage1
-        self._openings = openings
+                                 f"expected {L}")
+        object.__setattr__(self, "openings", openings)
 
     def noise(self, stage: int, opening: int) -> NoiseRealization:
         """Realization of `opening` (0-based) at `stage` (1-based, >= 2)."""
         if stage < 2 or stage > self.num_stages:
             raise IndexError(f"stage {stage} has no sampled openings")
-        return self._openings[stage - 2][opening]
-
-    @property
-    def openings(self):
-        return self._openings
-
-    def __eq__(self, other):
-        return (isinstance(other, Lattice)
-                and self.num_stages == other.num_stages
-                and self.num_openings == other.num_openings
-                and self.stage1 == other.stage1
-                and self._openings == other._openings)
+        return self.openings[stage - 2][opening]
 
     def stage_noise(self, stage: int, opening: Optional[int]) -> NoiseRealization:
         return self.stage1 if stage == 1 else self.noise(stage, opening)
@@ -116,9 +106,6 @@ class PathStep:
 @dataclass(frozen=True)
 class PathRecord:
     steps: tuple
-
-    def __len__(self):
-        return len(self.steps)
 
     @property
     def total_cost(self) -> float:

@@ -75,7 +75,7 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     check_state(case, root_state)
     nodes = expand_tree(lattice, root_stage, cap)
     L = lattice.num_openings
-    lam, alpha = measure.lam, measure.alpha
+    mean, tail = measure.atom_weights(L)
     bld = LPBuilder()
 
     cols, ancestors = [], []
@@ -107,9 +107,9 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     def risk_terms(n):
         if not nodes[n].children:
             return []
-        terms = [(theta[(n, l)], (1.0 - lam) / L) for l in range(L)]
-        terms.append((zvar[n], lam))
-        terms += [(delta[(n, l)], lam / ((1.0 - alpha) * L)) for l in range(L)]
+        terms = [(theta[(n, l)], mean) for l in range(L)]
+        terms.append((zvar[n], measure.lam))
+        terms += [(delta[(n, l)], tail) for l in range(L)]
         return terms
 
     for n, node in enumerate(nodes):

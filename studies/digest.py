@@ -8,9 +8,13 @@ and on the benchmark's case shapes (``perfbench/cases.py``, read only):
 deep at case seeds 7 and 9, wide at 1 and 2, with the benchmark's
 training settings. Each line is ``case command output sha256``.
 
-``solve`` gives one digest per file it writes: ``convergence.csv`` and
-the ``bounds`` rows of ``policy.json`` with their ``wall_ms`` field
-removed, since that is a timing, and ``summary.json`` as written. The
+``solve`` gives one digest per file it writes, ``convergence.csv``
+with its ``wall_ms`` column removed, since that is a timing, and
+``summary.json`` as written, and one per top-level key of
+``policy.json``: the schema version, the fingerprint, the cut pool
+(dimensions and every cut list), the config block and the ``bounds``
+rows with their ``wall_ms`` field removed. Together those cover the
+whole file, and a change shows which part it moved. The
 other commands print rounded numbers, so their digests cover the full
 values their top-level call returned: the objective as ``float.hex``,
 and for ``simulate`` every path's openings, states, stage costs and
@@ -107,7 +111,9 @@ def solve_digests(rundir):
     with open(os.path.join(rundir, "policy.json")) as fh:
         policy = json.load(fh)
     policy["bounds"] = [row[:-1] for row in policy["bounds"]]
-    yield "policy.json", sha(json.dumps(policy, sort_keys=True))
+    for key in sorted(policy):
+        yield f"policy.json:{key}", sha(json.dumps(policy[key],
+                                                   sort_keys=True))
     with open(os.path.join(rundir, "summary.json"), "rb") as fh:
         yield "summary.json", sha(fh.read())
 

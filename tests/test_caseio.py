@@ -129,6 +129,34 @@ def test_missing_noise_entries_rejected():
     del doc["lattice"]["noises"][0][0]["inflows"]
     with pytest.raises(SchemaError, match="inflows"):
         parse_case_data(doc)
+    doc = hydro_case_dict()
+    doc["system"]["renewables"] = [{"name": "w1", "bus": "b1"}]
+    with pytest.raises(SchemaError, match=re.escape(
+            "lattice.stage1.renewable_caps: missing renewable(s) ['w1']")):
+        parse_case_data(doc)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("schema_version",), 2, "case.schema_version: expected 1, got 2"),
+    (("system", "deficit_cost"), None,
+     "system: missing key(s) ['deficit_cost']"),
+    (("system", "thermals", 0, "cap"), None,
+     "system.thermals[0]: missing key(s) ['cap']"),
+    (("lattice", "stages"), None, "lattice: missing key(s) ['stages']"),
+])
+def test_malformed_document_names_its_field(path, value, message):
+    # The entry at `path` is set to `value`, or deleted when it is None.
+    root = doc = minimal_case_dict()
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(SchemaError) as exc:
+        parse_case_data(root)
+    assert str(exc.value) == message
 
 
 def test_initial_state_override():
@@ -297,6 +325,10 @@ def test_truncated_policy_is_corrupt(tmp_path):
     path.write_text('{"schema_version": 1}')
     with pytest.raises(CorruptFile):
         read_policy(path)
+    path.write_text(blob.replace('"schema_version": 1',
+                                 '"schema_version": 2'))
+    with pytest.raises(CorruptFile, match="unsupported schema version"):
+        read_policy(path)
 
 
 def test_csv_contract_and_roundtrip(tmp_path):
@@ -320,3 +352,16 @@ def test_csv_contract_and_roundtrip(tmp_path):
         assert row["sampler"] == entry.sampler
     # odd alternating iterations leave UB fields blank
     assert any(",,,," in line for line in text.splitlines()[1:])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("iteration,lower_bound\n1,2.0\n", "unexpected CSV header"),
+    (",".join(CSV_COLUMNS) + "\n1,2.0,,,,risk\n", "ragged CSV row"),
+    (",".join(CSV_COLUMNS) + "\n", "no data rows"),
+    ("", "unexpected CSV header"),
+], ids=["header", "ragged", "no_rows", "empty"])
+def test_corrupt_convergence_csv(text, message, tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(CorruptFile, match=message):
+        read_convergence_csv(path)

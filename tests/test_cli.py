@@ -8,6 +8,7 @@ import pytest
 
 from casegen import random_case
 from hydrosddp.caseio import (
+    CSV_COLUMNS,
     CyclicCascade,
     DanglingReference,
     SchemaError,
@@ -157,6 +158,8 @@ def _bad_reference(kind):
         system["renewables"] = [{"name": "w1", "bus": "nowhere"}]
     elif kind == "upstream":
         system["hydros"][0]["upstream"] = ["nowhere"]
+    elif kind == "inflow_lags":
+        doc["initial_state"] = {"inflow_lags": {"nowhere": [1.0]}}
     elif kind == "repeated":
         system["hydros"].append(dict(system["hydros"][0], name="h2",
                                      upstream=["h1", "h1"]))
@@ -178,6 +181,8 @@ def _bad_reference(kind):
      "system.hydros[0].upstream: unknown hydro 'nowhere'"),
     ("cycle", CyclicCascade, "system.hydros[0].upstream: cascade cycle h1 -> h1"),
     ("repeated", SchemaError, "system: hydros[1].upstream: repeated hydro 'h1'"),
+    ("inflow_lags", DanglingReference,
+     "initial_state.inflow_lags: unknown hydro 'nowhere'"),
 ])
 def test_bad_references_exit_2_with_field_path(kind, error, message,
                                                tmp_path, capsys):
@@ -227,6 +232,8 @@ def _out_of_range(kind):
         doc["initial_state"] = {"storages": {"h1": 50.0}}
     elif kind == "demand":
         system["buses"][0]["demand"] = [10.0, -1.0]
+    elif kind in ("stages", "openings"):
+        doc["lattice"][kind] = 0
     else:
         system["deficit_cost"] = 1.0
     return doc
@@ -241,6 +248,8 @@ def _out_of_range(kind):
     ("thermal", "system: thermals[1]: negative data"),
     ("initial_state", "initial_state.storages.h1: out of bounds [0, 10.0]"),
     ("demand", "system: buses[0]: negative demand"),
+    ("stages", "lattice: stages and openings must be >= 1"),
+    ("openings", "lattice: stages and openings must be >= 1"),
     ("deficit", "system: deficit_cost: must exceed thermals[0].cost"),
 ])
 def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
@@ -387,6 +396,79 @@ def test_plot_of_non_numeric_csv_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "non-numeric" in err
     assert not (tmp_path / "convergence.svg").exists()
+
+
+def _unusable_path(kind, tmp_path):
+    """argv of a command whose case, run directory or output path is
+    unusable in the way `kind` names."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(minimal_case_dict()))
+    solve = ["solve", str(case), "--iters", "1", "--min-iters", "1", "--out"]
+    header = ",".join(CSV_COLUMNS) + "\n"
+    if kind == "out_is_file":
+        return solve + [str(afile)]
+    if kind == "out_below_file":
+        return solve + [str(afile / "sub")]
+    if kind == "case_not_utf8":
+        case.write_bytes(b"\xff\xfe" + case.read_bytes())
+        return ["detequiv", str(case)]
+    if kind == "plot_file":
+        return ["plot", str(afile)]
+    (tmp_path / "convergence.csv").write_bytes(
+        header.encode() if kind == "csv_header_only"
+        else b"\xff\xfe" + header.encode() + b"1,2.0,,,,risk,1.0\n")
+    return ["plot", str(tmp_path)]
+
+
+@pytest.mark.parametrize("kind", ["out_is_file", "out_below_file",
+                                  "case_not_utf8", "csv_header_only",
+                                  "csv_not_utf8", "plot_file"])
+def test_unusable_paths_exit_2(kind, tmp_path, capsys):
+    argv = _unusable_path(kind, tmp_path)
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_plot_onto_a_directory_exits_2_and_leaves_no_temporary(
+        mini_case, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(mini_case), "--iters", "1",
+                    "--min-iters", "1", "--out", str(outdir)]) == 0
+    target = tmp_path / "taken"
+    target.mkdir()
+    capsys.readouterr()
+    assert run_cli(["plot", str(outdir), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert list(target.iterdir()) == []
+
+
+def test_plot_of_a_one_iteration_run(mini_case, tmp_path, capsys):
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(mini_case), "--iters", "1",
+                    "--min-iters", "1", "--out", str(outdir)]) == 0
+    assert len(read_convergence_csv(outdir / "convergence.csv")) == 1
+    assert run_cli(["plot", str(outdir)]) == 0
+    svg = (outdir / "convergence.svg").read_text()
+    assert "polyline" in svg and svg.rstrip().endswith("</svg>")
+
+
+def test_tree_lp_that_cannot_certify_its_point_exits_3(capsys):
+    # At alpha just below 1 the basic values of the demo's tree LP
+    # drift off its rows; the solve must fail, not print a wrong optimum
+    # (HiGHS gives 38.361930, the demo's training LB).
+    demo = os.path.join(os.path.dirname(__file__), "..", "cases", "demo.json")
+    assert run_cli(["detequiv", demo, "--lambda", "1",
+                    "--alpha", "0.999999"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_flags_override_case_defaults(closed_form_case, tmp_path):

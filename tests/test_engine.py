@@ -75,7 +75,7 @@ def test_cut_pool_shape_and_validation():
     pool = CutPool(3, 2, 1)
     pool.append(1, 0, Cut(np.zeros(1), np.zeros(1), 5.0))
     assert len(pool) == 1
-    assert pool.slice_or_none(3) is None
+    assert pool.slice(3) is None
     assert [len(c) for c in pool.slice(1)] == [1, 0]
     with pytest.raises(ValueError):
         pool.append(1, 0, Cut(np.zeros(2), np.zeros(2), 0.0))
@@ -155,7 +155,7 @@ def test_forward_single_stage_no_sampling():
                              SamplerMode.RISK_ADJUSTED, 1, 3, seed=0)
     assert len(paths) == 3
     for p in paths:
-        assert len(p) == 1
+        assert len(p.steps) == 1
         assert p.steps[0].opening is None
         assert p.steps[0].weights is None
     assert lb == pytest.approx(20.0, abs=1e-8)
@@ -361,7 +361,7 @@ def test_cut_validity_against_oracle():
             state = in_bounds_state(rng, case)
             exact = exact_cost_to_go(case, lattice, BLEND, t + 1, state, l)
             for cut in cuts:
-                assert cut.value_at(state.flatten()) <= exact + 1e-6
+                assert cut.intercept + cut.gradient @ (state.flatten() - cut.anchor) <= exact + 1e-6
 
 
 def test_naive_uniform_ub_underestimates_risk_averse_cost():

@@ -17,6 +17,7 @@ from hydrosddp.hydro import (
     SystemCase,
     Thermal,
     build_stage_lp,
+    check_state,
     initial_state,
     solve_stage,
 )
@@ -142,6 +143,22 @@ def test_state_dimension_validation():
     with pytest.raises(DimensionMismatch):
         solve_stage(StageTemplate(case, lattice, 1, None, NEUTRAL),
                     StateVector([1.0, 2.0], [(), ()]), QUIET)
+    with pytest.raises(DimensionMismatch, match="lag list"):
+        check_state(case, StateVector([1.0], []))
+
+
+def test_build_stage_lp_rejects_stage_and_cut_dimensions():
+    case, lattice = hydro_case(T=2)
+    state = initial_state(case)
+    for t in (0, 3):
+        with pytest.raises(DimensionMismatch, match="outside 1..2"):
+            build_stage_lp(case, t, state, lattice.stage1, None, NEUTRAL,
+                           2, 1)
+    # The case's state has one coordinate, the storage of h1.
+    cut = Cut(np.zeros(2), np.zeros(2), 1.0)
+    with pytest.raises(DimensionMismatch, match="cut gradient dimension"):
+        build_stage_lp(case, 1, state, lattice.stage1, [[cut]], NEUTRAL,
+                       2, 1)
 
 
 def test_infeasible_stage_is_internal_error():

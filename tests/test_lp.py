@@ -20,6 +20,7 @@ from hydrosddp.lp import (
     LinearProgram,
     LPBuilder,
     MalformedProgram,
+    NumericalFailure,
     solve,
 )
 from oracles import dense_program
@@ -173,6 +174,36 @@ def test_malformed_programs():
     for cost in (np.nan, np.inf, -np.inf):
         with pytest.raises(MalformedProgram, match="objective"):
             dense_program([cost], [0.0], [1.0], [[1.0]], [LESS], [1.0])
+    # A row entry that names a missing column.
+    for col in (-1, 1):
+        bld = LPBuilder()
+        bld.add_var()
+        bld.add_row([(col, 1.0)], LESS, 1.0)
+        with pytest.raises(MalformedProgram, match="out of range"):
+            bld.build()
+
+
+@pytest.mark.parametrize("rows, senses, rhs", [
+    ([[1.0]], [LESS], [4.0]),         # the drift breaks the row x <= 4
+    (np.zeros((0, 1)), [], []),       # the drift breaks the bound x <= 10
+])
+def test_drifted_optimal_point_raises(rows, senses, rhs, monkeypatch):
+    # min -x over x in [0, 10] ends at the row or the bound. A sweep that
+    # returns the point moved by 1 must not be reported optimal.
+    import hydrosddp.lp as lp_module
+
+    lp = dense_program([-1.0], [0.0], [10.0], rows, senses, rhs)
+    assert solve(lp).status == OPTIMAL
+    sweep = lp_module._iterate
+
+    def drifted(*args):
+        result = sweep(*args)
+        args[5][0] += 1.0                 # x, the point it returns
+        return result
+
+    monkeypatch.setattr(lp_module, "_iterate", drifted)
+    with pytest.raises(NumericalFailure, match="misses a row or bound"):
+        solve(lp)
 
 
 def test_stamp_checks_the_vectors_it_replaces():

@@ -26,6 +26,13 @@ def test_lattice_shape_validation():
         Lattice(3, 2, quiet, [[quiet, quiet]])  # missing stage 3
     with pytest.raises(ValueError):
         Lattice(2, 2, quiet, [[quiet]])  # short opening list
+    with pytest.raises(ValueError, match="at least one opening"):
+        Lattice(2, 0, quiet, [[]])
+    # Openings are held as tuples, so lattices built from lists and from
+    # tuples of equal noises are equal.
+    assert flat_lattice(3, 2) == Lattice(3, 2, quiet, ((quiet, quiet),) * 2)
+    assert flat_lattice(3, 2).openings == ((quiet, quiet),) * 2
+    assert flat_lattice(3, 2) != flat_lattice(3, 1)
     lat = flat_lattice(3, 2)
     assert lat.stage_noise(1, None) is quiet or isinstance(lat.stage1, NoiseRealization)
     with pytest.raises(IndexError):

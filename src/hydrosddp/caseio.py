@@ -7,9 +7,18 @@ and the hydro cascade must be acyclic. The fingerprint is a SHA-256
 over a canonical key-sorted serialization of the parsed content, so
 formatting changes never alter it while any semantic change does.
 
+Each list of the system block (buses, lines, thermals, hydros,
+renewables) is declared once, in ``_RECORDS``: its record type from
+``hydro`` and a reader per case-file key. The key check, the reads and
+``case_to_dict``'s records all follow that declaration, and a key is
+optional exactly when its field has a default.
+
 Policy files round-trip cut coefficients at full float precision
 (Python's repr-based JSON floats) and embed the case fingerprint so a
-policy can never silently be replayed against a mutated case.
+policy can never silently be replayed against a mutated case. A
+policy's ``bounds`` rows and the rows of ``convergence.csv`` are both
+``BoundsEntry`` values in its field order, ``CSV_COLUMNS``, and both
+readers check a row with the same rule.
 """
 
 from __future__ import annotations
@@ -134,16 +143,18 @@ def _list(obj, key, path):
     return v
 
 
-def _strlist(v, path):
+def _strlist(obj, key, path):
+    v = obj.get(key)
     if not isinstance(v, list) or any(not isinstance(x, str) for x in v):
-        raise SchemaError(f"{path}: expected a list of strings")
+        raise SchemaError(f"{path}.{key}: expected a list of strings")
     return tuple(v)
 
 
-def _numlist(v, path):
+def _numlist(obj, key, path):
+    v = obj.get(key)
     if not isinstance(v, list) or not all(map(_finite, v)):
-        raise SchemaError(f"{path}: expected a list of finite numbers")
-    return [float(x) for x in v]
+        raise SchemaError(f"{path}.{key}: expected a list of finite numbers")
+    return tuple(float(x) for x in v)
 
 
 def _nummap(obj, key, path, allowed_names, kind):
@@ -158,6 +169,39 @@ def _nummap(obj, key, path, allowed_names, kind):
             raise SchemaError(f"{path}.{key}.{name}: expected a finite number")
         out[name] = float(v)
     return out
+
+
+# Each list of the system block, by its case-file key: the record type
+# and a reader per key of a record. A key sets the field of its name, but
+# for the keys of _FIELD_OF, and it is optional exactly when that field
+# has a default, which an absent key keeps.
+_RECORDS = {
+    "buses": (Bus, {"name": _str, "demand": _numlist}),
+    "lines": (Line, {"from": _str, "to": _str, "capacity": _num}),
+    "thermals": (Thermal, {"name": _str, "bus": _str, "cost": _num,
+                           "cap": _num}),
+    "hydros": (Hydro, {"name": _str, "bus": _str, "max_storage": _num,
+                       "max_turbine": _num, "production": _num,
+                       "upstream": _strlist, "ar_coeffs": _numlist,
+                       "initial_storage": _num, "initial_lags": _numlist}),
+    "renewables": (Renewable, {"name": _str, "bus": _str}),
+}
+_FIELD_OF = {"from": "from_bus", "to": "to_bus"}
+
+
+def _records(system, key) -> list:
+    """The records of the list ``system[key]``, read by ``_RECORDS``."""
+    cls, readers = _RECORDS[key]
+    optional = {f.name for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    required = [k for k in readers if _FIELD_OF.get(k, k) not in optional]
+    records = []
+    for i, raw in enumerate(_list(system, key, "system")):
+        path = f"system.{key}[{i}]"
+        _expect_keys(raw, path, required, readers)
+        records.append(cls(**{_FIELD_OF.get(k, k): read(raw, k, path)
+                              for k, read in readers.items() if k in raw}))
+    return records
 
 
 # Run settings by their case-file names, grouped by the case-file block
@@ -241,56 +285,18 @@ def parse_case_data(data) -> ParsedCase:
     if T < 1 or L < 1:
         raise SchemaError("lattice: stages and openings must be >= 1")
 
-    buses = []
-    for i, raw in enumerate(_list(sysraw, "buses", "system")):
-        path = f"system.buses[{i}]"
-        _expect_keys(raw, path, ("name", "demand"))
-        demand = _numlist(raw["demand"], f"{path}.demand")
-        if len(demand) != T:
-            raise SchemaError(f"{path}.demand: expected {T} stage values, "
-                              f"got {len(demand)}")
-        buses.append(Bus(_str(raw, "name", path), tuple(demand)))
+    buses = _records(sysraw, "buses")
+    for i, b in enumerate(buses):
+        if len(b.demand) != T:
+            raise SchemaError(f"system.buses[{i}].demand: expected {T} stage "
+                              f"values, got {len(b.demand)}")
     if not buses:
         raise SchemaError("system.buses: need at least one bus")
     bus_names = {b.name for b in buses}
-
-    lines = []
-    for i, raw in enumerate(_list(sysraw, "lines", "system")):
-        path = f"system.lines[{i}]"
-        _expect_keys(raw, path, ("from", "to", "capacity"))
-        lines.append(Line(_str(raw, "from", path), _str(raw, "to", path),
-                          _num(raw, "capacity", path)))
-
-    thermals = []
-    for i, raw in enumerate(_list(sysraw, "thermals", "system")):
-        path = f"system.thermals[{i}]"
-        _expect_keys(raw, path, ("name", "bus", "cost", "cap"))
-        thermals.append(Thermal(_str(raw, "name", path), _str(raw, "bus", path),
-                                _num(raw, "cost", path), _num(raw, "cap", path)))
-
-    hydros = []
-    hydro_names = set()
-    for i, raw in enumerate(_list(sysraw, "hydros", "system")):
-        path = f"system.hydros[{i}]"
-        _expect_keys(raw, path,
-                     ("name", "bus", "max_storage", "max_turbine",
-                      "production"),
-                     ("upstream", "ar_coeffs", "initial_storage",
-                      "initial_lags"))
-        hydros.append(Hydro(
-            name=_str(raw, "name", path),
-            bus=_str(raw, "bus", path),
-            max_storage=_num(raw, "max_storage", path),
-            max_turbine=_num(raw, "max_turbine", path),
-            production=_num(raw, "production", path),
-            upstream=_strlist(raw.get("upstream", []), f"{path}.upstream"),
-            ar_coeffs=tuple(_numlist(raw.get("ar_coeffs", []),
-                                     f"{path}.ar_coeffs")),
-            initial_storage=_num(raw, "initial_storage", path, default=0.0),
-            initial_lags=tuple(_numlist(raw.get("initial_lags", []),
-                                        f"{path}.initial_lags")),
-        ))
-        hydro_names.add(hydros[-1].name)
+    lines = _records(sysraw, "lines")
+    thermals = _records(sysraw, "thermals")
+    hydros = _records(sysraw, "hydros")
+    hydro_names = {h.name for h in hydros}
 
     # An initial_state block overrides the per-hydro defaults, so the
     # system itself stays the single source of the starting state.
@@ -313,22 +319,16 @@ def parse_case_data(data) -> ParsedCase:
                                       f"out of bounds [0, {h.max_storage}]")
                 changes["initial_storage"] = storages[h.name]
             if h.name in lagmap:
-                lags = _numlist(lagmap[h.name],
-                                f"initial_state.inflow_lags.{h.name}")
+                lags = _numlist(lagmap, h.name, "initial_state.inflow_lags")
                 if len(lags) != len(h.ar_coeffs):
                     raise SchemaError(
                         f"initial_state.inflow_lags.{h.name}: expected "
                         f"{len(h.ar_coeffs)} lags")
-                changes["initial_lags"] = tuple(lags)
+                changes["initial_lags"] = lags
             if changes:
                 hydros[j] = dataclasses.replace(h, **changes)
 
-    renewables = []
-    for i, raw in enumerate(_list(sysraw, "renewables", "system")):
-        path = f"system.renewables[{i}]"
-        _expect_keys(raw, path, ("name", "bus"))
-        renewables.append(Renewable(_str(raw, "name", path),
-                                    _str(raw, "bus", path)))
+    renewables = _records(sysraw, "renewables")
     renewable_names = {r.name for r in renewables}
 
     deficit_cost = _num(sysraw, "deficit_cost", "system")
@@ -393,29 +393,23 @@ def _noise_dict(noise: NoiseRealization) -> dict:
             "demand": dict(sorted(noise.demand.items()))}
 
 
+def _record_dict(record, readers) -> dict:
+    doc = {}
+    for key in readers:
+        value = getattr(record, _FIELD_OF.get(key, key))
+        doc[key] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
 def case_to_dict(system: SystemCase, lattice: Lattice) -> dict:
     """Schema-conformant document for the in-memory case."""
     initial = initial_state(system)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": {
-            "buses": [{"name": b.name, "demand": list(b.demand)}
-                      for b in system.buses],
-            "lines": [{"from": l.from_bus, "to": l.to_bus,
-                       "capacity": l.capacity} for l in system.lines],
-            "thermals": [{"name": t.name, "bus": t.bus, "cost": t.cost,
-                          "cap": t.cap} for t in system.thermals],
-            "hydros": [{"name": h.name, "bus": h.bus,
-                        "max_storage": h.max_storage,
-                        "max_turbine": h.max_turbine,
-                        "production": h.production,
-                        "upstream": list(h.upstream),
-                        "ar_coeffs": list(h.ar_coeffs),
-                        "initial_storage": h.initial_storage,
-                        "initial_lags": list(h.initial_lags)}
-                       for h in system.hydros],
-            "renewables": [{"name": r.name, "bus": r.bus}
-                           for r in system.renewables],
+            **{key: [_record_dict(record, readers)
+                     for record in getattr(system, key)]
+               for key, (_, readers) in _RECORDS.items()},
             "deficit_cost": system.deficit_cost,
             "future_lower_bound": system.future_lower_bound,
         },
@@ -460,33 +454,9 @@ def write_policy(policy: TrainedPolicy, path) -> None:
                 for (t, l), cuts in sorted(policy.cuts.items())},
         },
         "config": config_to_dict(policy.config),
-        "bounds": [[e.iteration, e.lower_bound, e.ub_mean, e.ub_stderr,
-                    e.ub_samples, e.sampler, e.wall_ms]
-                   for e in policy.bounds],
+        "bounds": [dataclasses.astuple(e) for e in policy.bounds],
     }
     _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-
-
-def _bounds_entry(row, path) -> BoundsEntry:
-    """One row of a policy's ``bounds``, as ``write_policy`` writes it:
-    iteration, LB, UB mean, UB standard error, UB sample count, sampler
-    and wall milliseconds."""
-    if not isinstance(row, list) or len(row) != 7:
-        raise SchemaError(f"{path}: expected a list of 7 fields")
-    iteration, lb, mean, stderr, samples, sampler, wall_ms = row
-
-    def count(v):
-        return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-    def number(v, optional=False):
-        return (v is None and optional) or _finite(v)
-
-    if not (count(iteration) and number(lb) and number(mean, True)
-            and number(stderr, True) and (samples is None or count(samples))
-            and sampler in [m.value for m in SamplerMode]
-            and number(wall_ms) and wall_ms >= 0):
-        raise SchemaError(f"{path}: malformed row {row!r}")
-    return BoundsEntry(iteration, lb, mean, stderr, samples, sampler, wall_ms)
 
 
 def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
@@ -537,8 +507,32 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
 # ---------------------------------------------------------------------------
 # Convergence CSV (fixed column contract)
 
-CSV_COLUMNS = ("iteration", "lower_bound", "ub_mean", "ub_stderr",
-               "ub_samples", "sampler", "wall_ms")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(BoundsEntry))
+# The type each column holds; a CSV cell is empty for None.
+_COLUMN_KINDS = (int, float, float, float, int, str, float)
+
+
+def _bounds_entry(row, path) -> BoundsEntry:
+    """The BoundsEntry of one bounds row, a list of its field values in
+    ``CSV_COLUMNS`` order: a policy's ``bounds`` row as ``write_policy``
+    writes it, or a convergence CSV row converted by ``_COLUMN_KINDS``."""
+    if not isinstance(row, list) or len(row) != len(CSV_COLUMNS):
+        raise CorruptFile(
+            f"{path}: expected a list of {len(CSV_COLUMNS)} fields")
+    iteration, lb, mean, stderr, samples, sampler, wall_ms = row
+
+    def count(v):
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 1
+
+    def number(v, optional=False):
+        return (v is None and optional) or _finite(v)
+
+    if not (count(iteration) and number(lb) and number(mean, True)
+            and number(stderr, True) and (samples is None or count(samples))
+            and sampler in [m.value for m in SamplerMode]
+            and number(wall_ms) and wall_ms >= 0):
+        raise CorruptFile(f"{path}: malformed row {row!r}")
+    return BoundsEntry(*row)
 
 
 def bounds_to_csv(bounds) -> str:
@@ -550,21 +544,16 @@ def bounds_to_csv(bounds) -> str:
     """
     lines = [",".join(CSV_COLUMNS)]
     for e in bounds:
-        lines.append(",".join((
-            str(e.iteration),
-            repr(float(e.lower_bound)),
-            "" if e.ub_mean is None else repr(float(e.ub_mean)),
-            "" if e.ub_stderr is None else repr(float(e.ub_stderr)),
-            "" if e.ub_samples is None else str(e.ub_samples),
-            e.sampler,
-            repr(float(e.wall_ms)),
-        )))
+        lines.append(",".join(
+            "" if v is None else repr(float(v)) if kind is float else str(v)
+            for v, kind in zip(dataclasses.astuple(e), _COLUMN_KINDS)))
     return "\n".join(lines) + "\n"
 
 
 def read_convergence_csv(path) -> list:
-    """Parse a convergence CSV back into dict rows (None for blanks); it
-    must hold at least one row."""
+    """Parse a convergence CSV back into dict rows keyed by
+    ``CSV_COLUMNS`` (None for blanks); it must hold at least one row, and
+    each row must pass the checks of a policy's bounds rows."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -580,17 +569,11 @@ def read_convergence_csv(path) -> list:
         if len(parts) != len(CSV_COLUMNS):
             raise CorruptFile(f"{path}: ragged CSV row {ln!r}")
         try:
-            rows.append({
-                "iteration": int(parts[0]),
-                "lower_bound": float(parts[1]),
-                "ub_mean": float(parts[2]) if parts[2] else None,
-                "ub_stderr": float(parts[3]) if parts[3] else None,
-                "ub_samples": int(parts[4]) if parts[4] else None,
-                "sampler": parts[5],
-                "wall_ms": float(parts[6]),
-            })
+            values = [None if p == "" else kind(p)
+                      for p, kind in zip(parts, _COLUMN_KINDS)]
         except ValueError:
             raise CorruptFile(f"{path}: non-numeric CSV field in {ln!r}") from None
+        rows.append(dataclasses.asdict(_bounds_entry(values, path)))
     return rows
 
 

@@ -103,13 +103,13 @@ def resolve_config(base: EngineConfig, args) -> EngineConfig:
 def cmd_solve(args) -> int:
     parsed = parse_case(args.case)
     config = resolve_config(parsed.config, args)
+    stem = os.path.splitext(os.path.basename(args.case))[0]
+    outdir = args.out or f"{stem}-run"
+    os.makedirs(outdir, exist_ok=True)
     policy = train(parsed.system, parsed.lattice, config,
                    fingerprint=parsed.fingerprint)
     bounds = policy.bounds
 
-    stem = os.path.splitext(os.path.basename(args.case))[0]
-    outdir = args.out or f"{stem}-run"
-    os.makedirs(outdir, exist_ok=True)
     caseio._atomic_write(os.path.join(outdir, "convergence.csv"),
                          bounds_to_csv(bounds))
     write_policy(policy, os.path.join(outdir, "policy.json"))

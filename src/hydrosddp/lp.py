@@ -18,8 +18,8 @@ degenerate pivots. The sweep keeps the basic values, bounds and costs
 in basis order, so an iteration gathers nothing by the basis.
 
 A program builds the part of its equality form that its right-hand
-sides and upper bounds do not touch once, at its first solve or stamp,
-and keeps it until it dies. ``stamp(rhs, upper)`` makes a program that
+sides and upper bounds do not touch once, when it is made, and keeps
+it until it dies. ``stamp(rhs, upper)`` makes a program that
 differs only in those two vectors, checks just them, and shares all
 else, the form included, so a stamped solve sets up only its starting
 point and artificials.
@@ -159,7 +159,7 @@ class LinearProgram:
                 f"the matrix must be given as Nonzeros, not "
                 f"{type(nonzeros).__name__}")
         self.nonzeros = _checked(nonzeros, m, n)
-        self._form = None
+        self._form = _EqualityForm(self)
 
     def stamp(self, rhs, upper) -> LinearProgram:
         """This program with ``rhs`` and ``upper`` in place of its
@@ -171,13 +171,8 @@ class LinearProgram:
         lp.upper = _checked_upper(self.lower, upper)
         lp.nonzeros, lp.senses = self.nonzeros, self.senses
         lp.rhs = _checked_rhs(rhs, self.num_rows)
-        lp._form = self._equality_form()
+        lp._form = self._form
         return lp
-
-    def _equality_form(self) -> _EqualityForm:
-        if self._form is None:
-            self._form = _EqualityForm(self)
-        return self._form
 
     @property
     def rows(self) -> np.ndarray:
@@ -391,7 +386,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     convention documented at module level.
     """
     n, m = lp.num_vars, lp.num_rows
-    form = lp._equality_form()
+    form = lp._form
     dense = form.dense
     b = lp.rhs
     ncols = n + m

@@ -47,22 +47,18 @@ class TreeNode:
 
 
 def expand_tree(lattice: Lattice, root_stage: int, cap: int = NODE_CAP):
-    """Breadth-first node list of the subtree rooted at `root_stage`."""
+    """Breadth-first node list of the subtree rooted at `root_stage`:
+    node k > 0 is opening (k - 1) % L below node (k - 1) // L."""
     depth = lattice.num_stages - root_stage
     L = lattice.num_openings
     count = sum(L ** d for d in range(depth + 1))
     if count > cap:
         raise TreeTooLarge(f"{count} tree nodes exceed the cap of {cap}")
     nodes = [TreeNode(root_stage, None, None)]
-    frontier = [0]
-    for stage in range(root_stage + 1, lattice.num_stages + 1):
-        next_frontier = []
-        for parent in frontier:
-            for l in range(L):
-                nodes.append(TreeNode(stage, l, parent))
-                nodes[parent].children.append(len(nodes) - 1)
-                next_frontier.append(len(nodes) - 1)
-        frontier = next_frontier
+    for k in range(1, count):
+        parent = (k - 1) // L
+        nodes.append(TreeNode(nodes[parent].stage + 1, (k - 1) % L, parent))
+        nodes[parent].children.append(k)
     return nodes
 
 

@@ -2,8 +2,8 @@
 
     python3 studies/digest.py > digests.txt    # from the root of a checkout
 
-Runs ``solve``, ``evaluate``, ``simulate`` (risk and uniform) and
-``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
+Runs ``solve``, ``plot``, ``evaluate``, ``simulate`` (risk and uniform)
+and ``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
 and on the benchmark's case shapes (``perfbench/cases.py``, read only):
 deep at case seeds 7 and 9, wide at 1 and 2, with the benchmark's
 training settings. Each line is ``case command output sha256``.
@@ -14,8 +14,10 @@ with its ``wall_ms`` column removed, since that is a timing, and
 ``policy.json``: the schema version, the fingerprint, the cut pool
 (dimensions and every cut list), the config block and the ``bounds``
 rows with their ``wall_ms`` field removed. Together those cover the
-whole file, and a change shows which part it moved. The
-other commands print rounded numbers, so their digests cover the full
+whole file, and a change shows which part it moved. ``plot`` of the
+run directory gives the digest of ``convergence.svg``, which reads no
+``wall_ms``, so it covers the CSV reader and the chart. The other
+commands print rounded numbers, so their digests cover the full
 values their top-level call returned: the objective as ``float.hex``,
 and for ``simulate`` every path's openings, states, stage costs and
 sampling weights, then the mean and standard error. ``detequiv`` gives
@@ -124,6 +126,9 @@ def case_digests(label, case, flags, workdir):
     run(["solve", case, *flags, "--out", rundir])
     for output, digest in solve_digests(rundir):
         yield "solve", output, digest
+    run(["plot", rundir])
+    with open(os.path.join(rundir, "convergence.svg"), "rb") as fh:
+        yield "plot", "convergence.svg", sha(fh.read())
     value = run(["evaluate", case, "--policy", policy],
                 (cli, "evaluate_policy_exact"))["evaluate_policy_exact"]
     yield "evaluate", "value", sha(float_bytes(value))

@@ -24,7 +24,12 @@ from hydrosddp.caseio import (
     read_policy,
     write_policy,
 )
-from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
+from hydrosddp.engine import (
+    BoundsEntry,
+    EngineConfig,
+    evaluate_policy_exact,
+    train,
+)
 from hydrosddp.hydro import initial_state
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import SamplerMode
@@ -359,9 +364,36 @@ def test_csv_contract_and_roundtrip(tmp_path):
     (",".join(CSV_COLUMNS) + "\n1,2.0,,,,risk\n", "ragged CSV row"),
     (",".join(CSV_COLUMNS) + "\n", "no data rows"),
     ("", "unexpected CSV header"),
-], ids=["header", "ragged", "no_rows", "empty"])
+    (",".join(CSV_COLUMNS) + "\n1,nan,,,,risk,1.0\n", "malformed row"),
+    (",".join(CSV_COLUMNS) + "\n1,2.0,inf,0.5,4,risk,1.0\n", "malformed row"),
+    (",".join(CSV_COLUMNS) + "\n0,2.0,,,,risk,1.0\n", "malformed row"),
+    (",".join(CSV_COLUMNS) + "\n1,2.0,3.0,0.5,0,risk,1.0\n", "malformed row"),
+    (",".join(CSV_COLUMNS) + "\n1,2.0,,,,bogus,1.0\n", "malformed row"),
+    (",".join(CSV_COLUMNS) + "\n1,2.0,,,,risk,-5\n", "malformed row"),
+], ids=["header", "ragged", "no_rows", "empty", "nan_lb", "inf_ub_mean",
+        "iteration_0", "ub_samples_0", "sampler_bogus", "negative_wall_ms"])
 def test_corrupt_convergence_csv(text, message, tmp_path):
     path = tmp_path / "c.csv"
     path.write_text(text)
     with pytest.raises(CorruptFile, match=message):
         read_convergence_csv(path)
+
+
+def test_csv_text_is_pinned():
+    # studies/digest.py drops wall_ms, so this pins its format: repr
+    # of a float, 1.0 and not 1, and empty cells for the UB fields.
+    bounds = [BoundsEntry(1, np.float64(12.5), None, None, None, "risk", 1.0),
+              BoundsEntry(2, np.float64(0.1) + np.float64(0.2), 14.75, 0.125,
+                          4, "uniform", 1.0)]
+    assert bounds_to_csv(bounds) == (
+        "iteration,lower_bound,ub_mean,ub_stderr,ub_samples,sampler,wall_ms\n"
+        "1,12.5,,,,risk,1.0\n"
+        "2,0.30000000000000004,14.75,0.125,4,uniform,1.0\n")
+
+
+def test_demo_fingerprint_is_pinned():
+    # A policy trained on the demo case keeps loading against it only
+    # while the canonical document of the case keeps its bytes.
+    demo = Path(__file__).resolve().parent.parent / "cases" / "demo.json"
+    assert parse_case(demo).fingerprint == (
+        "c118731cb61639049de58e24a8f29a8742856c680551ff6112b42ba3cd52eb17")

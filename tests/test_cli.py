@@ -434,6 +434,27 @@ def test_unusable_paths_exit_2(kind, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["out_is_file", "out_below_file"])
+def test_unusable_out_exits_2_before_training(kind, tmp_path, monkeypatch,
+                                              capsys):
+    def train(*args, **kwargs):
+        raise AssertionError("trained before creating --out")
+
+    monkeypatch.setattr("hydrosddp.cli.train", train)
+    assert run_cli(_unusable_path(kind, tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_plot_of_a_nan_bound_exits_2(tmp_path, capsys):
+    # The row that read_policy would reject as a policy's bounds row.
+    (tmp_path / "convergence.csv").write_text(
+        ",".join(CSV_COLUMNS) + "\n1,nan,,,,risk,1.0\n")
+    assert run_cli(["plot", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed row" in err
+    assert not (tmp_path / "convergence.svg").exists()
+
+
 def test_plot_onto_a_directory_exits_2_and_leaves_no_temporary(
         mini_case, tmp_path, capsys):
     outdir = tmp_path / "run"

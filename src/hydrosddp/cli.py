@@ -126,6 +126,7 @@ def cmd_solve(args) -> int:
         "stage_solves": policy.stage_solves,
         "reused_solves": policy.reused_solves,
         "phase1_pivots": policy.phase1_pivots,
+        "start_fallbacks": policy.start_fallbacks,
         "phase2_pivots": policy.phase2_pivots,
         "lambda": config.measure.lam,
         "alpha": config.measure.alpha,

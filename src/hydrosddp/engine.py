@@ -194,6 +194,7 @@ class TrainedPolicy:
     reused_solves: int = 0   # stage solves training answered from its memo
     phase1_pivots: int = 0   # simplex iterations of those stage LPs
     phase2_pivots: int = 0
+    start_fallbacks: int = 0  # of those stage LPs, the ones that ran phase 1
 
 
 class StageMemo:
@@ -207,8 +208,10 @@ class StageMemo:
     lattice and measure are fixed for the memo's lifetime, so they stay
     out of the key; a pool whose shape does not fit the case and lattice
     raises DimensionMismatch. ``solves`` counts the stage LPs solved,
-    ``reuses`` the calls answered from a table, and ``phase1_pivots`` /
-    ``phase2_pivots`` the simplex iterations of the solved LPs.
+    ``reuses`` the calls answered from a table, ``phase1_pivots`` /
+    ``phase2_pivots`` the simplex iterations of the solved LPs, and
+    ``start_fallbacks`` the solved LPs whose crash start was set aside
+    for the two-phase path.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, cuts: CutPool,
@@ -226,6 +229,7 @@ class StageMemo:
         self.reuses = 0
         self.phase1_pivots = 0
         self.phase2_pivots = 0
+        self.start_fallbacks = 0
         # t -> (stage size, {(state bytes, opening): sol}, template)
         self._tables = {}
 
@@ -246,6 +250,7 @@ class StageMemo:
             self.solves += 1
             self.phase1_pivots += sol.phase1_pivots
             self.phase2_pivots += sol.phase2_pivots
+            self.start_fallbacks += sol.start_fallback
         else:
             self.reuses += 1
         return sol
@@ -362,7 +367,8 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
             break
 
     return TrainedPolicy(pool, bounds, config, fingerprint, memo.solves,
-                         memo.reuses, memo.phase1_pivots, memo.phase2_pivots)
+                         memo.reuses, memo.phase1_pivots, memo.phase2_pivots,
+                         memo.start_fallbacks)
 
 
 def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,

@@ -11,8 +11,9 @@ the state sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
 by its cut pool, aggregated through the CVaR linear form. A
 ``StageTemplate`` builds that LP once, when it is made, at the case's
-initial state and the stage's opening 0, and restamps it for each
-incoming state and noise.
+initial state and the stage's opening 0, restamps it for each incoming
+state and noise, and gives each stamp a feasible starting basis in
+closed form, so that its solve skips phase 1.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -228,6 +229,7 @@ class StageSolution:
     betas: Optional[np.ndarray]   # None at the terminal stage
     phase1_pivots: int = 0        # the stage LP's simplex iterations
     phase2_pivots: int = 0
+    start_fallback: bool = False  # the crash start was set aside
 
 
 def _renewable_cap(noise: NoiseRealization, re: Renewable) -> float:
@@ -343,12 +345,13 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                    num_stages: int, num_openings: int):
     """Stage-t subproblem as ``(LinearProgram, columns)``.
 
-    ``columns`` is ``dispatch_columns``' ``{key: column index}`` plus
-    ``("beta", l)``, the epigraph column of opening l, below the terminal
-    stage. The first ``case.state_dimension()`` rows are the copy rows
-    ``x_in = state_in``, in ``state_in.flatten()`` order, so the state
-    duals are ``duals[:case.state_dimension()]``; ``dispatch_rows``'
-    rows follow them.
+    ``columns`` is ``dispatch_columns``' ``{key: column index}`` plus,
+    below the terminal stage, ``("beta", l)`` and ``("delta", l)``, the
+    epigraph and CVaR excess columns of opening l. The first
+    ``case.state_dimension()`` rows are the copy rows ``x_in =
+    state_in``, in ``state_in.flatten()`` order, so the state duals are
+    ``duals[:case.state_dimension()]``; ``dispatch_rows``' rows follow
+    them, then per opening its CVaR row and its cut rows.
 
     ``cuts`` holds one cut list per opening of stage t+1 (ignored at the
     terminal stage); a cut contributes the row
@@ -376,13 +379,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
 
     if t < num_stages:
-        # Column index of every outgoing-state coordinate, in the same
-        # flattened order cuts use: storages first, then lags per hydro
-        # (newest outgoing lag is this stage's inflow variable).
-        state_cols = [cols["vout", h.name] for h in case.hydros]
-        for j, h in enumerate(case.hydros):
-            state_cols += ([cols["a", h.name]] + lagvar[j])[:len(h.ar_coeffs)]
-
+        state_cols = _outgoing_columns(case, cols, copies)
         L = num_openings
         mean, tail = measure.atom_weights(L)
         beta = [bld.add_var(case.future_lower_bound, np.inf, mean)
@@ -390,7 +387,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
         z = bld.add_var(-np.inf, np.inf, measure.lam)
         delta = [bld.add_var(0.0, np.inf, tail) for _ in range(L)]
         for l in range(L):
-            cols["beta", l] = beta[l]
+            cols["beta", l], cols["delta", l] = beta[l], delta[l]
             bld.add_row([(delta[l], 1.0), (beta[l], -1.0), (z, 1.0)],
                         GREATER, 0.0)
             for cut in cuts[l] if cuts is not None else ():
@@ -405,6 +402,20 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
                 bld.add_row(terms, GREATER, cut.offset)
 
     return bld.build(), cols
+
+
+def _outgoing_columns(case: SystemCase, cols: dict, copies) -> list:
+    """The column of every outgoing-state coordinate, in the flattened
+    order cuts use: storages first, then lags per hydro, the newest
+    outgoing lag being this stage's inflow column. ``copies`` are the
+    copy columns, in ``StateVector.flatten`` order."""
+    out = [cols["vout", h.name] for h in case.hydros]
+    k = len(case.hydros)
+    for h in case.hydros:
+        p = len(h.ar_coeffs)
+        out += ([cols["a", h.name]] + list(copies[k:k + p]))[:p]
+        k += p
+    return out
 
 
 class StageTemplate:
@@ -424,30 +435,129 @@ class StageTemplate:
     (caps). ``program`` copies those two vectors and stamps ``lp`` with
     them (``LinearProgram.stamp``), which shares every other array, since
     nothing writes a ``LinearProgram``, and ``lp``'s equality form, so a
-    solve sets up only what the stamp changes. The form is built at the
-    first stamp and freed with the template. The template also keeps the
+    solve sets up only what the stamp changes. The form is built with
+    ``lp`` and freed with the template. The template also keeps the
     column indices that ``solve_stage`` reads; ``beta_cols`` is empty
     exactly at the last stage.
+
+    ``start`` gives a stamp its crash start, a basis that is primal
+    feasible under nonnegative inflows, so that ``lp.solve`` skips phase
+    1. Every dispatch column but those named here sits at its lower
+    bound, and ``z`` at 0. Row by row, the basic column is:
+
+    - in each copy row, its copy column;
+    - in each AR row, the inflow column ``a``;
+    - in each mass row, taken in cascade order, ``vout``, or ``spill``
+      with ``vout`` at its cap when the incoming storage, the inflow and
+      the upstream spills overflow it;
+    - in each bus row, the bus's deficit column;
+    - in the cut rows of opening l, ``beta_l`` in the row most violated
+      at that point (the first of equal maxima) when its cut lies above
+      ``future_lower_bound``, and the slacks elsewhere;
+    - in the CVaR row of opening l, ``delta_l`` when ``beta_l > 0``, else
+      the row's slack.
+
+    The basis is triangular in that order. The cut values come from one
+    product with the cut block ``[gradient | offset]``, read off ``lp``
+    once, and their per-opening maxima from one reduction.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, t: int, cuts,
                  measure: RiskMeasure):
         self.case, self.t = case, t
-        self.lp, cols = build_stage_lp(case, t, initial_state(case),
-                                       lattice.stage_noise(t, 0), cuts,
-                                       measure, lattice.num_stages,
-                                       lattice.num_openings)
+        lp, cols = build_stage_lp(case, t, initial_state(case),
+                                  lattice.stage_noise(t, 0), cuts, measure,
+                                  lattice.num_stages, lattice.num_openings)
+        self.lp = lp
         # Row layout: the copy rows, then dispatch_rows' bus balance rows
-        # and each hydro's mass and AR rows.
+        # and each hydro's mass and AR rows, then each opening's CVaR row
+        # and cut rows.
+        hydros = case.hydros
+        n, m, H = lp.num_vars, lp.num_rows, len(hydros)
         d, buses = case.state_dimension(), len(case.buses)
         self.copy_rows = d
         self.demand_rows = np.arange(d, d + buses)
-        self.inflow_rows = d + buses + 1 + 2 * np.arange(len(case.hydros))
+        self.mass_rows = d + buses + 2 * np.arange(H)
+        self.inflow_rows = self.mass_rows + 1
         self.renewable_cols = [cols["r", re.name] for re in case.renewables]
         self.cost_terms = dispatch_cost(case, cols)
-        self.storage_cols = [cols["vout", h.name] for h in case.hydros]
-        self.inflow_cols = [cols["a", h.name] for h in case.hydros]
-        self.beta_cols = [c for key, c in cols.items() if key[0] == "beta"]
+        self.storage_cols = np.array([cols["vout", h.name] for h in hydros],
+                                     dtype=np.intp)
+        self.inflow_cols = [cols["a", h.name] for h in hydros]
+        self.beta_cols = np.array(
+            [c for key, c in cols.items() if key[0] == "beta"], dtype=np.intp)
+
+        # The crash start, but for the mass, cut and CVaR rows. Copy row
+        # k holds one entry, in the copy column of coordinate k.
+        nz = lp.nonzeros
+        on = nz.row < d
+        copies = np.empty(d, dtype=np.intp)
+        copies[nz.row[on]] = nz.col[on]
+        self.basis = np.arange(n, n + m)
+        self.basis[:d] = copies
+        self.basis[self.demand_rows] = [cols["deficit", b.name]
+                                        for b in case.buses]
+        self.basis[self.mass_rows] = self.storage_cols
+        self.basis[self.inflow_rows] = self.inflow_cols
+        self.spill = np.array([cols["spill", h.name] for h in hydros],
+                              dtype=np.intp)
+        self.caps = np.array([h.max_storage for h in hydros])
+        # a = inflow noise + ar @ (incoming state).
+        self.ar = np.zeros((H, d))
+        k = H
+        for j, h in enumerate(hydros):
+            self.ar[j, k:k + len(h.ar_coeffs)] = h.ar_coeffs
+            k += len(h.ar_coeffs)
+        # The cascade by levels: a hydro's level exceeds its upstreams',
+        # and level 0 has none.
+        index = {h.name: j for j, h in enumerate(hydros)}
+        upstream = np.zeros((H, H))
+        for j, h in enumerate(hydros):
+            upstream[j, [index[up] for up in h.upstream]] = 1.0
+        level = np.zeros(H, dtype=np.intp)
+        for _ in hydros:    # a chain has at most H - 1 links
+            level = np.where(upstream.any(axis=1), 1 + np.max(
+                np.where(upstream > 0, level, -1), axis=1, initial=-1), 0)
+        self.cascade = [(on, upstream[on]) for on in
+                        (np.flatnonzero(level == k)
+                         for k in range(1, level.max(initial=0) + 1))]
+
+        # Per opening: its CVaR row, then its cut rows.
+        L = self.beta_cols.size
+        self.delta = np.array([cols["delta", l] for l in range(L)],
+                              dtype=np.intp)
+        count = np.array([len(c) for c in cuts or [()] * L][:L],
+                         dtype=np.intp)
+        first = np.cumsum(count) - count          # of each opening's cuts
+        self.cvar_rows = d + buses + 2 * H + np.arange(L) + first
+        self.cvar_slacks = n + self.cvar_rows
+        is_cut = np.zeros(m, dtype=bool)
+        is_cut[d + buses + 2 * H:] = True
+        is_cut[self.cvar_rows] = False
+        self.cut_rows = np.flatnonzero(is_cut)
+        K = self.cut_rows.size
+        # by_opening[l, i]: opening l's i-th cut, K past its last.
+        slot = np.arange(count.max(initial=0))
+        self.by_opening = np.where(slot < count[:, None],
+                                   first[:, None] + slot, K)
+        # The cut block over the outgoing state, read off the cut rows
+        # ``beta_l - gradient . x_out >= offset``, and where each
+        # outgoing coordinate sits in ``[vout | a | incoming state]``.
+        out = np.array(_outgoing_columns(case, cols, copies), dtype=np.intp)
+        where = np.zeros(n, dtype=np.intp)
+        where[self.storage_cols] = np.arange(H)
+        where[self.inflow_cols] = H + np.arange(H)
+        where[copies] = 2 * H + np.arange(d)
+        self.out_pick = where[out]
+        rank = np.full(m, -1)
+        rank[self.cut_rows] = np.arange(K)
+        pos = np.full(n, -1)
+        pos[out] = np.arange(out.size)
+        on = (rank[nz.row] >= 0) & (pos[nz.col] >= 0)
+        self.cut_block = np.zeros((K, out.size + 1))
+        self.cut_block[rank[nz.row[on]], pos[nz.col[on]]] = -nz.val[on]
+        self.cut_block[:, -1] = lp.rhs[self.cut_rows]
+        self.floor = case.future_lower_bound
 
     def program(self, state_in: StateVector,
                 noise: NoiseRealization) -> LinearProgram:
@@ -466,13 +576,43 @@ class StageTemplate:
                                           for re in case.renewables]
         return lp.stamp(rhs, upper)
 
+    def start(self, lp: LinearProgram):
+        """The crash start ``(basis, at_upper)`` of ``lp``, a stamp of
+        this template, for ``lp.solve``."""
+        state = lp.rhs[:self.copy_rows]
+        a = lp.rhs[self.inflow_rows] + self.ar @ state
+        water = state[:self.caps.size] + a
+        spill = np.maximum(water - self.caps, 0.0)
+        for on, upstream in self.cascade:
+            water[on] += upstream @ spill
+            spill[on] = np.maximum(water[on] - self.caps[on], 0.0)
+        over = spill > 0.0
+        basis = self.basis.copy()
+        basis[self.mass_rows[over]] = self.spill[over]
+        beta = np.full(self.beta_cols.size, self.floor)
+        if self.cut_rows.size:
+            x_out = np.concatenate([np.minimum(water, self.caps), a,
+                                    state])[self.out_pick]
+            value = np.append(self.cut_block @ np.append(x_out, 1.0),
+                              -np.inf)[self.by_opening]
+            top = value.argmax(axis=1)
+            best = value[np.arange(top.size), top]
+            hit = best > self.floor
+            basis[self.cut_rows[self.by_opening[hit, top[hit]]]] = \
+                self.beta_cols[hit]
+            beta[hit] = best[hit]
+        basis[self.cvar_rows] = np.where(beta > 0.0, self.delta,
+                                         self.cvar_slacks)
+        return basis, self.storage_cols[over]
+
 
 def solve_stage(template: StageTemplate, state_in: StateVector,
                 noise: NoiseRealization) -> StageSolution:
     """Solve the template's stage LP at ``state_in`` and ``noise`` and
     unpack state, duals, and betas."""
     t, case = template.t, template.case
-    sol = solve(template.program(state_in, noise))
+    lp = template.program(state_in, noise)
+    sol = solve(lp, template.start(lp))
     if sol.status != OPTIMAL:
         raise StageInfeasible(
             f"stage {t} subproblem ended {sol.status}; deficit slack and "
@@ -489,6 +629,7 @@ def solve_stage(template: StageTemplate, state_in: StateVector,
     state_out = StateVector(storages, lags)
     dual = sol.duals[:case.state_dimension()].copy()
 
-    betas = x[template.beta_cols] if template.beta_cols else None
+    betas = x[template.beta_cols] if template.beta_cols.size else None
     return StageSolution(sol.objective, immediate, state_out, dual, betas,
-                         sol.phase1_pivots, sol.phase2_pivots)
+                         sol.phase1_pivots, sol.phase2_pivots,
+                         not sol.started)

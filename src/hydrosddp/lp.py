@@ -43,6 +43,14 @@ the bump, which LAPACK solves, every product on this path runs in
 numpy's own loops in a fixed order, so the BLAS thread count cannot
 move a pivot or the last bits of a result.
 
+A solve may be given a start: a basis, one column per row, and the
+nonbasic columns at their upper bounds. It is factored by the kernels'
+own inversion, and if it is nonsingular and its basic values lie within
+their bounds to phase 1's tolerance, only phase 2 runs, from it. Phase 1
+runs only without a start or after such a fallback; both paths share
+phase 2, the final check and the duals. The stage LPs get their start
+from ``hydro.StageTemplate.start``.
+
 Phase 1 starts from the slack basis. Each equality row that the
 starting point violates gets its own artificial column; all violated
 inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
@@ -50,8 +58,9 @@ in the most violated of them, so a program with many violated cut rows
 pays for one artificial instead of one per row. On both kernel sets
 the inverse of that basis is written down in closed form: bit for bit
 LAPACK's, and in value the sparse factorization's. Each solution
-reports its simplex iterations per phase (bound flips included) and
-its basis factorizations, that start among them.
+reports its simplex iterations per phase (bound flips included), its
+basis factorizations, that start among them, and whether phase 2 ran
+from the given start.
 The duals come from a fresh factorization of the final basis; when
 phase 2 makes no pivot, that is the one phase 2 started from, and it is
 not formed again.
@@ -244,7 +253,9 @@ class LPSolution:
     phase2_pivots: int = 0
     # Basis factorizations of either kind: dense inverses below
     # _SPARSE_ROWS rows, triangular-plus-bump factorizations from there.
+    # A start that the solve factored but did not take counts among them.
     refactorizations: int = 0
+    started: bool = False         # phase 2 ran from the given start
 
 
 class LPBuilder:
@@ -379,8 +390,15 @@ class _EqualityForm:
             self.dense[A.col, A.row] = A.val
 
 
-def solve(lp: LinearProgram) -> LPSolution:
+def solve(lp: LinearProgram, start=None) -> LPSolution:
     """Solve a LinearProgram; deterministic for a fixed input.
+
+    ``start``, if given, is a pair ``(basis, at_upper)``: ``basis[i]``
+    is the equality-form column basic in row i (``n + i`` is row i's
+    slack), and ``at_upper`` lists the nonbasic structural columns that
+    sit at their upper bound. Phase 2 runs from that basis when it is
+    nonsingular and its basic values lie within their bounds; otherwise
+    the solve runs the two-phase path, as without a start.
 
     Returns an LPSolution whose duals follow the rhs-derivative
     convention documented at module level.
@@ -391,97 +409,132 @@ def solve(lp: LinearProgram) -> LPSolution:
     b = lp.rhs
     ncols = n + m
     tol_feas = TOL_FEAS * (1.0 + abs(b).max(initial=0.0))
+    A = form.columns
 
     # Nonbasic structural variables sit at a finite bound, free ones at 0.
     has_lo, has_hi = form.has_lo, np.isfinite(lp.upper)
-    start = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
-    resid, gap = _row_gap(lp, form, start)
-
-    # Slack basis where the residual fits the slack bounds. The violated
-    # rows get artificial columns so phase 1 starts feasible: one per
-    # equality row, and one shared by all inequality rows.
-    violated = ~(np.abs(gap) <= _TOL_STEP)
-    art_rows = (violated & form.equality).nonzero()[0]
-    ineq_rows = (violated & ~form.equality).nonzero()[0]
-    n_art = art_rows.size + bool(ineq_rows.size)
-    size = ncols + n_art
-    vstat = np.empty(size, dtype=np.int8)
-    x = np.empty(size)
-    vstat[:n] = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
-    x[:n] = start
-    vstat[n:] = _BASIC
-    x[n:ncols] = resid
-    basis = np.arange(n, ncols)
-    # A violated equality row's slack is fixed at 0; its artificial is
-    # basic at |resid|.
-    vstat[n + art_rows] = _AT_LOWER
-    x[n + art_rows] = 0.0
-    x[ncols:ncols + art_rows.size] = np.abs(resid[art_rows])
-    basis[art_rows] = ncols + np.arange(art_rows.size)
-    art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
-
-    A = form.columns
-    lo, cost = form.lo[:size], form.cost[:size]
-    hi = np.concatenate([lp.upper, form.hi_tail[:m + n_art]])
+    point = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
+    at = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
     p1_pivots = p1_refactors = 0
-    if n_art:
-        count, row, val = np.ones(n_art, dtype=np.intp), [art_rows], [art_data]
-        shared = None
-        if ineq_rows.size:
-            # With the shared artificial at value a, row i reads
-            # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
-            # where sign_i resid_i = |resid_i|. Take a = max |resid_i|.
-            # A violated <= row has sign -1 and slack bounds [0, inf):
-            # s_i = a - |resid_i| >= 0. A violated >= row has sign +1
-            # and bounds (-inf, 0]: s_i = |resid_i| - a <= 0. So every
-            # slack lies within its bounds. The most violated row's
-            # slack lands exactly on 0 and leaves the basis to the
-            # artificial; the basis is the identity with that column
-            # replaced by one whose diagonal entry is +-1, so it is
-            # nonsingular.
-            rows = ineq_rows
-            over = resid[rows]
-            sign = np.sign(over)
-            mag = np.abs(over)
-            count[-1] = rows.size
-            row.append(rows)
-            val.append(sign)
-            x[size - 1] = a = mag.max()
-            x[n + rows] = over - sign * a
-            top = int(mag.argmax())
-            r = int(rows[top])
-            vstat[n + r] = (_AT_LOWER if np.isfinite(form.slack_lo[r])
-                            else _AT_UPPER)
-            x[n + r] = 0.0
-            basis[r] = size - 1
-            shared = (rows, sign, top)
-        row, val = np.concatenate(row), np.concatenate(val)
-        A = A.appended(count, row, val)
-        if dense is not None:
-            dense = np.concatenate([dense, np.zeros((n_art, m))])
-            dense[A.col[-row.size:], row] = val
+    # The inverse phase 2 starts from, handed to the sweep without a
+    # name held here, so that its first refactorization can free it.
+    inverse = []
+    started = False
+    if start is not None:
+        lo, cost = form.lo[:ncols], form.cost[:ncols]
+        hi = np.concatenate([lp.upper, form.hi_tail[:m]])
+        # Nonbasic structural columns at ``point`` but those in
+        # ``at_upper``, nonbasic slacks at the finite end of their
+        # bounds; the factorization fills in the basic values.
+        basis, at_upper = start
+        basis = np.array(basis, dtype=np.intp)
+        x = np.concatenate([point, np.zeros(m)])
+        x[at_upper] = lp.upper[at_upper]
+        vstat = np.concatenate([at, np.where(np.isfinite(form.slack_lo),
+                                             _AT_LOWER, _AT_UPPER)])
+        vstat = vstat.astype(np.int8)
+        vstat[at_upper] = _AT_UPPER
+        vstat[basis] = _BASIC
+        b_inv = _refactor(A, b, x, vstat, basis, dense)
+        xb = x[basis]
+        started = (b_inv is not None
+                   and bool((lo[basis] - tol_feas <= xb).all())
+                   and bool((xb <= hi[basis] + tol_feas).all()))
+        if started:
+            inverse.append(b_inv)
+        else:
+            p1_refactors = 1    # the start was factored, then set aside
+        b_inv = None
 
-        # The phase-1 start inverse, passed without a name held here so
-        # that the sweep's first refactorization can free it.
-        status, p1_pivots, p1_refactors = _iterate(
-            A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
-            _slack_inverse(m, art_rows, art_data, shared))[:3]
-        if status != OPTIMAL:  # pragma: no cover - phase 1 is bounded below
-            raise NumericalFailure("phase 1 did not terminate optimal")
-        infeasibility = np.maximum(x[ncols:], 0.0).sum()
-        if infeasibility > tol_feas:
-            return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
-                              np.full(m, np.nan), p1_pivots, 0, p1_refactors)
-        hi[ncols:] = 0.0  # freeze artificials out of phase 2
-        x[ncols:] = np.maximum(x[ncols:], 0.0)
+    if not started:
+        resid, gap = _row_gap(lp, form, point)
+
+        # Slack basis where the residual fits the slack bounds. The
+        # violated rows get artificial columns so phase 1 starts
+        # feasible: one per equality row, and one shared by all
+        # inequality rows.
+        violated = ~(np.abs(gap) <= _TOL_STEP)
+        art_rows = (violated & form.equality).nonzero()[0]
+        ineq_rows = (violated & ~form.equality).nonzero()[0]
+        n_art = art_rows.size + bool(ineq_rows.size)
+        size = ncols + n_art
+        vstat = np.empty(size, dtype=np.int8)
+        x = np.empty(size)
+        vstat[:n] = at
+        x[:n] = point
+        vstat[n:] = _BASIC
+        x[n:ncols] = resid
+        basis = np.arange(n, ncols)
+        # A violated equality row's slack is fixed at 0; its artificial
+        # is basic at |resid|.
+        vstat[n + art_rows] = _AT_LOWER
+        x[n + art_rows] = 0.0
+        x[ncols:ncols + art_rows.size] = np.abs(resid[art_rows])
+        basis[art_rows] = ncols + np.arange(art_rows.size)
+        art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
+
+        lo, cost = form.lo[:size], form.cost[:size]
+        hi = np.concatenate([lp.upper, form.hi_tail[:m + n_art]])
+        if n_art:
+            count = np.ones(n_art, dtype=np.intp)
+            row, val = [art_rows], [art_data]
+            shared = None
+            if ineq_rows.size:
+                # With the shared artificial at value a, row i reads
+                # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i
+                # a, where sign_i resid_i = |resid_i|. Take a = max
+                # |resid_i|. A violated <= row has sign -1 and slack
+                # bounds [0, inf): s_i = a - |resid_i| >= 0. A violated
+                # >= row has sign +1 and bounds (-inf, 0]: s_i =
+                # |resid_i| - a <= 0. So every slack lies within its
+                # bounds. The most violated row's slack lands exactly on
+                # 0 and leaves the basis to the artificial; the basis is
+                # the identity with that column replaced by one whose
+                # diagonal entry is +-1, so it is nonsingular.
+                rows = ineq_rows
+                over = resid[rows]
+                sign = np.sign(over)
+                mag = np.abs(over)
+                count[-1] = rows.size
+                row.append(rows)
+                val.append(sign)
+                x[size - 1] = a = mag.max()
+                x[n + rows] = over - sign * a
+                top = int(mag.argmax())
+                r = int(rows[top])
+                vstat[n + r] = (_AT_LOWER if np.isfinite(form.slack_lo[r])
+                                else _AT_UPPER)
+                x[n + r] = 0.0
+                basis[r] = size - 1
+                shared = (rows, sign, top)
+            row, val = np.concatenate(row), np.concatenate(val)
+            A = A.appended(count, row, val)
+            if dense is not None:
+                dense = np.concatenate([dense, np.zeros((n_art, m))])
+                dense[A.col[-row.size:], row] = val
+
+            status, p1_pivots, refactors = _iterate(
+                A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
+                _slack_inverse(m, art_rows, art_data, shared))[:3]
+            p1_refactors += refactors
+            if status != OPTIMAL:  # pragma: no cover - bounded below
+                raise NumericalFailure("phase 1 did not terminate optimal")
+            infeasibility = np.maximum(x[ncols:], 0.0).sum()
+            if infeasibility > tol_feas:
+                return LPSolution(INFEASIBLE, np.nan, np.full(n, np.nan),
+                                  np.full(m, np.nan), p1_pivots, 0,
+                                  p1_refactors)
+            hi[ncols:] = 0.0  # freeze artificials out of phase 2
+            x[ncols:] = np.maximum(x[ncols:], 0.0)
+        inverse.append(_invert(A, basis, dense))
 
     status, p2_pivots, refactors, b_inv = _iterate(
-        A, b, cost, lo, hi, x, vstat, basis, dense,
-        _invert(A, basis, dense))
+        A, b, cost, lo, hi, x, vstat, basis, dense, inverse.pop())
     refactors += p1_refactors
     if status == UNBOUNDED:
         return LPSolution(UNBOUNDED, -np.inf, np.full(n, np.nan),
-                          np.full(m, np.nan), p1_pivots, p2_pivots, refactors)
+                          np.full(m, np.nan), p1_pivots, p2_pivots, refactors,
+                          started)
 
     # Fresh factorization for clean duals, formed after the swept inverse
     # is dropped. Without a phase-2 pivot, the inverse phase 2 started
@@ -505,7 +558,7 @@ def solve(lp: LinearProgram) -> LPSolution:
         duals = cost[basis] @ b_inv
         objective = lp.objective @ primal
     return LPSolution(OPTIMAL, float(objective), primal, duals,
-                      p1_pivots, p2_pivots, refactors)
+                      p1_pivots, p2_pivots, refactors, started)
 
 
 def _row_gap(lp: LinearProgram, form: _EqualityForm, point):

@@ -21,6 +21,7 @@ from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization
 from oracles import write_case
 from test_caseio import hydro_case_dict, minimal_case_dict
+from test_crash import two_hydro_case
 
 
 @pytest.fixture
@@ -523,7 +524,7 @@ def test_solve_reports_dropped_duplicate_cuts(closed_form_case, tmp_path,
     assert summary["stage_solves"] == 4
     assert summary["reused_solves"] == 10
     # Simplex iterations per phase of those four stage LPs.
-    assert (summary["phase1_pivots"], summary["phase2_pivots"]) == (5, 1)
+    assert (summary["phase1_pivots"], summary["phase2_pivots"]) == (0, 6)
 
 
 def test_help_exits_zero(capsys):
@@ -557,3 +558,17 @@ def test_cli_determinism_modulo_wall(mini_case, tmp_path):
         outs.append("\n".join(line.rsplit(",", 1)[0]
                               for line in text.splitlines()))
     assert outs[0] == outs[1]
+
+
+def test_summary_counts_start_fallbacks(tmp_path):
+    # The downstream reservoir's negative inflow sends the crash start's
+    # storage below empty, so its one stage LP falls back to phase 1.
+    path = tmp_path / "fallback.json"
+    write_case(path, *two_hydro_case(-3.0))
+    outdir = tmp_path / "run"
+    assert run_cli(["solve", str(path), "--iters", "1",
+                    "--out", str(outdir)]) == 0
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["stage_solves"] == 1
+    assert summary["start_fallbacks"] == 1
+    assert summary["phase1_pivots"] > 0

@@ -220,9 +220,9 @@ def test_mass_conservation():
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
         cuts = [[] for _ in range(L)] if t < T else None
         lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
-        x = solve(lp).primal
-        sol = solve_stage(StageTemplate(case, lattice, t, cuts, NEUTRAL),
-                          state, noise)
+        template = StageTemplate(case, lattice, t, cuts, NEUTRAL)
+        x = solve(lp, template.start(lp)).primal
+        sol = solve_stage(template, state, noise)
         for j, h in enumerate(case.hydros):
             assert sol.state_out.storages[j] == x[cols["vout", h.name]]
             released = sum(x[cols["u", up]] + x[cols["spill", up]]

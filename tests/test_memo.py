@@ -168,7 +168,7 @@ def test_solve_counts_pinned_on_acceptance_case():
     policy = train(case, lattice, cfg)
     # Near-duplicate cuts (within engine.DEDUP_RTOL) leave the stage
     # tables in place.
-    assert (policy.stage_solves, policy.reused_solves) == (202, 514)
-    # Simplex iterations per phase over those 202 stage LPs, as their
+    assert (policy.stage_solves, policy.reused_solves) == (260, 456)
+    # Simplex iterations per phase over those 260 stage LPs, as their
     # LPSolution counts sum; they pin the pivot path of the stage LPs.
-    assert (policy.phase1_pivots, policy.phase2_pivots) == (2397, 416)
+    assert (policy.phase1_pivots, policy.phase2_pivots) == (0, 1380)

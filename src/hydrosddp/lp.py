@@ -51,13 +51,14 @@ runs only without a start or after such a fallback; both paths share
 phase 2, the final check and the duals. The stage LPs get their start
 from ``hydro.StageTemplate.start``.
 
-Phase 1 starts from the slack basis. Each equality row that the
-starting point violates gets its own artificial column; all violated
-inequality rows share a single artificial (Chvatal 1983, ch. 3), basic
-in the most violated of them, so a program with many violated cut rows
-pays for one artificial instead of one per row. On both kernel sets
-the inverse of that basis is written down in closed form: bit for bit
-LAPACK's, and in value the sparse factorization's. Each solution
+Phase 1 starts from the slack basis. Each row that the starting point
+violates, whatever its sense, gets its own artificial column, basic in
+that row, with the row's slack at the bound it missed (stage LPs take
+their crash start, and a tree LP's start violates only equality rows,
+so an artificial shared by violated inequality rows would save no
+pivot). The basis is the identity but for those ±1 columns, and on
+both kernel sets its inverse is written down in closed form: bit for
+bit LAPACK's, and in value the sparse factorization's. Each solution
 reports its simplex iterations per phase (bound flips included), its
 basis factorizations, that start among them, and whether phase 2 ran
 from the given start.
@@ -336,15 +337,14 @@ class _Columns:
         self.ptr = (np.searchsorted(col, np.arange(n + 1)) if ptr is None
                     else ptr)
 
-    def appended(self, count, row, val) -> _Columns:
-        """These columns followed by ``count.size`` more, column ``k``
-        of them holding the next ``count[k]`` entries of ``row``/``val``."""
-        n = self.n + count.size
-        col = np.repeat(np.arange(self.n, n), count)
+    def appended(self, row, val) -> _Columns:
+        """These columns followed by ``row.size`` more, column ``k`` of
+        them holding the single entry ``val[k]`` in row ``row[k]``."""
+        n, end = self.n + row.size, self.ptr[-1] + row.size
         return _Columns(
-            self.m, n, np.concatenate([self.col, col]),
+            self.m, n, np.concatenate([self.col, np.arange(self.n, n)]),
             np.concatenate([self.row, row]), np.concatenate([self.val, val]),
-            np.concatenate([self.ptr, self.ptr[-1] + np.cumsum(count)]))
+            np.concatenate([self.ptr, np.arange(self.ptr[-1] + 1, end + 1)]))
 
     def ftran(self, b_inv, j):
         """``B^-1 A[:, j]`` from the nonzeros of column j alone."""
@@ -363,8 +363,8 @@ class _EqualityForm:
     matrix with column j of ``[A | I]`` as row j, else None.
     """
 
-    __slots__ = ("slack_lo", "slack_hi", "equality", "has_lo", "columns",
-                 "lo", "hi_tail", "cost", "phase1", "dense")
+    __slots__ = ("slack_lo", "slack_hi", "has_lo", "columns", "lo",
+                 "hi_tail", "cost", "phase1", "dense")
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_rows
@@ -373,7 +373,6 @@ class _EqualityForm:
                                   for s in lp.senses])
         self.slack_hi = np.array([np.inf if s == LESS else 0.0
                                   for s in lp.senses])
-        self.equality = self.slack_lo == self.slack_hi
         self.has_lo = np.isfinite(lp.lower)
         nz_col, nz_row, nz_val = lp.nonzeros
         self.columns = A = _Columns(
@@ -449,14 +448,11 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
     if not started:
         resid, gap = _row_gap(lp, form, point)
 
-        # Slack basis where the residual fits the slack bounds. The
-        # violated rows get artificial columns so phase 1 starts
-        # feasible: one per equality row, and one shared by all
-        # inequality rows.
-        violated = ~(np.abs(gap) <= _TOL_STEP)
-        art_rows = (violated & form.equality).nonzero()[0]
-        ineq_rows = (violated & ~form.equality).nonzero()[0]
-        n_art = art_rows.size + bool(ineq_rows.size)
+        # Slack basis where the residual fits the slack bounds. Each
+        # violated row's slack sits at the bound it missed, 0, and its
+        # own artificial is basic at |resid|, so phase 1 starts feasible.
+        art_rows = (~(np.abs(gap) <= _TOL_STEP)).nonzero()[0]
+        n_art = art_rows.size
         size = ncols + n_art
         vstat = np.empty(size, dtype=np.int8)
         x = np.empty(size)
@@ -465,57 +461,24 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
         vstat[n:] = _BASIC
         x[n:ncols] = resid
         basis = np.arange(n, ncols)
-        # A violated equality row's slack is fixed at 0; its artificial
-        # is basic at |resid|.
-        vstat[n + art_rows] = _AT_LOWER
+        vstat[n + art_rows] = np.where(np.isfinite(form.slack_lo[art_rows]),
+                                       _AT_LOWER, _AT_UPPER)
         x[n + art_rows] = 0.0
-        x[ncols:ncols + art_rows.size] = np.abs(resid[art_rows])
-        basis[art_rows] = ncols + np.arange(art_rows.size)
+        x[ncols:] = np.abs(resid[art_rows])
+        basis[art_rows] = ncols + np.arange(n_art)
         art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
 
         lo, cost = form.lo[:size], form.cost[:size]
         hi = np.concatenate([lp.upper, form.hi_tail[:m + n_art]])
         if n_art:
-            count = np.ones(n_art, dtype=np.intp)
-            row, val = [art_rows], [art_data]
-            shared = None
-            if ineq_rows.size:
-                # With the shared artificial at value a, row i reads
-                # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i
-                # a, where sign_i resid_i = |resid_i|. Take a = max
-                # |resid_i|. A violated <= row has sign -1 and slack
-                # bounds [0, inf): s_i = a - |resid_i| >= 0. A violated
-                # >= row has sign +1 and bounds (-inf, 0]: s_i =
-                # |resid_i| - a <= 0. So every slack lies within its
-                # bounds. The most violated row's slack lands exactly on
-                # 0 and leaves the basis to the artificial; the basis is
-                # the identity with that column replaced by one whose
-                # diagonal entry is +-1, so it is nonsingular.
-                rows = ineq_rows
-                over = resid[rows]
-                sign = np.sign(over)
-                mag = np.abs(over)
-                count[-1] = rows.size
-                row.append(rows)
-                val.append(sign)
-                x[size - 1] = a = mag.max()
-                x[n + rows] = over - sign * a
-                top = int(mag.argmax())
-                r = int(rows[top])
-                vstat[n + r] = (_AT_LOWER if np.isfinite(form.slack_lo[r])
-                                else _AT_UPPER)
-                x[n + r] = 0.0
-                basis[r] = size - 1
-                shared = (rows, sign, top)
-            row, val = np.concatenate(row), np.concatenate(val)
-            A = A.appended(count, row, val)
+            A = A.appended(art_rows, art_data)
             if dense is not None:
                 dense = np.concatenate([dense, np.zeros((n_art, m))])
-                dense[A.col[-row.size:], row] = val
+                dense[ncols + np.arange(n_art), art_rows] = art_data
 
             status, p1_pivots, refactors = _iterate(
                 A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
-                _slack_inverse(m, art_rows, art_data, shared))[:3]
+                _slack_inverse(m, art_rows, art_data))[:3]
             p1_refactors += refactors
             if status != OPTIMAL:  # pragma: no cover - bounded below
                 raise NumericalFailure("phase 1 did not terminate optimal")
@@ -571,27 +534,18 @@ def _row_gap(lp: LinearProgram, form: _EqualityForm, point):
                                      form.slack_hi)
 
 
-def _slack_inverse(m, art_rows, art_sign, shared):
+def _slack_inverse(m, art_rows, art_sign):
     """The inverse of phase 1's starting basis, in closed form.
 
-    The basis is the identity with column i replaced by ``art_sign[i] *
-    e_i`` at each violated equality row ``art_rows[i]``, and, given
-    ``shared = (rows, sign, top)``, column ``r = rows[top]`` replaced by
-    the shared artificial, ``sign[j]`` in row ``rows[j]``. Its inverse is
-    the identity with row ``art_rows[i]`` scaled by ``1 / art_sign[i]``
-    and row r by ``1 / sign_r``, and ``-sign_j / sign_r`` in column r of
-    the other rows of ``rows``. Scaling a row gives its zeros the sign
-    of the factor, as LAPACK's inverse of that basis does, so the result
-    holds LAPACK's bits (``tests/test_dense_sweep.py`` checks this).
+    The basis is the identity with column ``art_rows[i]`` replaced by
+    ``art_sign[i] * e_i``, the artificial of a violated row. Its inverse
+    is the identity with row ``art_rows[i]`` scaled by ``art_sign[i]``
+    (its own reciprocal). Scaling a row gives its zeros the sign of the
+    factor, as LAPACK's inverse of that basis does, so the result holds
+    LAPACK's bits (``tests/test_dense_sweep.py`` checks this).
     """
     b_inv = np.eye(m)
     b_inv[art_rows] *= art_sign[:, None]
-    if shared is not None:
-        rows, sign, top = shared
-        r = rows[top]
-        b_inv[r] *= 1.0 / sign[top]
-        b_inv[rows, r] = -sign / sign[top]
-        b_inv[r, r] = 1.0 / sign[top]
     return b_inv
 
 
@@ -826,8 +780,8 @@ def _sparse_inverse(A, basis):
     # left in the bump, where LAPACK meets a zero pivot.
     pivots = np.concatenate([np.empty(0, dtype=np.intp), *col_levels,
                              *row_levels])
-    if (np.unique(row[pivots]).size < pivots.size
-            or np.unique(pos[pivots]).size < pivots.size):
+    if (np.bincount(row[pivots], minlength=m).max() > 1
+            or np.bincount(pos[pivots], minlength=m).max() > 1):
         return None
     row_on = np.ones(m, dtype=bool)
     pos_on = np.ones(m, dtype=bool)
@@ -897,7 +851,12 @@ def _sparse_inverse(A, basis):
         if i != bump_level:         # B[r, p] is diagonal
             rhs /= diag[at]
         else:
-            cols, col = np.unique(col, return_inverse=True)
+            # The columns the level's rows reach, in order, and each
+            # entry's place among them.
+            seen = np.zeros(m, dtype=bool)
+            seen[col] = True
+            cols = np.flatnonzero(seen)
+            col = (np.cumsum(seen) - 1)[col]
             dense = np.zeros((r.size, cols.size))
             dense[tgt, col] = rhs
             local = np.empty(m, dtype=np.intp)

@@ -26,6 +26,13 @@ a second line for the solution of its tree LP: status, objective as
 factorizations, so a change on the simplex shows there even where the
 objective keeps its bits. A change that claims byte-identical outputs
 shows no line in a ``diff`` of the two checkouts' files.
+
+After each case's digests comes one plain-text line of solver traffic
+over all its commands, ``case traffic solves N started A
+phase1_equality B phase1_inequality C``: of the N calls of
+``lp.solve``, A took their start, B ran phase 1 with only equality rows
+violated at the starting point, and C ran phase 1 with an inequality
+row violated. A change that routes solves through phase 1 shows there.
 """
 
 import contextlib
@@ -43,7 +50,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from hydrosddp import cli, treelp  # noqa: E402
+from hydrosddp import cli, hydro, lp, treelp  # noqa: E402
 from perfbench import cases  # noqa: E402
 
 # The benchmark's solve settings per shape: iterations, paths per
@@ -145,6 +152,29 @@ def case_digests(label, case, flags, workdir):
     yield "detequiv", "solution", sha(solution_bytes(kept["solve"]))
 
 
+def counting_solve(counts):
+    """``lp.solve``, counting each call into ``counts`` by the path it
+    took: its start, or phase 1 by the rows violated where phase 1
+    starts, each column at a finite bound (the lower one first) or 0."""
+    def solve(program, start=None):
+        sol = lp.solve(program, start)
+        counts["solves"] += 1
+        if sol.started:
+            counts["started"] += 1
+            return sol
+        point = np.where(np.isfinite(program.lower), program.lower,
+                         np.where(np.isfinite(program.upper), program.upper,
+                                  0.0))
+        gap = lp._row_gap(program, program._form, point)[1]
+        violated = np.abs(gap) > lp._TOL_STEP
+        if violated.any():
+            equality = np.array(program.senses, dtype=object) == lp.EQUAL
+            counts["phase1_inequality" if (violated & ~equality).any()
+                   else "phase1_equality"] += 1
+        return sol
+    return solve
+
+
 def main():
     with tempfile.TemporaryDirectory() as workdir:
         for shape, seed in CASES:
@@ -159,9 +189,18 @@ def main():
                 flags = ["--iters", str(iters), "--min-iters", str(iters),
                          "--paths", str(paths), "--seed", str(train_seed),
                          "--sampling", "risk"]
-            for command, output, digest in case_digests(label, case, flags,
-                                                        workdir):
-                print(label, command, output, digest, flush=True)
+            counts = dict.fromkeys(("solves", "started", "phase1_equality",
+                                    "phase1_inequality"), 0)
+            hydro.solve = treelp.solve = counting_solve(counts)
+            try:
+                for command, output, digest in case_digests(label, case,
+                                                            flags, workdir):
+                    print(label, command, output, digest, flush=True)
+            finally:
+                hydro.solve = treelp.solve = lp.solve
+            print(label, "traffic",
+                  *(f"{key} {count}" for key, count in counts.items()),
+                  flush=True)
 
 
 if __name__ == "__main__":

@@ -240,12 +240,11 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
 
     resid = b - lp.rows @ x[:n]
 
-    # Slack basis where the residual fits the slack bounds. The violated
-    # rows get artificial columns so phase 1 starts feasible: one per
-    # equality row, and one shared by all inequality rows.
+    # Slack basis where the residual fits the slack bounds. Each violated
+    # row gets its own artificial column so phase 1 starts feasible; the
+    # row's slack sits at the bound it missed.
     basis = np.empty(m, dtype=np.intp)
     art_rows, art_data = [], []
-    ineq_rows = []
     for i in range(m):
         v = min(max(resid[i], slack_lo[i]), slack_hi[i])
         gap = resid[i] - v
@@ -253,51 +252,22 @@ def reference_solve(lp: LinearProgram) -> LPSolution:
             basis[i] = n + i
             vstat[n + i] = _BASIC
             x[n + i] = resid[i]
-        elif slack_lo[i] == slack_hi[i]:
-            vstat[n + i] = _AT_LOWER
+        else:
+            vstat[n + i] = _AT_LOWER if np.isfinite(slack_lo[i]) else _AT_UPPER
             x[n + i] = v
             art_rows.append(i)
             art_data.append(1.0 if gap > 0 else -1.0)
-        else:
-            ineq_rows.append(i)
 
-    n_art = len(art_rows) + bool(ineq_rows)
+    n_art = len(art_rows)
     p1_pivots = p1_refactors = 0
     if n_art:
         xa = np.empty(n_art)
-        for k, (i, sgn) in enumerate(zip(art_rows, art_data)):
+        for k, i in enumerate(art_rows):
             xa[k] = abs(resid[i] - x[n + i])
             basis[i] = ncols + k
-        col.append(np.arange(ncols, ncols + len(art_rows)))
+        col.append(np.arange(ncols, ncols + n_art))
         row.append(np.asarray(art_rows, dtype=np.intp))
         val.append(np.asarray(art_data))
-        if ineq_rows:
-            # With the shared artificial at value a, row i reads
-            # A_i x + s_i + sign_i a = b_i, so s_i = resid_i - sign_i a,
-            # where sign_i resid_i = |resid_i|. Take a = max |resid_i|.
-            # A violated <= row has sign -1 and slack bounds [0, inf):
-            # s_i = a - |resid_i| >= 0. A violated >= row has sign +1
-            # and bounds (-inf, 0]: s_i = |resid_i| - a <= 0. So every
-            # slack lies within its bounds. The most violated row's
-            # slack lands exactly on 0 and leaves the basis to the
-            # artificial; the basis is the identity with that column
-            # replaced by one whose diagonal entry is +-1, so it is
-            # nonsingular.
-            rows = np.asarray(ineq_rows)
-            sign = np.sign(resid[rows])
-            mag = np.abs(resid[rows])
-            k = n_art - 1
-            col.append(np.full(len(rows), ncols + k))
-            row.append(rows)
-            val.append(sign)
-            xa[k] = mag.max()
-            vstat[n + rows] = _BASIC
-            x[n + rows] = resid[rows] - sign * xa[k]
-            basis[rows] = n + rows
-            r = int(rows[np.argmax(mag)])
-            vstat[n + r] = _AT_LOWER if np.isfinite(slack_lo[r]) else _AT_UPPER
-            x[n + r] = 0.0
-            basis[r] = ncols + k
         lo = np.concatenate([lo, np.zeros(n_art)])
         hi = np.concatenate([hi, np.full(n_art, np.inf)])
         cost = np.concatenate([cost, np.zeros(n_art)])

@@ -103,8 +103,8 @@ def test_tree_with_a_negated_start_row_matches_highs(monkeypatch):
     negated = []
     slack_inverse = lpmod._slack_inverse
 
-    def spy(m, art_rows, art_sign, shared):
-        b_inv = slack_inverse(m, art_rows, art_sign, shared)
+    def spy(m, art_rows, art_sign):
+        b_inv = slack_inverse(m, art_rows, art_sign)
         negated.extend(np.flatnonzero(np.diag(b_inv) == -1.0))
         return b_inv
 

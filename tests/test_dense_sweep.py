@@ -14,6 +14,7 @@ starts phase 1 and must equal the sparse factorization in value.
 """
 
 import numpy as np
+import pytest
 
 import oracles
 from casegen import in_bounds_state, random_case
@@ -35,7 +36,7 @@ from hydrosddp.treelp import build_tree_lp
 from oracles import dense_program, reference_solve
 from test_column_store import negative_inflow_tree
 from test_lp import beale_program, random_feasible_program, stress_program
-from test_phase1 import violated_at_start, violated_program
+from test_phase1 import highs, violated_at_start, violated_program
 
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 
@@ -101,13 +102,14 @@ def test_stage_lps_with_cut_rows_match_the_reference():
     programs = stage_programs_with_cuts(20261018, 12, 25)
     assert len(programs) == 300
     assert max(lp.num_rows for lp in programs) < _SPARSE_ROWS
-    shared = 0
+    violated = 0
     for lp in programs:
-        # Violated inequality rows start phase 1 on the shared artificial.
+        # Without a start, violated inequality rows, the cut rows among
+        # them, start phase 1 each on its own artificial.
         ineq = np.array(lp.senses) != EQUAL
-        shared += bool((violated_at_start(lp) & ineq).any())
+        violated += bool((violated_at_start(lp) & ineq).any())
         assert assert_same_solve(lp).status == OPTIMAL
-    assert shared >= 150
+    assert violated >= 150
 
 
 def small_programs():
@@ -170,6 +172,49 @@ def phase1_programs():
                                int(rng.integers(0, min(n, 4))))
 
 
+def test_each_violated_row_starts_phase1_on_its_own_artificial(monkeypatch):
+    # Columns start at their lower bounds, 1, where rows 0-2 are violated:
+    # a <= row from above, a >= row from below, an = row from below. Row
+    # 3 holds there.
+    lp = dense_program([1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [10.0, 10.0, 10.0],
+                       [[1.0, -1.0, 0.0],
+                        [1.0, 0.0, 1.0],
+                        [1.0, 1.0, 1.0],
+                        [0.0, 0.0, 1.0]],
+                       [LESS, GREATER, EQUAL, LESS], [-1.0, 5.0, 9.0, 8.0])
+    assert violated_at_start(lp).tolist() == [True, True, True, False]
+    n, ncols = lp.num_vars, lp.num_vars + lp.num_rows
+    starts = []
+    sweep = lpmod._iterate
+
+    def spy(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
+        if cost[-1] == 1.0:
+            starts.append((A.ptr[ncols:] - A.ptr[ncols - 1],
+                           A.row[A.ptr[ncols]:], A.val[A.ptr[ncols]:],
+                           x.copy(), vstat.copy(), basis.copy()))
+        return sweep(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv)
+
+    monkeypatch.setattr(lpmod, "_iterate", spy)
+    sol = assert_same_solve(lp)
+    [(ptr, rows, signs, x, vstat, basis)] = starts
+    # Three single-entry artificials, basic in their rows at |b - A x|
+    # with the sign of b - A x.
+    assert ptr.tolist() == [1, 2, 3, 4]
+    assert rows.tolist() == [0, 1, 2]
+    assert signs.tolist() == [-1.0, 1.0, 1.0]
+    assert basis.tolist() == [ncols, ncols + 1, ncols + 2, n + 3]
+    assert x[ncols:].tolist() == [1.0, 3.0, 6.0]
+    # Each violated row's slack is nonbasic at 0, the bound it missed:
+    # the lower one of the <= and = rows, the upper one of the >= row.
+    assert x[n:n + 3].tolist() == [0.0, 0.0, 0.0]
+    assert vstat[n:n + 3].tolist() == [lpmod._AT_LOWER, lpmod._AT_UPPER,
+                                       lpmod._AT_LOWER]
+    assert sol.status == OPTIMAL and sol.phase1_pivots > 0
+    ref = highs(lp)
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-12)
+
+
 def sparse_phase1_programs():
     """Programs on the sparse kernels whose starts violate rows: casegen
     tree LPs, which violate only equality rows (the 439-row tree of
@@ -192,28 +237,36 @@ def test_closed_form_phase1_start_is_lapacks_inverse(monkeypatch):
     sweep = lpmod._iterate
 
     def spy(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
-        # Phase 1 prices the artificials, and nothing else, at 1.
-        if cost[-1] == 1.0:
+        # Phase 1 prices the artificials, and nothing else, at 1; without
+        # them the last column is a slack, priced at 0, unless there are
+        # no rows.
+        if A.m and cost[-1] == 1.0:
             if dense is not None:
+                rows = A.row[A.ptr[A.n - int(cost.sum())]:]
                 starts.append((b_inv.copy(), np.linalg.inv(dense[basis].T),
-                               int(cost.sum()), A.ptr[-1] - A.ptr[-2]))
+                               rows))
             else:
                 sparse_starts.append((b_inv.copy(),
                                       lpmod._sparse_inverse(A, basis)))
         return sweep(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv)
 
     monkeypatch.setattr(lpmod, "_iterate", spy)
+    kinds = []
     for lp in phase1_programs():
+        before = len(starts)
         solve(lp)
-    for got, lapack, _, _ in starts:
+        equality = np.array(lp.senses, dtype=object) == EQUAL
+        kinds += [(equality[rows].any(), (~equality[rows]).any())
+                  for _, _, rows in starts[before:]]
+    for got, lapack, _ in starts:
         assert np.array_equal(got, lapack)
         assert np.array_equal(np.signbit(got), np.signbit(lapack))
-    # Starts with one artificial per violated equality row, with the
-    # shared artificial over several inequality rows, and with both.
-    own = sum(n_art > 1 for _, _, n_art, _ in starts)
-    shared = sum(entries > 1 for _, _, _, entries in starts)
-    both = sum(n_art > 1 and entries > 1 for _, _, n_art, entries in starts)
-    assert min(own, shared, both) >= 20
+    # Starts with several artificials, with artificials on inequality
+    # rows, and with artificials on both kinds of row.
+    several = sum(rows.size > 1 for _, _, rows in starts)
+    ineq = sum(on_ineq for _, on_ineq in kinds)
+    both = sum(on_eq and on_ineq for on_eq, on_ineq in kinds)
+    assert min(several, ineq, both) >= 20
     # On the sparse kernels the same closed form starts phase 1, equal in
     # value to the triangular factorization of that basis. A row scaled
     # by -1 may hold -0.0 where the factorization holds 0.0.

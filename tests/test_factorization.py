@@ -158,6 +158,7 @@ def test_singular_refactorization_fails_the_solve(monkeypatch):
 
 SOLVE_AND_HASH = """
 import hashlib
+import sys
 import numpy as np
 from casegen import random_case
 from hydrosddp.lp import solve
@@ -171,21 +172,32 @@ sol = solve(lp)
 digest = hashlib.sha256(np.float64(sol.objective).tobytes()
                         + sol.primal.tobytes() + sol.duals.tobytes())
 print(lp.num_rows, sol.phase1_pivots, sol.phase2_pivots,
-      sol.refactorizations, digest.hexdigest())
+      sol.refactorizations, digest.hexdigest(), "numpy.ma" in sys.modules)
 """
+
+
+def solve_in_a_fresh_interpreter(threads):
+    """The printout of ``SOLVE_AND_HASH`` run in a new interpreter under
+    ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               OMP_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                           str(ROOT / "tests")]))
+    return subprocess.run([sys.executable, "-c", SOLVE_AND_HASH], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout
 
 
 def test_tree_lp_bytes_do_not_depend_on_blas_threads():
     # A 565-row tree LP: pivots, objective, primal and duals must come
     # out the same under one and under two BLAS threads.
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
-                                               str(ROOT / "tests")]))
-        run = subprocess.run([sys.executable, "-c", SOLVE_AND_HASH], env=env,
-                             capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
+    outputs = [solve_in_a_fresh_interpreter(threads) for threads in "12"]
     assert outputs[0].split()[0] == "565"
     assert outputs[0] == outputs[1]
+
+
+def test_sparse_solve_does_not_import_numpy_ma():
+    # numpy.ma costs 1.1 MB that the process keeps, and np.unique and
+    # np.setdiff1d import it on first use; the solve, its sparse
+    # factorizations and the tree build must need neither.
+    assert solve_in_a_fresh_interpreter("1").split()[-1] == "False"

@@ -1,10 +1,12 @@
 """Phase-1 start of the bundled simplex: many violated inequality rows.
 
-All violated inequality rows share one phase-1 artificial. These tests
-check the optimum against an independent solver (HiGHS through
-``scipy.optimize.linprog``, skipped when scipy is absent), infeasibility
-detection, and that a stage LP full of violated cut rows costs only a
-few phase-1 pivots.
+Every row that the starting point violates, whatever its sense, gets
+its own phase-1 artificial. These tests check the optimum against an
+independent solver (HiGHS through ``scipy.optimize.linprog``, skipped
+when scipy is absent) and infeasibility detection. Programs with many
+violated inequality rows run phase 1 only in tests: a stage LP full of
+violated cut rows takes its template's crash start and skips phase 1,
+and a casegen tree LP's start violates no inequality row.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from hydrosddp.lp import (
     solve,
 )
 from hydrosddp.risk import RiskMeasure
+from hydrosddp.treelp import build_tree_lp
 from oracles import dense_program
 from test_lp import dual_objective
 
@@ -192,23 +195,51 @@ def test_doubled_cut_rows_change_nothing():
 
 def test_violated_cut_rows_cost_few_phase1_pivots():
     case, lattice, cuts = sampled_cuts(7, 40)
-    lp, cols = build_stage_lp(case, 1, initial_state(case), lattice.stage1,
-                              cuts, NEUTRAL, 2, lattice.num_openings)
+    template = StageTemplate(case, lattice, 1, cuts, NEUTRAL)
+    lp = template.program(initial_state(case), lattice.stage1)
     # A cut row reads beta_l - g . x >= offset; the CVaR row has -beta_l.
-    beta = [cols["beta", l] for l in range(lattice.num_openings)]
-    cut_rows = (lp.rows[:, beta] == 1.0).any(axis=1)
+    cut_rows = (lp.rows[:, template.beta_cols] == 1.0).any(axis=1)
     assert cut_rows.sum() == sum(len(c) for c in cuts)
     violated = int((violated_at_start(lp) & cut_rows).sum())
     assert violated >= 100
-    sol = solve(lp)
-    assert sol.status == OPTIMAL
+    # The template's crash start is feasible, so phase 1 never runs.
+    sol = solve(lp, template.start(lp))
+    assert sol.status == OPTIMAL and sol.started
     assert isinstance(sol.phase1_pivots, int)
     assert isinstance(sol.phase2_pivots, int)
-    assert 0 < sol.phase1_pivots < cut_rows.sum() / 4
+    assert sol.phase1_pivots == 0
+    cold = solve(lp)
+    assert cold.status == OPTIMAL and cold.phase1_pivots > 0
+    assert sol.objective == pytest.approx(cold.objective, rel=1e-9,
+                                          abs=1e-9)
     # Same program, same counts.
-    again = solve(lp)
+    again = solve(lp, template.start(lp))
     assert (again.phase1_pivots, again.phase2_pivots) == \
         (sol.phase1_pivots, sol.phase2_pivots)
+
+
+def test_tree_lps_start_with_no_violated_inequality_row():
+    # A tree LP's only inequality rows are its CVaR rows, delta - theta
+    # + z >= 0, which hold where all three columns start, at 0. So its
+    # phase 1 places artificials on equality rows alone.
+    rng = np.random.default_rng(20261020)
+    violated_eq = 0
+    lag_orders = set()
+    for _ in range(12):
+        case, lattice = random_case(rng, T=3, L=int(rng.integers(2, 4)),
+                                    n_hydro=2, max_lag=2,
+                                    with_renewable=True, two_bus=True)
+        assert case.renewables and len(case.buses) == 2
+        lag_orders.update(len(h.ar_coeffs) for h in case.hydros)
+        for measure in (BLEND, RiskMeasure(lam=0.9, alpha=0.3)):
+            lp = build_tree_lp(case, lattice, measure)
+            equality = np.array(lp.senses, dtype=object) == EQUAL
+            violated = violated_at_start(lp)
+            assert (~equality).any()
+            assert not (violated & ~equality).any()
+            violated_eq += int(violated.sum())
+    assert violated_eq > 0
+    assert lag_orders == {0, 1, 2}
 
 
 def test_feasible_start_needs_no_phase1():

@@ -13,7 +13,7 @@ same sweep, matching the backward order of the recursion.
 
 Stage solves go through a ``StageMemo``, the one holder of a run's
 case, lattice, cut pool and risk measure: a stage LP is a pure function
-of (stage, incoming state, opening) and the stage's cut lists, so a
+of (stage, incoming state, opening) and the stage's cut rows, so a
 solution is reused until a distinct cut lands at that stage.
 ``forward_pass`` and ``backward_pass`` read every fixed input from the
 memo they are given. ``train`` shares one memo across all its
@@ -94,12 +94,14 @@ class Cut:
 
 
 class CutPool:
-    """Cut lists indexed by (stage t in 1..T-1, opening l in 0..L-1).
+    """Cuts indexed by (stage t in 1..T-1, opening l in 0..L-1).
 
-    Each list holds stage-LP rows ``[gradient | offset]`` that differ
-    from one another by more than ``DEDUP_RTOL`` relative, kept as a
-    ``(k, d+1)`` matrix beside the ``Cut`` objects; ``duplicates`` counts
-    the cuts that ``append`` dropped as equal or near-equal to a kept row.
+    Each (t, l) holds stage-LP rows ``[gradient | offset]`` that differ
+    from one another by more than ``DEDUP_RTOL`` relative, as a ``(k,
+    d+1)`` matrix, the one form ``slice`` hands to the stage LP; the
+    ``Cut`` objects stay behind ``items``, for the policy file.
+    ``duplicates`` counts the cuts that ``append`` dropped as equal or
+    near-equal to a kept row.
     """
 
     def __init__(self, num_stages: int, num_openings: int, state_dim: int):
@@ -133,14 +135,15 @@ class CutPool:
 
     def stage_size(self, t: int) -> int:
         """Number of cuts feeding the stage-t subproblem (0 at the last
-        stage); the lists are append-only, so it identifies the slice."""
+        stage); the pool is append-only, so it identifies the slice."""
         return sum(map(len, self.slice(t) or ()))
 
     def slice(self, t: int):
-        """Per-opening cut lists feeding the stage-t subproblem; None at
-        the last stage, which has no future."""
+        """Per-opening ``(k_l, d+1)`` matrices feeding the stage-t
+        subproblem; None at the last stage, which has no future. A matrix
+        is replaced, never grown, so a slice never changes."""
         return (None if t >= self.num_stages else
-                [self._cuts[(t, l)] for l in range(self.num_openings)])
+                [self._rows[(t, l)] for l in range(self.num_openings)])
 
     def __len__(self):
         return sum(len(v) for v in self._cuts.values())
@@ -201,10 +204,10 @@ class StageMemo:
     """Stage solutions keyed on (stage t, incoming-state bytes, opening),
     the opening being None at stage 1.
 
-    An entry stays valid while the stage-t cut lists are unchanged; when
+    An entry stays valid while the stage-t cut rows are unchanged; when
     ``cuts.stage_size(t)`` moves, the stage's whole table is dropped,
     together with the ``StageTemplate`` its solves stamp their LPs from,
-    and a template over the grown cut lists takes its place. The case,
+    and a template over the grown cut rows takes its place. The case,
     lattice and measure are fixed for the memo's lifetime, so they stay
     out of the key; a pool whose shape does not fit the case and lattice
     raises DimensionMismatch. ``solves`` counts the stage LPs solved,

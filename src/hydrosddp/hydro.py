@@ -9,7 +9,7 @@ incoming state (storages and inflow lags) enters through dedicated copy
 variables pinned by equality rows; the duals of those rows are exactly
 the state sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
-by its cut pool, aggregated through the CVaR linear form. A
+by its cut matrix's rows, aggregated through the CVaR linear form. A
 ``StageTemplate`` builds that LP once, when it is made, at the case's
 initial state and the stage's opening 0, restamps it for each incoming
 state and noise, and gives each stamp a feasible starting basis in
@@ -353,9 +353,9 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     ``duals[:case.state_dimension()]``; ``dispatch_rows``' rows follow
     them, then per opening its CVaR row and its cut rows.
 
-    ``cuts`` holds one cut list per opening of stage t+1 (ignored at the
-    terminal stage); a cut contributes the row
-    ``beta_l - cut.gradient . x_out >= cut.offset``.
+    ``cuts`` holds one ``(k, d+1)`` matrix per opening l of stage t+1,
+    as ``CutPool.slice`` gives (ignored at the terminal stage); its row
+    ``[gradient | offset]`` is ``beta_l - gradient . x_out >= offset``.
     """
     if not 1 <= t <= num_stages:
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
@@ -390,16 +390,15 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
             cols["beta", l], cols["delta", l] = beta[l], delta[l]
             bld.add_row([(delta[l], 1.0), (beta[l], -1.0), (z, 1.0)],
                         GREATER, 0.0)
-            for cut in cuts[l] if cuts is not None else ():
-                grad = np.asarray(cut.gradient, dtype=float)
-                if grad.shape != (len(state_cols),):
-                    raise DimensionMismatch(
-                        f"cut gradient dimension {grad.shape} != state "
-                        f"dimension {len(state_cols)}")
-                terms = [(beta[l], 1.0)]
-                terms += [(col, -grad[c]) for c, col in enumerate(state_cols)
-                          if grad[c] != 0.0]
-                bld.add_row(terms, GREATER, cut.offset)
+            if cuts is None:
+                continue
+            rows = np.asarray(cuts[l], dtype=float)
+            if rows.shape[1:] != (len(state_cols) + 1,):
+                raise DimensionMismatch(f"cut gradient dimension: rows of "
+                                        f"shape {rows.shape} != (k, d + 1)")
+            bld.add_rows([beta[l], *state_cols],
+                         np.hstack([np.ones((len(rows), 1)), -rows[:, :-1]]),
+                         GREATER, rows[:, -1])
 
     return bld.build(), cols
 
@@ -419,7 +418,7 @@ def _outgoing_columns(case: SystemCase, cols: dict, copies) -> list:
 
 
 class StageTemplate:
-    """The stage-t LP of one (case, lattice, cut lists, measure), built
+    """The stage-t LP of one (case, lattice, cut matrices, measure), built
     once by ``build_stage_lp`` when the template is made and stamped for
     each (incoming state, noise).
 
@@ -458,8 +457,8 @@ class StageTemplate:
       the row's slack.
 
     The basis is triangular in that order. The cut values come from one
-    product with the cut block ``[gradient | offset]``, read off ``lp``
-    once, and their per-opening maxima from one reduction.
+    product with ``cut_block``, the matrices of ``cuts`` stacked, and
+    their per-opening maxima from one reduction.
     """
 
     def __init__(self, case: SystemCase, lattice: Lattice, t: int, cuts,
@@ -488,11 +487,9 @@ class StageTemplate:
             [c for key, c in cols.items() if key[0] == "beta"], dtype=np.intp)
 
         # The crash start, but for the mass, cut and CVaR rows. Copy row
-        # k holds one entry, in the copy column of coordinate k.
-        nz = lp.nonzeros
-        on = nz.row < d
-        copies = np.empty(d, dtype=np.intp)
-        copies[nz.row[on]] = nz.col[on]
+        # k holds one entry, in the copy column of coordinate k; those
+        # columns are made in row order, as the nonzeros list them.
+        copies = lp.nonzeros.col[lp.nonzeros.row < d]
         self.basis = np.arange(n, n + m)
         self.basis[:d] = copies
         self.basis[self.demand_rows] = [cols["deficit", b.name]
@@ -526,37 +523,27 @@ class StageTemplate:
         L = self.beta_cols.size
         self.delta = np.array([cols["delta", l] for l in range(L)],
                               dtype=np.intp)
-        count = np.array([len(c) for c in cuts or [()] * L][:L],
-                         dtype=np.intp)
+        blocks = [np.empty((0, d + 1))] * L if cuts is None else cuts[:L]
+        count = np.array([len(b) for b in blocks], dtype=np.intp)
         first = np.cumsum(count) - count          # of each opening's cuts
         self.cvar_rows = d + buses + 2 * H + np.arange(L) + first
         self.cvar_slacks = n + self.cvar_rows
-        is_cut = np.zeros(m, dtype=bool)
-        is_cut[d + buses + 2 * H:] = True
-        is_cut[self.cvar_rows] = False
-        self.cut_rows = np.flatnonzero(is_cut)
-        K = self.cut_rows.size
+        K = count.sum()
+        self.cut_rows = np.repeat(self.cvar_rows + 1 - first, count) \
+            + np.arange(K)
         # by_opening[l, i]: opening l's i-th cut, K past its last.
         slot = np.arange(count.max(initial=0))
         self.by_opening = np.where(slot < count[:, None],
                                    first[:, None] + slot, K)
-        # The cut block over the outgoing state, read off the cut rows
-        # ``beta_l - gradient . x_out >= offset``, and where each
-        # outgoing coordinate sits in ``[vout | a | incoming state]``.
+        # Where each outgoing coordinate sits in ``[vout | a | incoming
+        # state]``, and the cut rows ``[gradient | offset]`` over it.
         out = np.array(_outgoing_columns(case, cols, copies), dtype=np.intp)
         where = np.zeros(n, dtype=np.intp)
         where[self.storage_cols] = np.arange(H)
         where[self.inflow_cols] = H + np.arange(H)
         where[copies] = 2 * H + np.arange(d)
         self.out_pick = where[out]
-        rank = np.full(m, -1)
-        rank[self.cut_rows] = np.arange(K)
-        pos = np.full(n, -1)
-        pos[out] = np.arange(out.size)
-        on = (rank[nz.row] >= 0) & (pos[nz.col] >= 0)
-        self.cut_block = np.zeros((K, out.size + 1))
-        self.cut_block[rank[nz.row[on]], pos[nz.col[on]]] = -nz.val[on]
-        self.cut_block[:, -1] = lp.rhs[self.cut_rows]
+        self.cut_block = np.vstack([np.empty((0, d + 1)), *blocks])
         self.floor = case.future_lower_bound
 
     def program(self, state_in: StateVector,

@@ -68,8 +68,7 @@ not formed again.
 
 A point reported optimal keeps every row and bound within phase 1's
 tolerance, checked by the residual that sets phase 1 up; basic values
-that drifted in the sweep (as on tree LPs with alpha near 1) raise
-NumericalFailure instead.
+that drifted in the sweep raise NumericalFailure instead.
 
 Dual convention: the reported dual ``y_i`` of row ``i`` is the
 derivative of the optimal objective with respect to that row's
@@ -294,6 +293,14 @@ class LPBuilder:
         self._senses.append(sense)
         self._rhs.append(rhs)
         return idx
+
+    def add_rows(self, cols, block, sense, rhs) -> None:
+        """Row i: ``block[i, c]`` in column ``cols[c]``, and ``rhs[i]``."""
+        self._col += list(cols) * len(block)
+        self._val += block.ravel().tolist()
+        self._count += [len(cols)] * len(block)
+        self._senses += [sense] * len(block)
+        self._rhs += rhs.tolist()
 
     def set_cost(self, var: int, cost: float) -> None:
         self._cost[var] = cost

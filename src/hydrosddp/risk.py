@@ -39,10 +39,13 @@ class RiskMeasure:
 
     def atom_weights(self, n: int, tail_atoms: int = 1):
         """(mean, tail) weights over n equiprobable atoms: ``(1-lam)/n``
-        per atom, and ``lam * tail_atoms / ((1-alpha) n)`` that many
-        atoms of the CVaR tail carry together."""
+        per atom, and ``lam * tail_atoms * c`` that many atoms of the
+        CVaR tail carry together, ``c = 1/max((1-alpha) n, 0.5)`` <= 2.
+        The cap moves no optimum: CVaR over n atoms is ``max{p . theta :
+        sum p = 1, 0 <= p <= c}``, and since ``p <= 1`` already, ``p <= c``
+        stops binding once ``c >= 1``."""
         return ((1.0 - self.lam) / n,
-                self.lam * tail_atoms / ((1.0 - self.alpha) * n))
+                self.lam * tail_atoms / max((1.0 - self.alpha) * n, 0.5))
 
 
 class WeightVector:

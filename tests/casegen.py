@@ -100,3 +100,14 @@ def in_bounds_state(rng, case):
     storages = [float(rng.uniform(0.0, h.max_storage)) for h in case.hydros]
     lags = [rng.uniform(0.0, 5.0, len(h.ar_coeffs)) for h in case.hydros]
     return StateVector(storages, lags)
+
+
+def cut_matrices(case, cuts):
+    """Per-opening ``Cut`` lists as the ``(k, d+1)`` matrices
+    ``[gradient | offset]`` that ``CutPool.slice`` gives, the form
+    ``build_stage_lp`` and ``StageTemplate`` take; None stays None."""
+    if cuts is None:
+        return None
+    empty = np.empty((0, case.state_dimension() + 1))
+    return [np.array([np.append(c.gradient, c.offset) for c in opening])
+            if len(opening) else empty for opening in cuts]

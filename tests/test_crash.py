@@ -12,7 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from casegen import in_bounds_state, random_case
+from casegen import cut_matrices, in_bounds_state, random_case
 from hydrosddp.engine import Cut, CutPool, EngineConfig, StageMemo, train
 from hydrosddp.hydro import (
     Bus,
@@ -52,7 +52,7 @@ def cascaded(case, rng):
 
 def sweep_case(rng):
     """A two-bus casegen case with inflow lags and a cascade, a stage t
-    and stage-t cut lists from stage-t+1 solves at random states."""
+    and stage-t cut matrices from stage-t+1 solves at random states."""
     case, lattice = random_case(rng, T=3, L=int(rng.integers(2, 5)),
                                 n_hydro=int(rng.integers(2, 5)), max_lag=2,
                                 with_renewable=bool(rng.random() < 0.5),
@@ -68,7 +68,7 @@ def sweep_case(rng):
                 lattice.noise(t + 1, l))
             opening.append(Cut(sol.state_dual, state.flatten(),
                                sol.objective))
-    return case, lattice, t, cuts
+    return case, lattice, t, cut_matrices(case, cuts)
 
 
 def worst_violation(lp, x):
@@ -133,9 +133,10 @@ def test_crash_basis_factors_by_its_triangular_peel():
                                 two_bus=True)
     case = cascaded(case, rng)
     d = case.state_dimension()
-    cuts = [[Cut(rng.uniform(-3.0, 0.0, d), rng.uniform(0.0, 5.0, d),
-                 float(rng.uniform(0.0, 50.0))) for _ in range(30)]
-            for _ in range(4)]
+    cuts = cut_matrices(case, [[Cut(rng.uniform(-3.0, 0.0, d),
+                                    rng.uniform(0.0, 5.0, d),
+                                    float(rng.uniform(0.0, 50.0)))
+                                for _ in range(30)] for _ in range(4)])
     template = StageTemplate(case, lattice, 2, cuts, BLEND)
     assert template.lp.num_rows >= _SPARSE_ROWS
     form = template.lp._form

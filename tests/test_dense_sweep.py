@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from casegen import in_bounds_state, random_case
+from casegen import cut_matrices, in_bounds_state, random_case
 from hydrosddp import lp as lpmod
 from hydrosddp.engine import Cut
 from hydrosddp.hydro import StageTemplate, build_stage_lp, solve_stage
@@ -58,8 +58,8 @@ def assert_same_solve(lp):
 
 
 def case_with_cuts(rng):
-    """A casegen case, a stage t and stage-t cut lists from stage-t+1
-    solves at random states."""
+    """A casegen case, a stage t and stage-t cut matrices from
+    stage-t+1 solves at random states."""
     case, lattice = random_case(rng, T=3, L=int(rng.integers(2, 5)),
                                 n_hydro=2, max_lag=1,
                                 with_renewable=bool(rng.random() < 0.5),
@@ -74,7 +74,7 @@ def case_with_cuts(rng):
                 lattice.noise(t + 1, l))
             opening.append(Cut(sol.state_dual, state.flatten(),
                                sol.objective))
-    return case, lattice, t, cuts
+    return case, lattice, t, cut_matrices(case, cuts)
 
 
 def stage_noises(lattice, t):

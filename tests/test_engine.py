@@ -1,9 +1,12 @@
 """SDDP engine: pass mechanics, bounds behavior, and oracle agreement."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
+from hydrosddp.caseio import parse_case
 from hydrosddp.engine import (
     Cut,
     CutPool,
@@ -379,3 +382,40 @@ def test_naive_uniform_ub_underestimates_risk_averse_cost():
     _, risk_mean, _ = simulate_policy(case, lattice, policy.cuts, BLEND,
                                       SamplerMode.RISK_ADJUSTED, 400, seed=17)
     assert risk_mean == pytest.approx(exact, rel=0.05)
+
+
+def test_training_near_alpha_one_reaches_the_tree_optimum():
+    # At alpha = 1 - 1e-6 the stage LPs' delta columns cost the capped
+    # tail weight, 2 per atom where 1/((1-alpha)L) would be 5e5.
+    demo = parse_case(Path(__file__).resolve().parent.parent / "cases"
+                      / "demo.json")
+    case, lattice = demo.system, demo.lattice
+    for lam in (1.0, 0.5):
+        measure = RiskMeasure(lam=lam, alpha=1 - 1e-6)
+        optimum = tree_objective(case, lattice, measure)
+        cfg = EngineConfig(max_iterations=20, min_iterations=20,
+                           batch_size=2, seed=0, measure=measure)
+        policy = train(case, lattice, cfg)
+        assert len(policy.bounds) == 20
+        exact = evaluate_policy_exact(case, lattice, policy.cuts, measure)
+        for value in (policy.bounds[-1].lower_bound, exact):
+            assert value == pytest.approx(optimum, rel=1e-9, abs=0.0)
+
+
+def test_risk_sampled_mean_estimates_the_exact_policy_value():
+    # A risk-adjusted rollout draws each opening with the weights that
+    # evaluate_policy_exact gives the node's children, both read off the
+    # same betas, so its mean estimates the exact value of any policy,
+    # converged or, as here after 2 iterations, not.
+    for seed in range(4):
+        case, lattice = random_case(np.random.default_rng(seed), T=4, L=3,
+                                    n_hydro=2, max_lag=1, two_bus=True)
+        cfg = EngineConfig(max_iterations=2, min_iterations=2, batch_size=2,
+                           seed=0, measure=BLEND)
+        cuts = train(case, lattice, cfg).cuts
+        exact = evaluate_policy_exact(case, lattice, cuts, BLEND)
+        _, mean, stderr = simulate_policy(case, lattice, cuts, BLEND,
+                                          SamplerMode.RISK_ADJUSTED, 2000,
+                                          seed=5)
+        assert stderr > 0.0
+        assert abs(mean - exact) <= 4.0 * stderr

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from casegen import in_bounds_state, random_case, thermal_only_case
+from casegen import (
+    cut_matrices,
+    in_bounds_state,
+    random_case,
+    thermal_only_case,
+)
 from hydrosddp.engine import Cut
 from hydrosddp.hydro import (
     Bus,
@@ -77,7 +82,8 @@ def test_deficit_penalty_when_capacity_short():
 def test_single_cut_epigraph():
     case, lattice = thermal_only_case(demand=10, cost=2, cap=15, T=2)
     cut = Cut(np.zeros(0), np.zeros(0), 7.0)
-    sol = solve_stage(StageTemplate(case, lattice, 1, [[cut]], NEUTRAL),
+    sol = solve_stage(StageTemplate(case, lattice, 1,
+                                    cut_matrices(case, [[cut]]), NEUTRAL),
                       initial_state(case), lattice.stage1)
     assert sol.betas == pytest.approx([7.0], abs=1e-9)
     assert sol.objective == pytest.approx(20.0 + 7.0, abs=1e-8)
@@ -88,7 +94,8 @@ def test_cut_with_storage_gradient():
     # beta >= 5 - 1.0*(v_out - 2): stored water is worth 1/unit up to the cap.
     case, lattice = hydro_case(demand=0.0, storage=4.0, T=2)
     cut = Cut(np.array([-1.0]), np.array([2.0]), 5.0)
-    sol = solve_stage(StageTemplate(case, lattice, 1, [[cut]], NEUTRAL),
+    sol = solve_stage(StageTemplate(case, lattice, 1,
+                                    cut_matrices(case, [[cut]]), NEUTRAL),
                       initial_state(case), lattice.stage1)
     # Filling the reservoir to its 4-unit cap leaves beta = 5 - (4-2) = 3.
     assert sol.state_out.storages[0] == pytest.approx(4.0, abs=1e-8)
@@ -157,8 +164,14 @@ def test_build_stage_lp_rejects_stage_and_cut_dimensions():
     # The case's state has one coordinate, the storage of h1.
     cut = Cut(np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(DimensionMismatch, match="cut gradient dimension"):
-        build_stage_lp(case, 1, state, lattice.stage1, [[cut]], NEUTRAL,
-                       2, 1)
+        build_stage_lp(case, 1, state, lattice.stage1,
+                       cut_matrices(case, [[cut]]), NEUTRAL, 2, 1)
+    # Rows [gradient | offset] must be 2 wide here: a block of the wrong
+    # width, and one of a state of dimension 0, are refused whole.
+    for block in (np.zeros((3, 4)), np.zeros((2, 1))):
+        with pytest.raises(DimensionMismatch, match="cut gradient dimension"):
+            build_stage_lp(case, 1, state, lattice.stage1, [block], NEUTRAL,
+                           2, 1)
 
 
 def test_infeasible_stage_is_internal_error():
@@ -203,7 +216,7 @@ def test_relatively_complete_recourse():
             l = int(rng.integers(0, L))
             noise = lattice.stage_noise(t, l)
             state = in_bounds_state(rng, case)
-            cuts = [[] for _ in range(L)] if t < T else None
+            cuts = cut_matrices(case, [[]] * L) if t < T else None
             sol = solve_stage(
                 StageTemplate(case, lattice, t, cuts,
                               RiskMeasure(lam=0.5, alpha=0.5)), state, noise)
@@ -218,7 +231,7 @@ def test_mass_conservation():
         state = in_bounds_state(rng, case)
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
-        cuts = [[] for _ in range(L)] if t < T else None
+        cuts = cut_matrices(case, [[]] * L) if t < T else None
         lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
         template = StageTemplate(case, lattice, t, cuts, NEUTRAL)
         x = solve(lp, template.start(lp)).primal
@@ -243,7 +256,7 @@ def test_copy_rows_come_first_in_state_order():
         T, L = lattice.num_stages, lattice.num_openings
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
-        cuts = [[] for _ in range(L)] if t < T else None
+        cuts = cut_matrices(case, [[]] * L) if t < T else None
         state = in_bounds_state(rng, case)
         lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
         k = case.state_dimension()
@@ -273,7 +286,7 @@ def test_state_duals_match_finite_differences():
         T, L = lattice.num_stages, lattice.num_openings
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
-        cuts = [[] for _ in range(L)] if t < T else None
+        cuts = cut_matrices(case, [[]] * L) if t < T else None
         # interior storage so +/- h stays in bounds
         state = in_bounds_state(rng, case)
         state.storages[:] = np.clip(state.storages, 0.01,
@@ -313,7 +326,7 @@ def test_immediate_cost_never_exceeds_objective():
         T, L = lattice.num_stages, lattice.num_openings
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
-        cuts = [[] for _ in range(L)] if t < T else None
+        cuts = cut_matrices(case, [[]] * L) if t < T else None
         sol = solve_stage(StageTemplate(case, lattice, t, cuts,
                                         RiskMeasure(lam=0.5, alpha=0.5)),
                           in_bounds_state(rng, case), noise)
@@ -327,7 +340,7 @@ def test_storage_monotonicity():
         T, L = lattice.num_stages, lattice.num_openings
         t = int(rng.integers(1, T + 1))
         noise = lattice.stage_noise(t, 0 if t > 1 else None)
-        cuts = [[] for _ in range(L)] if t < T else None
+        cuts = cut_matrices(case, [[]] * L) if t < T else None
         state = in_bounds_state(rng, case)
         values = []
         for frac in (0.0, 0.3, 0.6, 1.0):

@@ -12,7 +12,7 @@ and a casegen tree LP's start violates no inequality row.
 import numpy as np
 import pytest
 
-from casegen import in_bounds_state, random_case
+from casegen import cut_matrices, in_bounds_state, random_case
 from hydrosddp.engine import Cut
 from hydrosddp.hydro import (
     StageTemplate,
@@ -171,7 +171,8 @@ def test_stage_lp_with_cuts_matches_highs():
     case, lattice, cuts = sampled_cuts(5, 15)
     for measure in (NEUTRAL, BLEND):
         lp, _ = build_stage_lp(case, 1, initial_state(case), lattice.stage1,
-                               cuts, measure, 2, lattice.num_openings)
+                               cut_matrices(case, cuts), measure, 2,
+                               lattice.num_openings)
         ref = highs(lp)
         sol = solve(lp)
         assert sol.status == OPTIMAL and ref.status == 0
@@ -182,11 +183,12 @@ def test_doubled_cut_rows_change_nothing():
     case, lattice, cuts = sampled_cuts(6, 12)
     state = initial_state(case)
     for measure in (NEUTRAL, BLEND):
-        once = solve_stage(StageTemplate(case, lattice, 1, cuts, measure),
+        once = solve_stage(StageTemplate(case, lattice, 1,
+                                         cut_matrices(case, cuts), measure),
                            state, lattice.stage1)
-        twice = solve_stage(StageTemplate(case, lattice, 1,
-                                          [c + c for c in cuts], measure),
-                            state, lattice.stage1)
+        twice = solve_stage(StageTemplate(
+            case, lattice, 1, cut_matrices(case, [c + c for c in cuts]),
+            measure), state, lattice.stage1)
         assert twice.objective == pytest.approx(once.objective, rel=1e-9,
                                                 abs=1e-9)
         assert twice.state_dual == pytest.approx(once.state_dual, rel=1e-9,
@@ -195,7 +197,8 @@ def test_doubled_cut_rows_change_nothing():
 
 def test_violated_cut_rows_cost_few_phase1_pivots():
     case, lattice, cuts = sampled_cuts(7, 40)
-    template = StageTemplate(case, lattice, 1, cuts, NEUTRAL)
+    template = StageTemplate(case, lattice, 1, cut_matrices(case, cuts),
+                             NEUTRAL)
     lp = template.program(initial_state(case), lattice.stage1)
     # A cut row reads beta_l - g . x >= offset; the CVaR row has -beta_l.
     cut_rows = (lp.rows[:, template.beta_cols] == 1.0).any(axis=1)

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from casegen import in_bounds_state, random_case
+from casegen import cut_matrices, in_bounds_state, random_case
 from hydrosddp import hydro
 from hydrosddp.engine import Cut, CutPool, EngineConfig, StageMemo, train
 from hydrosddp.hydro import (
@@ -40,9 +40,10 @@ def lagged_case(seed):
 
 def random_cuts(rng, case, L, counts):
     d = case.state_dimension()
-    return [[Cut(rng.uniform(-3.0, 0.0, d), rng.uniform(0.0, 5.0, d),
-                 float(rng.uniform(0.0, 50.0))) for _ in range(k)]
-            for k in counts[:L]]
+    return cut_matrices(case, [[Cut(rng.uniform(-3.0, 0.0, d),
+                                    rng.uniform(0.0, 5.0, d),
+                                    float(rng.uniform(0.0, 50.0)))
+                                for _ in range(k)] for k in counts[:L]])
 
 
 def noises(case, lattice, rng):
@@ -72,7 +73,7 @@ def test_stamped_program_equals_built_program(seed):
     case, lattice, rng = lagged_case(seed)
     T, L = lattice.num_stages, lattice.num_openings
     for t in (1, 3, T):
-        for cuts in (None, [[] for _ in range(L)],
+        for cuts in (None, cut_matrices(case, [[]] * L),
                      random_cuts(rng, case, L, [4, 0, 7])):
             template = StageTemplate(case, lattice, t, cuts, BLEND)
             first = in_bounds_state(rng, case)
@@ -188,3 +189,51 @@ def test_equality_form_dies_with_its_memo():
     assert dense() is not None
     del memo
     assert dense() is None
+
+
+def test_stage_lp_cut_rows_are_the_pools_matrices():
+    # The pool's [gradient | offset] rows are the one form of a cut: the
+    # template's LP carries them as its cut rows, zero entries dropped,
+    # and its crash start reads them as they are.
+    case, lattice, _ = lagged_case(13)
+    T, L = lattice.num_stages, lattice.num_openings
+    d = case.state_dimension()
+    pool = train(case, lattice, EngineConfig(
+        max_iterations=4, min_iterations=4, batch_size=2, seed=1,
+        measure=BLEND)).cuts
+    zeros = 0
+    for t in range(1, T):
+        stack = np.vstack(pool.slice(t))
+        template = StageTemplate(case, lattice, t, pool.slice(t), BLEND)
+        lp = template.lp
+        _, cols = build_stage_lp(case, t, initial_state(case),
+                                 lattice.stage_noise(t, 0), pool.slice(t),
+                                 BLEND, T, L)
+        nz = lp.nonzeros
+        copy = nz.row < d
+        copies = nz.col[copy][np.argsort(nz.row[copy])].tolist()
+        out = hydro._outgoing_columns(case, cols, copies)
+        # A cut row has +1 on its opening's beta, a CVaR row -1.
+        on_beta = np.isin(nz.col, template.beta_cols) & (nz.val == 1.0)
+        order = np.argsort(nz.row[on_beta])
+        rows = nz.row[on_beta][order]
+        assert rows.tolist() == template.cut_rows.tolist()
+        counts = [len(m) for m in pool.slice(t)]
+        assert nz.col[on_beta][order].tolist() == \
+            np.repeat(template.beta_cols, counts).tolist()
+        rank = {int(r): i for i, r in enumerate(rows)}
+        pos = {c: k for k, c in enumerate(out)}
+        block = np.zeros(stack.shape)
+        block[:, -1] = lp.rhs[rows]
+        entries = 0
+        for c, r, v in zip(nz.col.tolist(), nz.row.tolist(),
+                           nz.val.tolist()):
+            if r in rank and c in pos:
+                block[rank[r], pos[c]] = -v
+                entries += 1
+        assert np.array_equal(block, stack)
+        assert entries == np.count_nonzero(stack[:, :-1])
+        zeros += stack[:, :-1].size - entries
+        assert template.cut_block.shape == stack.shape
+        assert template.cut_block.tobytes() == stack.tobytes()
+    assert zeros > 0

@@ -1,12 +1,14 @@
 """Deterministic-equivalent tree LP against closed forms and fresh oracles."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
 from hydrosddp import engine
+from hydrosddp.caseio import parse_case
 from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
 from hydrosddp.hydro import (
     Bus,
@@ -335,3 +337,35 @@ def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
     assert policy.bounds[-1].lower_bound > 0.99 * optimum
     assert sorted(exact) == [6, 10]
     assert all(value >= optimum - tol for value in exact.values())
+
+
+def uncapped_atom_weights(measure, n, tail_atoms=1):
+    """``RiskMeasure.atom_weights`` without its cap on the tail weight."""
+    return ((1.0 - measure.lam) / n,
+            measure.lam * tail_atoms / ((1.0 - measure.alpha) * n))
+
+
+def test_tree_objective_near_alpha_one_matches_highs(monkeypatch):
+    # Uncapped, the per-atom CVaR weight 1/((1-alpha)L) reached 5e5 on the
+    # demo at alpha = 1 - 1e-6, and 6 of these 35 tree LPs failed (4
+    # drifted off a row, 2 ended unbounded). Capped at 2 it moves no
+    # optimum: HiGHS on the capped and on the uncapped LP agree with the
+    # bundled simplex.
+    pytest.importorskip("scipy")
+    demo = parse_case(Path(__file__).resolve().parent.parent / "cases"
+                      / "demo.json")
+    cases = [(demo.system, demo.lattice)] + [
+        random_case(np.random.default_rng(s), T=3, L=3) for s in range(6)]
+    measures = [RiskMeasure(lam, alpha) for lam, alpha in (
+        (1.0, 1 - 1e-6), (0.5, 1 - 1e-6), (1.0, 1 - 1e-9), (0.5, 0.9),
+        (0.5, 0.5))]
+    for case, lattice in cases:
+        for measure in measures:
+            ours = tree_objective(case, lattice, measure)
+            capped = highs_tree_objective(case, lattice, measure)
+            with monkeypatch.context() as patch:
+                patch.setattr(RiskMeasure, "atom_weights",
+                              uncapped_atom_weights)
+                uncapped = highs_tree_objective(case, lattice, measure)
+            assert ours == pytest.approx(capped, rel=1e-7, abs=0.0)
+            assert ours == pytest.approx(uncapped, rel=1e-7, abs=0.0)

@@ -24,6 +24,16 @@ differs only in those two vectors, checks just them, and shares all
 else, the form included, so a stamped solve sets up only its starting
 point and artificials.
 
+``presolved()`` is the one presolve step (Andersen & Andersen 1995,
+*Presolving in linear programming*): an equality row whose only entry
+outside fixed columns lies in a free column fixes that column and is
+dropped, in passes until no row qualifies. It keeps every column and
+the objective, so a presolved solution's primal is the full program's
+and its objective needs no constant; its duals index the kept rows.
+``solve`` never presolves: the tree oracle asks for it, while a stage
+LP's rows of that kind are its copy rows, whose duals are the cut
+gradients.
+
 Each program picks one of two kernel sets by its row count, and the
 choice is one value in the form: a dense copy of ``[A | I]`` below
 ``_SPARSE_ROWS`` rows, or None. Both sum the starting residual from the
@@ -182,6 +192,55 @@ class LinearProgram:
         lp.rhs = _checked_rhs(rhs, self.num_rows)
         lp._form = self._form
         return lp
+
+    def presolved(self) -> LinearProgram:
+        """This program less the equality rows that pin a free column
+        alone, that column fixed at the value its row gives it.
+
+        In passes, until none qualifies: an equality row whose only
+        entry outside fixed columns (``lower == upper``) lies in a free
+        column fixes that column at ``(rhs - the row's fixed terms) /
+        coefficient``, and is dropped. Of the rows that would fix one
+        column in one pass the first wins; the others stay, for the
+        solver to check. Columns and the objective are kept, so a
+        solution's primal is the full program's, while its duals index
+        the kept rows, in their order. Without a qualifying row, this
+        program itself is returned."""
+        col, row, val = self.nonzeros
+        m = self.num_rows
+        lower, upper = self.lower.copy(), self.upper.copy()
+        free = np.isinf(lower) & np.isinf(upper)
+        fixed = lower == upper
+        equal = np.array(self.senses) == EQUAL
+        kept = np.ones(m, dtype=bool)
+        while True:
+            # A dropped row has no entry left outside fixed columns, so
+            # it never qualifies again.
+            at = fixed[col]
+            count = np.bincount(row[~at], minlength=m)
+            pins = np.flatnonzero(~at & free[col] & (count[row] == 1)
+                                  & equal[row])
+            if not pins.size:
+                break
+            # Sorted by column, so the first entry of a column is its
+            # first row.
+            first = np.ones(pins.size, dtype=bool)
+            np.not_equal(col[pins[1:]], col[pins[:-1]], out=first[1:])
+            pins = pins[first]
+            terms = np.bincount(row[at], val[at] * lower[col[at]],
+                                minlength=m)
+            c, r = col[pins], row[pins]
+            lower[c] = upper[c] = (self.rhs[r] - terms[r]) / val[pins]
+            fixed[c] = True
+            kept[r] = False
+        if kept.all():
+            return self
+        on = kept[row]
+        renumber = np.cumsum(kept) - 1
+        return LinearProgram(
+            self.objective, lower, upper,
+            Nonzeros(col[on], renumber[row[on]], val[on]),
+            [s for s, k in zip(self.senses, kept) if k], self.rhs[kept])
 
     @property
     def rows(self) -> np.ndarray:

@@ -132,6 +132,20 @@ def test_tree_lp_pivot_path_is_pinned():
     assert sol.objective == pytest.approx(13.589213726109996, rel=1e-12)
 
 
+def test_presolved_tree_lp_pivot_path_is_pinned():
+    # The same tree as the solver sees it from ``tree_objective``: its
+    # inflow rows presolved away, 215 rows down to 153.
+    case, lattice = random_case(np.random.default_rng(20240807), T=5, L=2,
+                                n_hydro=2, n_thermal=2)
+    lp = build_tree_lp(case, lattice,
+                       RiskMeasure(lam=0.5, alpha=0.5)).presolved()
+    assert lp.num_rows == 153 >= _SPARSE_ROWS
+    sol = solve(lp)
+    assert (sol.phase1_pivots, sol.phase2_pivots, sol.refactorizations) == \
+        (181, 18, 4)
+    assert sol.objective == pytest.approx(13.589213726109996, rel=1e-12)
+
+
 def mixed_program(rng, n, m):
     """Feasible bounded program over free, fixed, boxed and one-sided
     columns, plus boxed columns that only a loose row touches.

@@ -221,6 +221,68 @@ def test_stamp_checks_the_vectors_it_replaces():
     assert solve(stamp).status == OPTIMAL
 
 
+# ---------------------------------------------------------------------------
+# Presolve: equality rows that pin a free column alone
+
+
+def test_presolve_fixes_a_free_column_pinned_by_its_row():
+    # z is free and pinned by 2x + 4z = 10 once the fixed x = 3 is known;
+    # y is boxed and meets z in the kept inequality.
+    lp = dense_program([0.0, -1.0, 0.0], [3.0, 0.0, -np.inf],
+                       [3.0, 5.0, np.inf],
+                       [[1.0, 1.0, 0.0], [2.0, 0.0, 4.0], [0.0, 1.0, 1.0]],
+                       [LESS, EQUAL, LESS], [9.0, 10.0, 2.5])
+    pre = lp.presolved()
+    assert pre.num_rows == 2
+    assert pre.senses == (LESS, LESS) and pre.rhs.tolist() == [9.0, 2.5]
+    assert pre.lower.tolist() == [3.0, 0.0, 1.0]
+    assert pre.upper.tolist() == [3.0, 5.0, 1.0]
+    assert pre.rows.tolist() == lp.rows[[0, 2]].tolist()
+    assert pre.objective is lp.objective
+    full, sol = solve(lp), solve(pre)
+    assert full.status == sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(full.objective, abs=1e-12)
+    assert sol.primal.tolist() == [3.0, 1.5, 1.0]
+    assert sol.duals.shape == (2,)
+
+
+def test_presolve_keeps_rows_that_pin_no_free_column():
+    # Singleton equality rows on bounded columns, a free column under an
+    # inequality, and an equality row over two free columns all stay.
+    lp = dense_program([1.0, 1.0, 1.0, 0.0], [0.0, 0.0, -np.inf, -np.inf],
+                       [10.0, np.inf, np.inf, np.inf],
+                       [[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 1.0]],
+                       [EQUAL, EQUAL, GREATER, EQUAL], [3.0, 4.0, 1.0, 0.0])
+    assert lp.presolved() is lp
+
+
+@pytest.mark.parametrize("second, status", [(2.0, OPTIMAL),
+                                            (3.0, INFEASIBLE)])
+def test_presolve_leaves_a_second_pinning_row_to_the_solver(second, status):
+    # x = 1 fixes x; 2x = second stays, and the solve checks it.
+    lp = dense_program([1.0], [-np.inf], [np.inf], [[1.0], [2.0]],
+                       [EQUAL, EQUAL], [1.0, second])
+    pre = lp.presolved()
+    assert pre.num_rows == 1 and pre.rhs.tolist() == [second]
+    assert pre.lower.tolist() == pre.upper.tolist() == [1.0]
+    assert solve(pre).status == solve(lp).status == status
+
+
+def test_presolve_follows_a_chain_over_passes():
+    # x = 2 fixes x in the first pass; y - 3x = 1 then pins y = 7, and
+    # w - y - x = 0 pins w = 9 in the third.
+    lp = dense_program([1.0, 1.0, 1.0], [-np.inf] * 3, [np.inf] * 3,
+                       [[-1.0, -1.0, 1.0], [-3.0, 1.0, 0.0],
+                        [1.0, 0.0, 0.0]],
+                       [EQUAL] * 3, [0.0, 1.0, 2.0])
+    pre = lp.presolved()
+    assert pre.num_rows == 0
+    assert pre.lower.tolist() == pre.upper.tolist() == [2.0, 7.0, 9.0]
+    sol = solve(pre)
+    assert sol.status == OPTIMAL and sol.objective == 18.0
+
+
 def test_equality_row_and_free_variable():
     bld = LPBuilder()
     x = bld.add_var(lower=-np.inf, upper=np.inf, cost=1.0)

@@ -19,7 +19,15 @@ from hydrosddp.hydro import (
     initial_state,
     solve_stage,
 )
-from hydrosddp.lp import EQUAL, OPTIMAL, LPBuilder, solve
+from hydrosddp.lp import (
+    EQUAL,
+    GREATER,
+    LESS,
+    OPTIMAL,
+    TOL_FEAS,
+    LPBuilder,
+    solve,
+)
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import Lattice, NoiseRealization, TreeTooLarge
 from hydrosddp.treelp import build_tree_lp, expand_tree, tree_objective
@@ -303,6 +311,42 @@ def test_tree_objective_scales_with_physical_quantities(seed):
         assert got.ub_mean == pytest.approx(S * want.ub_mean, **METAMORPHIC)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tree_objective_at_lambda_one_matches_highs_across_scales(seed):
+    # Pure CVaR stresses the absolute tolerances in ``lp`` most; scaling
+    # every physical quantity by a power of two from 2^-10 to 2^10 moves
+    # the data by the same factor.
+    pytest.importorskip("scipy")
+    case, lattice = random_case(np.random.default_rng(seed), T=3, L=3,
+                                max_lag=1, two_bus=True)
+    for S in (2.0 ** -10, 1.0, 2.0 ** 10):
+        scaled, scaled_lattice = scaled_physically(case, lattice, S)
+        for alpha in (0.0, 0.5, 0.9):
+            measure = RiskMeasure(lam=1.0, alpha=alpha)
+            assert tree_objective(scaled, scaled_lattice, measure) == \
+                pytest.approx(highs_tree_objective(scaled, scaled_lattice,
+                                                   measure),
+                              rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_dominated_thermal_changes_nothing(seed):
+    # Splitting a thermal into two halves at its cost, or adding one that
+    # can generate nothing, leaves the same feasible costs.
+    case, lattice = random_case(np.random.default_rng(seed), T=3, L=3,
+                                two_bus=seed % 2 == 1)
+    measure = RiskMeasure(lam=0.5, alpha=0.5)
+    base = tree_objective(case, lattice, measure)
+    first, *rest = case.thermals
+    halves = tuple(dataclasses.replace(first, name=first.name + side,
+                                       cap=first.cap / 2) for side in "ab")
+    idle = Thermal("idle", first.bus, cost=0.0, cap=0.0)
+    for thermals in (halves + tuple(rest), case.thermals + (idle,)):
+        changed = dataclasses.replace(case, thermals=thermals)
+        assert tree_objective(changed, lattice, measure) == pytest.approx(
+            base, **METAMORPHIC)
+
+
 def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
     # 1,365 nodes: the tree LP has 16,378 rows and 71,294 nonzeros, which
     # a dense m×n matrix would hold in 4.7 GB.
@@ -369,3 +413,86 @@ def test_tree_objective_near_alpha_one_matches_highs(monkeypatch):
                 uncapped = highs_tree_objective(case, lattice, measure)
             assert ours == pytest.approx(capped, rel=1e-7, abs=0.0)
             assert ours == pytest.approx(uncapped, rel=1e-7, abs=0.0)
+
+
+def cascaded(case):
+    """The case with h2, if any, below h1."""
+    hydros = tuple(dataclasses.replace(h, upstream=("h1",))
+                   if h.name == "h2" else h for h in case.hydros)
+    return dataclasses.replace(case, hydros=hydros)
+
+
+def presolve_trees():
+    """Casegen tree LPs over lags 0–2, one or two buses, renewables and a
+    cascade, each under its own (λ, α): (case, lattice, measure)."""
+    shapes = [dict(max_lag=0), dict(max_lag=1, two_bus=True),
+              dict(max_lag=2, with_renewable=True),
+              dict(max_lag=2, two_bus=True, with_renewable=True)]
+    measures = [RiskMeasure(0.0, 0.0), RiskMeasure(0.5, 0.5),
+                RiskMeasure(1.0, 0.9), RiskMeasure(0.3, 0.0)]
+    trees = []
+    for seed, (shape, measure) in enumerate(zip(shapes, measures)):
+        case, lattice = random_case(np.random.default_rng(80 + seed), T=4,
+                                    L=2, n_hydro=2, **shape)
+        trees.append((case, lattice, measure))
+        trees.append((cascaded(case), lattice, measures[seed - 1]))
+    return trees
+
+
+PRESOLVE_TREES = presolve_trees()
+
+
+@pytest.mark.parametrize("case, lattice, measure", PRESOLVE_TREES)
+def test_presolve_drops_one_inflow_row_per_node_and_hydro(case, lattice,
+                                                          measure):
+    lp = build_tree_lp(case, lattice, measure)
+    pre = lp.presolved()
+    pinned = len(expand_tree(lattice, 1)) * len(case.hydros)
+    assert lp.num_rows - pre.num_rows == pinned
+    # Each dropped row fixed one inflow column, free in the built program.
+    fixed = (pre.lower == pre.upper) & (lp.lower < lp.upper)
+    assert fixed.sum() == pinned
+    assert np.isinf(lp.lower[fixed]).all() and np.isinf(lp.upper[fixed]).all()
+    assert pre.objective is lp.objective
+
+
+@pytest.mark.parametrize("shape, rows", [
+    (dict(T=7, L=2, n_thermal=3, max_lag=0), (887, 633)),
+    (dict(T=3, L=8, n_thermal=3, max_lag=1, two_bus=True,
+          with_renewable=True), (582, 436))])
+def test_presolve_on_the_benchmark_shapes(shape, rows):
+    # The deep shape (127 nodes, no lags) and the wide one (73 nodes,
+    # AR(1) lags, two buses and a renewable).
+    case, lattice = random_case(np.random.default_rng(7), n_hydro=2,
+                                **shape)
+    lp = build_tree_lp(case, lattice, RiskMeasure(0.5, 0.5))
+    assert (lp.num_rows, lp.presolved().num_rows) == rows
+
+
+@pytest.mark.parametrize("case, lattice, measure", PRESOLVE_TREES)
+def test_presolved_solution_solves_the_built_tree_lp(case, lattice, measure):
+    lp = build_tree_lp(case, lattice, measure)
+    full, sol = solve(lp), solve(lp.presolved())
+    assert full.status == sol.status == OPTIMAL
+    ours = tree_objective(case, lattice, measure)
+    assert ours == sol.objective
+    assert ours == pytest.approx(full.objective, rel=1e-9, abs=1e-12)
+    # The primal maps one-for-one onto the built program's columns.
+    x = sol.primal
+    tol = TOL_FEAS * (1.0 + np.abs(lp.rhs).max())
+    nz = lp.nonzeros
+    lhs = np.bincount(nz.row, nz.val * x[nz.col], minlength=lp.num_rows)
+    senses = np.array(lp.senses)
+    gap = np.where(senses == LESS, lhs - lp.rhs,
+                   np.where(senses == GREATER, lp.rhs - lhs,
+                            np.abs(lhs - lp.rhs)))
+    assert gap.max() <= tol
+    assert (lp.lower - x).max() <= tol and (x - lp.upper).max() <= tol
+    assert lp.objective @ x == pytest.approx(ours, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("case, lattice, measure", PRESOLVE_TREES)
+def test_presolved_tree_objective_matches_highs(case, lattice, measure):
+    pytest.importorskip("scipy")
+    assert tree_objective(case, lattice, measure) == pytest.approx(
+        highs_tree_objective(case, lattice, measure), rel=1e-9, abs=1e-12)

@@ -26,7 +26,6 @@ from .hydro import (
     Renewable,
     StageSolution,
     StageTemplate,
-    StateVector,
     SystemCase,
     Thermal,
     build_stage_lp,
@@ -51,7 +50,7 @@ __all__ = [
     "StageMemo", "TrainedPolicy", "backward_pass", "evaluate_policy_exact",
     "forward_pass", "simulate_policy", "train", "upper_bound_estimate",
     "Bus", "Hydro", "Line", "Renewable", "StageSolution", "StageTemplate",
-    "StateVector", "SystemCase", "Thermal", "build_stage_lp",
+    "SystemCase", "Thermal", "build_stage_lp",
     "initial_state", "solve_stage",
     "LinearProgram", "LPSolution", "solve",
     "RiskMeasure", "WeightVector", "sampling_weights",

@@ -50,7 +50,6 @@ from .hydro import (
     SystemCase,
     Thermal,
     UnknownReference,
-    initial_state,
 )
 from .risk import RiskMeasure
 from .scenario import Lattice, NoiseRealization, SamplerMode
@@ -269,10 +268,10 @@ def parse_case_data(data) -> ParsedCase:
     """Validate an already-decoded case document."""
     _expect_keys(data, "case", ("schema_version", "system", "lattice"),
                  ("initial_state", "risk", "engine"))
-    if data["schema_version"] != SCHEMA_VERSION:
+    version = _intval(data, "schema_version", "case")
+    if version != SCHEMA_VERSION:
         raise SchemaError(
-            f"case.schema_version: expected {SCHEMA_VERSION}, "
-            f"got {data['schema_version']!r}")
+            f"case.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
     sysraw = data["system"]
     _expect_keys(sysraw, "system", ("buses", "deficit_cost"),
@@ -403,7 +402,6 @@ def _record_dict(record, readers) -> dict:
 
 def case_to_dict(system: SystemCase, lattice: Lattice) -> dict:
     """Schema-conformant document for the in-memory case."""
-    initial = initial_state(system)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "system": {
@@ -421,11 +419,10 @@ def case_to_dict(system: SystemCase, lattice: Lattice) -> dict:
                        for per_stage in lattice.openings],
         },
         "initial_state": {
-            "storages": {h.name: float(initial.storages[j])
-                         for j, h in enumerate(system.hydros)},
-            "inflow_lags": {h.name: [float(x) for x in initial.lags[j]]
-                            for j, h in enumerate(system.hydros)
-                            if len(initial.lags[j])},
+            "storages": {h.name: float(h.initial_storage)
+                         for h in system.hydros},
+            "inflow_lags": {h.name: [float(x) for x in h.initial_lags]
+                            for h in system.hydros if len(h.initial_lags)},
         },
     }
     return doc
@@ -467,7 +464,7 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: {exc}") from None
     try:
-        if doc["schema_version"] != SCHEMA_VERSION:
+        if _intval(doc, "schema_version", "policy") != SCHEMA_VERSION:
             raise CorruptFile(f"{path}: unsupported schema version")
         fingerprint = _str(doc, "fingerprint", "policy")
         poolraw = doc["pool"]
@@ -578,10 +575,15 @@ def read_convergence_csv(path) -> list:
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write-then-rename so failures never leave partial files."""
+    """Write-then-rename so failures never leave partial files. The file
+    gets the mode ``open`` would give it, 0o666 less the umask, not the
+    0o600 of the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)     # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

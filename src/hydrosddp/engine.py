@@ -14,7 +14,10 @@ same sweep, matching the backward order of the recursion.
 Stage solves go through a ``StageMemo``, the one holder of a run's
 case, lattice, cut pool and risk measure: a stage LP is a pure function
 of (stage, incoming state, opening) and the stage's cut rows, so a
-solution is reused until a distinct cut lands at that stage.
+solution is reused until a distinct cut lands at that stage. A state is
+``hydro``'s flat vector, and nothing writes one in place: the memo keys
+a state by its bytes, and a cut's anchor is the forward path's state
+itself, not a copy.
 ``forward_pass`` and ``backward_pass`` read every fixed input from the
 memo they are given. ``train`` shares one memo across all its
 iterations; ``evaluate_policy_exact`` and ``simulate_policy`` each build
@@ -36,7 +39,6 @@ import numpy as np
 from .hydro import (
     DimensionMismatch,
     StageTemplate,
-    StateVector,
     SystemCase,
     initial_state,
     solve_stage,
@@ -236,7 +238,7 @@ class StageMemo:
         # t -> (stage size, {(state bytes, opening): sol}, template)
         self._tables = {}
 
-    def solve(self, t: int, state: StateVector, opening: Optional[int]):
+    def solve(self, t: int, state: np.ndarray, opening: Optional[int]):
         size = self.cuts.stage_size(t)
         lattice = self.lattice
         held, table, template = self._tables.get(t, (None, None, None))
@@ -245,7 +247,7 @@ class StageMemo:
             template = StageTemplate(self.case, lattice, t,
                                      self.cuts.slice(t), self.measure)
             self._tables[t] = (size, table, template)
-        key = (state.flatten().tobytes(), opening)
+        key = (state.tobytes(), opening)
         sol = table.get(key)
         if sol is None:
             sol = solve_stage(template, state, lattice.stage_noise(t, opening))
@@ -306,7 +308,8 @@ def backward_pass(memo: StageMemo, paths) -> int:
 
     Stage solves go through ``memo``, so repeated (state, opening) pairs
     are solved once while the stage's cuts are unchanged; the pool drops
-    their repeated cuts.
+    their repeated cuts. Each cut is anchored at the path's state array,
+    shared, not copied.
     """
     T, L = memo.lattice.num_stages, memo.lattice.num_openings
     cuts = memo.cuts
@@ -314,11 +317,10 @@ def backward_pass(memo: StageMemo, paths) -> int:
     for t in range(T, 1, -1):
         for path in paths:
             state = path.steps[t - 2].state_out
-            anchor = state.flatten()
             for l in range(L):
                 sol = memo.solve(t, state, l)
                 added += cuts.append(
-                    t - 1, l, Cut(sol.state_dual, anchor, sol.objective))
+                    t - 1, l, Cut(sol.state_dual, state, sol.objective))
     return added
 
 
@@ -389,7 +391,7 @@ def evaluate_policy_exact(case: SystemCase, lattice: Lattice, cuts: CutPool,
                            f"of {ENUMERATION_CAP}")
     memo = StageMemo(case, lattice, cuts, measure)
 
-    def value(t: int, state: StateVector, opening) -> float:
+    def value(t: int, state: np.ndarray, opening) -> float:
         sol = memo.solve(t, state, opening)
         if t == T:
             return sol.immediate_cost

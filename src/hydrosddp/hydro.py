@@ -4,10 +4,13 @@ A stage subproblem minimizes thermal plus deficit cost subject to bus
 energy balance, reservoir mass balance, the autoregressive inflow
 equation, and physical bounds. That dispatch block is defined once, by
 ``dispatch_columns``, ``dispatch_cost`` and ``dispatch_rows``; the stage
-LP and the tree oracle (``treelp``) both stamp it. In the stage LP the
-incoming state (storages and inflow lags) enters through dedicated copy
-variables pinned by equality rows; the duals of those rows are exactly
-the state sensitivities used to build cuts. For non-terminal stages the
+LP and the tree oracle (``treelp``) both stamp it. A state is one flat
+float vector of ``case.state_dimension()`` entries: the reservoir
+storages, then each hydro's inflow lags, newest first, the order of the
+cut gradients (``initial_state`` gives the case's). In the stage LP the
+incoming state enters through dedicated copy variables pinned by
+equality rows; the duals of those rows are exactly the state
+sensitivities used to build cuts. For non-terminal stages the
 future is represented by one epigraph variable per opening bounded below
 by its cut matrix's rows, aggregated through the CVaR linear form. A
 ``StageTemplate`` builds that LP once, when it is made, at the case's
@@ -178,53 +181,35 @@ def check_acyclic(hydros) -> None:
         visit(h.name)
 
 
-class StateVector:
-    """Reservoir storages plus per-hydro inflow lags (newest first)."""
-
-    __slots__ = ("storages", "lags")
-
-    def __init__(self, storages, lags):
-        self.storages = np.ascontiguousarray(storages, dtype=float)
-        self.lags = tuple(np.ascontiguousarray(l, dtype=float) for l in lags)
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([self.storages, *self.lags]) if self.lags \
-            else self.storages.copy()
-
-    def __eq__(self, other):
-        return (isinstance(other, StateVector)
-                and np.array_equal(self.storages, other.storages)
-                and len(self.lags) == len(other.lags)
-                and all(np.array_equal(a, b)
-                        for a, b in zip(self.lags, other.lags)))
-
-    def __repr__(self):
-        return f"StateVector({self.storages.tolist()}, {[l.tolist() for l in self.lags]})"
+def initial_state(case: SystemCase) -> np.ndarray:
+    """The case's initial state as a flat vector: the storages, then each
+    hydro's inflow lags, newest first, the order of the cut gradients."""
+    return np.array([h.initial_storage for h in case.hydros]
+                    + [lag for h in case.hydros for lag in h.initial_lags],
+                    dtype=float)
 
 
-def initial_state(case: SystemCase) -> StateVector:
-    return StateVector([h.initial_storage for h in case.hydros],
-                       [np.asarray(h.initial_lags, dtype=float)
-                        for h in case.hydros])
+def split_state(case: SystemCase, state) -> tuple:
+    """``(storages, [lags of each hydro])`` of a state, or of any sequence
+    in state order, as slices of it."""
+    ends = np.cumsum([len(case.hydros)]
+                     + [len(h.ar_coeffs) for h in case.hydros])
+    return state[:ends[0]], [state[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
-def check_state(case: SystemCase, state: StateVector) -> None:
-    if state.storages.shape != (len(case.hydros),):
-        raise DimensionMismatch("storage vector does not match hydro count")
-    if len(state.lags) != len(case.hydros):
-        raise DimensionMismatch("lag list does not match hydro count")
-    for h, lag in zip(case.hydros, state.lags):
-        if lag.shape != (len(h.ar_coeffs),):
-            raise DimensionMismatch(
-                f"hydro {h.name!r} expects {len(h.ar_coeffs)} lags, "
-                f"got {lag.shape[0]}")
+def check_state(case: SystemCase, state: np.ndarray) -> None:
+    d = case.state_dimension()
+    if np.shape(state) != (d,):
+        raise DimensionMismatch(
+            f"state of shape {np.shape(state)} != ({d},), the case's "
+            f"storages and inflow lags")
 
 
 @dataclass
 class StageSolution:
     objective: float
     immediate_cost: float
-    state_out: StateVector
+    state_out: np.ndarray
     state_dual: np.ndarray
     betas: Optional[np.ndarray]   # None at the terminal stage
     phase1_pivots: int = 0        # the stage LP's simplex iterations
@@ -340,7 +325,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
         bld.add_row(terms, EQUAL, rhs)
 
 
-def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
+def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
                    noise: NoiseRealization, cuts, measure: RiskMeasure,
                    num_stages: int, num_openings: int):
     """Stage-t subproblem as ``(LinearProgram, columns)``.
@@ -349,7 +334,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     below the terminal stage, ``("beta", l)`` and ``("delta", l)``, the
     epigraph and CVaR excess columns of opening l. The first
     ``case.state_dimension()`` rows are the copy rows ``x_in =
-    state_in``, in ``state_in.flatten()`` order, so the state duals are
+    state_in``, in state order, so the state duals are
     ``duals[:case.state_dimension()]``; ``dispatch_rows``' rows follow
     them, then per opening its CVaR row and its cut rows.
 
@@ -366,15 +351,12 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
     for col, cost in dispatch_cost(case, cols):
         bld.set_cost(col, cost)
 
-    # Copy variables pinned to the incoming state, one per coordinate of
-    # state_in.flatten(); their rows carry the state duals.
-    flat = state_in.flatten()
-    copies = [bld.add_var(-np.inf, np.inf) for _ in flat]
-    for col, value in zip(copies, flat):
+    # Copy variables pinned to the incoming state, one per coordinate;
+    # their rows carry the state duals.
+    copies = [bld.add_var(-np.inf, np.inf) for _ in state_in]
+    for col, value in zip(copies, state_in):
         bld.add_row([(col, 1.0)], EQUAL, float(value))
-    ends = np.cumsum([len(case.hydros)] + [lag.size for lag in state_in.lags])
-    vin = copies[:ends[0]]
-    lagvar = [copies[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    vin, lagvar = split_state(case, copies)
 
     dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
 
@@ -404,10 +386,10 @@ def build_stage_lp(case: SystemCase, t: int, state_in: StateVector,
 
 
 def _outgoing_columns(case: SystemCase, cols: dict, copies) -> list:
-    """The column of every outgoing-state coordinate, in the flattened
-    order cuts use: storages first, then lags per hydro, the newest
-    outgoing lag being this stage's inflow column. ``copies`` are the
-    copy columns, in ``StateVector.flatten`` order."""
+    """The column of every outgoing-state coordinate, in state order:
+    storages first, then lags per hydro, the newest outgoing lag being
+    this stage's inflow column. ``copies`` are the copy columns, in state
+    order."""
     out = [cols["vout", h.name] for h in case.hydros]
     k = len(case.hydros)
     for h in case.hydros:
@@ -437,7 +419,9 @@ class StageTemplate:
     solve sets up only what the stamp changes. The form is built with
     ``lp`` and freed with the template. The template also keeps the
     column indices that ``solve_stage`` reads; ``beta_cols`` is empty
-    exactly at the last stage.
+    exactly at the last stage. ``out_pick`` picks the outgoing state
+    from ``[storages | inflows | incoming state]``, for ``solve_stage``
+    and ``start`` alike.
 
     ``start`` gives a stamp its crash start, a basis that is primal
     feasible under nonnegative inflows, so that ``lp.solve`` skips phase
@@ -482,7 +466,8 @@ class StageTemplate:
         self.cost_terms = dispatch_cost(case, cols)
         self.storage_cols = np.array([cols["vout", h.name] for h in hydros],
                                      dtype=np.intp)
-        self.inflow_cols = [cols["a", h.name] for h in hydros]
+        self.inflow_cols = np.array([cols["a", h.name] for h in hydros],
+                                    dtype=np.intp)
         self.beta_cols = np.array(
             [c for key, c in cols.items() if key[0] == "beta"], dtype=np.intp)
 
@@ -546,13 +531,13 @@ class StageTemplate:
         self.cut_block = np.vstack([np.empty((0, d + 1)), *blocks])
         self.floor = case.future_lower_bound
 
-    def program(self, state_in: StateVector,
+    def program(self, state_in: np.ndarray,
                 noise: NoiseRealization) -> LinearProgram:
         """The stage LP at ``state_in`` and ``noise``."""
         case, lp = self.case, self.lp
         check_state(case, state_in)
         rhs = lp.rhs.copy()
-        rhs[:self.copy_rows] = state_in.flatten()
+        rhs[:self.copy_rows] = state_in
         rhs[self.demand_rows] = [_demand(noise, b, self.t)
                                  for b in case.buses]
         rhs[self.inflow_rows] = [_inflow(noise, h) for h in case.hydros]
@@ -593,10 +578,11 @@ class StageTemplate:
         return basis, self.storage_cols[over]
 
 
-def solve_stage(template: StageTemplate, state_in: StateVector,
+def solve_stage(template: StageTemplate, state_in: np.ndarray,
                 noise: NoiseRealization) -> StageSolution:
     """Solve the template's stage LP at ``state_in`` and ``noise`` and
-    unpack state, duals, and betas."""
+    unpack state, duals, and betas. ``state_out`` is a new array, the
+    storages and lags gathered by ``template.out_pick``."""
     t, case = template.t, template.case
     lp = template.program(state_in, noise)
     sol = solve(lp, template.start(lp))
@@ -609,11 +595,9 @@ def solve_stage(template: StageTemplate, state_in: StateVector,
     immediate = sum((cost * float(x[col])
                      for col, cost in template.cost_terms), 0.0)
 
-    storages = x[template.storage_cols]
-    lags = [np.concatenate([[x[col]], lag])[:len(h.ar_coeffs)]
-            for h, col, lag in zip(case.hydros, template.inflow_cols,
-                                   state_in.lags)]
-    state_out = StateVector(storages, lags)
+    state_out = np.concatenate([x[template.storage_cols],
+                                x[template.inflow_cols],
+                                state_in])[template.out_pick]
     dual = sol.duals[:case.state_dimension()].copy()
 
     betas = x[template.beta_cols] if template.beta_cols.size else None

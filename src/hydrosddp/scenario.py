@@ -98,7 +98,7 @@ class PathStep:
     """One stage of a forward path."""
 
     opening: Optional[int]        # 0-based; None at the deterministic root
-    state_out: object             # StateVector
+    state_out: np.ndarray         # the flat state, as hydro defines it
     immediate_cost: float
     weights: Optional[WeightVector]  # used to sample the next stage
 

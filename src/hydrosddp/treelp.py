@@ -27,13 +27,13 @@ import numpy as np
 
 from .hydro import (
     StageInfeasible,
-    StateVector,
     SystemCase,
     check_state,
     dispatch_columns,
     dispatch_cost,
     dispatch_rows,
     initial_state,
+    split_state,
 )
 from .lp import EQUAL, GREATER, OPTIMAL, LPBuilder, solve
 from .risk import RiskMeasure
@@ -67,7 +67,7 @@ def expand_tree(lattice: Lattice, root_stage: int, cap: int = NODE_CAP):
 
 
 def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
-                     root_stage: int, root_state: StateVector,
+                     root_stage: int, root_state: np.ndarray,
                      root_opening: Optional[int] = None,
                      cap: int = NODE_CAP):
     """LP whose optimum is the exact cost-to-go from (root_stage, opening)
@@ -77,6 +77,7 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     L = lattice.num_openings
     mean, tail = measure.atom_weights(L)
     bld = LPBuilder()
+    root_storages, root_lags = split_state(case, root_state)
 
     cols, ancestors = [], []
     theta, delta, zvar = {}, {}, {}
@@ -97,9 +98,9 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
         ancestors.append([] if node.parent is None
                          else [node.parent] + ancestors[node.parent])
         up = [cols[a] for a in ancestors[n]]
-        storage_in = [up[0]["vout", h.name] if up else root_state.storages[j]
+        storage_in = [up[0]["vout", h.name] if up else root_storages[j]
                       for j, h in enumerate(case.hydros)]
-        lags_in = [[c["a", h.name] for c in up] + list(root_state.lags[j])
+        lags_in = [[c["a", h.name] for c in up] + list(root_lags[j])
                    for j, h in enumerate(case.hydros)]
         dispatch_rows(bld, case, cols[n], node.stage, noise, storage_in,
                       lags_in)

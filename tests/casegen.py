@@ -96,10 +96,9 @@ def thermal_only_case(demand, cost, cap, deficit_cost=None, T=1):
 
 def in_bounds_state(rng, case):
     """Random state with storages inside bounds and nonnegative lags."""
-    from hydrosddp.hydro import StateVector
     storages = [float(rng.uniform(0.0, h.max_storage)) for h in case.hydros]
     lags = [rng.uniform(0.0, 5.0, len(h.ar_coeffs)) for h in case.hydros]
-    return StateVector(storages, lags)
+    return np.concatenate([storages, *lags])
 
 
 def cut_matrices(case, cuts):

@@ -10,7 +10,8 @@ dense matrix; ``write_case`` writes a case file with optional risk
 and engine blocks; ``reference_solve`` is the simplex's dense-kernel
 path as it stood before ``lp`` kept the basic values, bounds and costs
 in basis order, a per-iteration copy of each entering column and
-per-row set-up loops included.
+per-row set-up loops included; ``path_bytes`` keys forward paths by
+their bytes, so two runs' paths compare bit for bit.
 """
 
 import json
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from hydrosddp.caseio import case_to_dict
-from hydrosddp.hydro import StateVector, SystemCase
+from hydrosddp.hydro import SystemCase
 from hydrosddp.lp import (
     _AT_LOWER,
     _AT_UPPER,
@@ -109,8 +110,16 @@ def rho_lp(values, measure: RiskMeasure):
     return value, float(sol.primal[0]), sol.primal[1:].copy()
 
 
+def path_bytes(paths):
+    """Each step of ``paths`` as (opening, state bytes, immediate cost,
+    weight bytes), so equal lists mean bit-identical paths."""
+    return [(step.opening, step.state_out.tobytes(), step.immediate_cost,
+             None if step.weights is None else step.weights.weights.tobytes())
+            for p in paths for step in p.steps]
+
+
 def exact_cost_to_go(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
-                     t: int, state: StateVector, opening: Optional[int] = None,
+                     t: int, state: np.ndarray, opening: Optional[int] = None,
                      cap: int = NODE_CAP) -> float:
     """Exact Q_t(state, opening): optimum of the subtree LP rooted there."""
     sol = solve(build_subtree_lp(case, lattice, measure, t, state,

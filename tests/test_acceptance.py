@@ -126,7 +126,7 @@ def test_criterion_4_cut_validity():
                     exact = exact_cost_to_go(case, lattice, BLEND, t + 1,
                                              state, l)
                     for cut in cuts:
-                        assert cut.intercept + cut.gradient @ (state.flatten() - cut.anchor) <= exact + 1e-6
+                        assert cut.intercept + cut.gradient @ (state - cut.anchor) <= exact + 1e-6
 
 
 def test_criterion_5_lower_bound_monotonicity():

@@ -24,6 +24,7 @@ from hydrosddp.caseio import (
     read_policy,
     write_policy,
 )
+from hydrosddp.cli import run_cli
 from hydrosddp.engine import (
     BoundsEntry,
     EngineConfig,
@@ -148,8 +149,13 @@ def test_missing_noise_entries_rejected():
     (("system", "thermals", 0, "cap"), None,
      "system.thermals[0]: missing key(s) ['cap']"),
     (("lattice", "stages"), None, "lattice: missing key(s) ['stages']"),
+    (("schema_version",), True,
+     "case.schema_version: expected an integer, got True"),
+    (("schema_version",), 1.0,
+     "case.schema_version: expected an integer, got 1.0"),
 ])
-def test_malformed_document_names_its_field(path, value, message):
+def test_malformed_document_names_its_field(path, value, message, tmp_path,
+                                            capsys):
     # The entry at `path` is set to `value`, or deleted when it is None.
     root = doc = minimal_case_dict()
     *parents, key = path
@@ -162,6 +168,10 @@ def test_malformed_document_names_its_field(path, value, message):
     with pytest.raises(SchemaError) as exc:
         parse_case_data(root)
     assert str(exc.value) == message
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(root))
+    assert run_cli(["detequiv", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_initial_state_override():
@@ -170,8 +180,7 @@ def test_initial_state_override():
                             "inflow_lags": {"h1": [1.25]}}
     parsed = parse_case_data(doc)
     assert parsed.system.hydros[0].initial_storage == 7.5
-    assert initial_state(parsed.system).storages[0] == 7.5
-    assert initial_state(parsed.system).lags[0][0] == 1.25
+    assert initial_state(parsed.system).tolist() == [7.5, 1.25]
 
 
 def test_roundtrip_identity(tmp_path):
@@ -190,7 +199,8 @@ def test_roundtrip_identity(tmp_path):
     again = parse_case_data(case_to_dict(parsed.system, parsed.lattice))
     assert again.system == parsed.system
     assert again.lattice == parsed.lattice
-    assert initial_state(again.system) == initial_state(parsed.system)
+    assert (initial_state(again.system).tobytes()
+            == initial_state(parsed.system).tobytes())
     assert again.fingerprint == parsed.fingerprint
 
 
@@ -203,7 +213,7 @@ def test_readme_case_example_parses():
         max_iterations=30, min_iterations=5, batch_size=2, seed=7,
         sampler_mode=SamplerMode.RISK_ADJUSTED,
         measure=RiskMeasure(lam=0.5, alpha=0.5), ub_confidence=1.96)
-    assert initial_state(parsed.system).storages[0] == 7.5
+    assert initial_state(parsed.system)[0] == 7.5
 
 
 def test_policy_roundtrip_bitwise(tmp_path):
@@ -334,6 +344,13 @@ def test_truncated_policy_is_corrupt(tmp_path):
                                  '"schema_version": 2'))
     with pytest.raises(CorruptFile, match="unsupported schema version"):
         read_policy(path)
+    # The version is the integer 1: neither true nor 1.0 stands for it.
+    for version in ("true", "1.0"):
+        path.write_text(blob.replace('"schema_version": 1',
+                                     f'"schema_version": {version}'))
+        with pytest.raises(CorruptFile, match="policy.schema_version: "
+                           "expected an integer"):
+            read_policy(path)
 
 
 def test_csv_contract_and_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ def test_plot_emits_svg(mini_case, tmp_path, capsys):
     svg = (outdir / "convergence.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg and "circle" in svg and svg.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives(umask, mode, mini_case, tmp_path):
+    # Written through a temporary file, the outputs still get 0o666 less
+    # the umask, as a file made by open() does.
+    outdir = tmp_path / "run"
+    old = os.umask(umask)
+    try:
+        assert run_cli(["solve", str(mini_case), "--iters", "2",
+                        "--out", str(outdir)]) == 0
+        assert run_cli(["plot", str(outdir)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("convergence.csv", "policy.json", "summary.json",
+                 "convergence.svg"):
+        assert stat.S_IMODE(os.stat(outdir / name).st_mode) == mode, name
 
 
 def test_policy_case_mismatch_is_data_error(tiny_hydro_case, mini_case,

@@ -72,7 +72,7 @@ def case_with_cuts(rng):
             sol = solve_stage(
                 StageTemplate(case, lattice, t + 1, None, BLEND), state,
                 lattice.noise(t + 1, l))
-            opening.append(Cut(sol.state_dual, state.flatten(),
+            opening.append(Cut(sol.state_dual, state,
                                sol.objective))
     return case, lattice, t, cut_matrices(case, cuts)
 

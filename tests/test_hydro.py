@@ -18,7 +18,6 @@ from hydrosddp.hydro import (
     Renewable,
     StageInfeasible,
     StageTemplate,
-    StateVector,
     SystemCase,
     Thermal,
     build_stage_lp,
@@ -68,7 +67,7 @@ def test_hydro_covers_demand_for_free():
     sol = solve_stage(StageTemplate(case, lattice, 1, None, NEUTRAL),
                       initial_state(case), lattice.stage1)
     assert sol.objective == pytest.approx(0.0, abs=1e-8)
-    assert sol.state_out.storages[0] == pytest.approx(0.0, abs=1e-8)
+    assert sol.state_out[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_deficit_penalty_when_capacity_short():
@@ -98,7 +97,7 @@ def test_cut_with_storage_gradient():
                                     cut_matrices(case, [[cut]]), NEUTRAL),
                       initial_state(case), lattice.stage1)
     # Filling the reservoir to its 4-unit cap leaves beta = 5 - (4-2) = 3.
-    assert sol.state_out.storages[0] == pytest.approx(4.0, abs=1e-8)
+    assert sol.state_out[0] == pytest.approx(4.0, abs=1e-8)
     assert sol.objective == pytest.approx(3.0, abs=1e-8)
 
 
@@ -149,9 +148,9 @@ def test_state_dimension_validation():
     case, lattice = hydro_case()
     with pytest.raises(DimensionMismatch):
         solve_stage(StageTemplate(case, lattice, 1, None, NEUTRAL),
-                    StateVector([1.0, 2.0], [(), ()]), QUIET)
-    with pytest.raises(DimensionMismatch, match="lag list"):
-        check_state(case, StateVector([1.0], []))
+                    np.array([1.0, 2.0]), QUIET)
+    with pytest.raises(DimensionMismatch, match=r"state of shape \(1, 1\)"):
+        check_state(case, np.ones((1, 1)))
 
 
 def test_build_stage_lp_rejects_stage_and_cut_dimensions():
@@ -237,10 +236,10 @@ def test_mass_conservation():
         x = solve(lp, template.start(lp)).primal
         sol = solve_stage(template, state, noise)
         for j, h in enumerate(case.hydros):
-            assert sol.state_out.storages[j] == x[cols["vout", h.name]]
+            assert sol.state_out[j] == x[cols["vout", h.name]]
             released = sum(x[cols["u", up]] + x[cols["spill", up]]
                            for up in h.upstream)
-            balance = (sol.state_out.storages[j] - state.storages[j]
+            balance = (sol.state_out[j] - state[j]
                        + x[cols["u", h.name]] + x[cols["spill", h.name]]
                        - released - x[cols["a", h.name]])
             assert abs(balance) <= 1e-7
@@ -248,9 +247,12 @@ def test_mass_conservation():
 
 def test_copy_rows_come_first_in_state_order():
     # The index contract solve_stage relies on: the first
-    # state_dimension() rows pin one free copy column each to
-    # state_in.flatten(), so their duals are the state duals.
+    # state_dimension() rows pin one free copy column each to state_in,
+    # so their duals are the state duals. The outgoing state is laid
+    # out the same way: the storages, then per hydro this stage's
+    # inflow followed by the incoming lags but the oldest.
     rng = np.random.default_rng(66)
+    two_lags = 0
     for _ in range(10):
         case, lattice = random_case(rng, n_hydro=2, max_lag=2)
         T, L = lattice.num_stages, lattice.num_openings
@@ -261,7 +263,7 @@ def test_copy_rows_come_first_in_state_order():
         lp, cols = build_stage_lp(case, t, state, noise, cuts, NEUTRAL, T, L)
         k = case.state_dimension()
         assert lp.senses[:k] == (EQUAL,) * k
-        assert np.array_equal(lp.rhs[:k], state.flatten())
+        assert np.array_equal(lp.rhs[:k], state)
         copies = []
         for row in lp.rows[:k]:
             (col,) = np.flatnonzero(row)
@@ -272,9 +274,20 @@ def test_copy_rows_come_first_in_state_order():
         assert np.all(lp.lower[copies] == -np.inf)
         assert np.all(lp.upper[copies] == np.inf)
         duals = solve(lp).duals[:k]
-        sol = solve_stage(StageTemplate(case, lattice, t, cuts, NEUTRAL),
-                          state, noise)
+        template = StageTemplate(case, lattice, t, cuts, NEUTRAL)
+        sol = solve_stage(template, state, noise)
         assert np.array_equal(sol.state_dual, duals)
+
+        x = solve(lp, template.start(lp)).primal
+        out = [x[cols["vout", h.name]] for h in case.hydros]
+        first = len(case.hydros)
+        for h in case.hydros:
+            p = len(h.ar_coeffs)
+            out += [x[cols["a", h.name]], *state[first:first + p]][:p]
+            first += p
+            two_lags += p == 2
+        assert sol.state_out.tobytes() == np.array(out).tobytes()
+    assert two_lags    # some hydro carried two lags
 
 
 def test_state_duals_match_finite_differences():
@@ -289,8 +302,9 @@ def test_state_duals_match_finite_differences():
         cuts = cut_matrices(case, [[]] * L) if t < T else None
         # interior storage so +/- h stays in bounds
         state = in_bounds_state(rng, case)
-        state.storages[:] = np.clip(state.storages, 0.01,
-                                    [h.max_storage - 0.01 for h in case.hydros])
+        nh = len(case.hydros)
+        state[:nh] = np.clip(state[:nh], 0.01,
+                             [h.max_storage - 0.01 for h in case.hydros])
 
         def objective_at(s):
             return solve_stage(StageTemplate(case, lattice, t, cuts, NEUTRAL),
@@ -298,13 +312,11 @@ def test_state_duals_match_finite_differences():
 
         sol = solve_stage(StageTemplate(case, lattice, t, cuts, NEUTRAL),
                           state, noise)
-        flat = state.flatten()
         for c in range(case.state_dimension()):
             def shifted(delta):
-                v = flat.copy()
+                v = state.copy()
                 v[c] += delta
-                nh = len(case.hydros)
-                return StateVector(v[:nh], [v[nh:]] if case.hydros[0].ar_coeffs else [np.zeros(0)])
+                return v
             up, down = objective_at(shifted(h_step)), objective_at(shifted(-h_step))
             base = sol.objective
             fd_plus = (up - base) / h_step
@@ -344,7 +356,7 @@ def test_storage_monotonicity():
         state = in_bounds_state(rng, case)
         values = []
         for frac in (0.0, 0.3, 0.6, 1.0):
-            state.storages[0] = frac * case.hydros[0].max_storage
+            state[0] = frac * case.hydros[0].max_storage
             values.append(solve_stage(
                 StageTemplate(case, lattice, t, cuts, NEUTRAL), state,
                 noise).objective)

@@ -19,6 +19,7 @@ from hydrosddp.engine import (
 from hydrosddp.hydro import StageTemplate, initial_state, solve_stage
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.scenario import SamplerMode
+from oracles import path_bytes
 
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 
@@ -60,7 +61,7 @@ def record_stage_solves(monkeypatch, lattice):
         return template
 
     def logged(template, state, noise):
-        calls.append((template.t, state.flatten().tobytes(),
+        calls.append((template.t, state.tobytes(),
                       openings[id(noise)], sizes[template]))
         return solve_stage(template, state, noise)
 
@@ -127,13 +128,6 @@ def test_new_cut_invalidates_only_its_stage():
     assert not pool.append(2, 1, Cut(np.zeros(dim), np.ones(dim), floor))
     assert memo.solve(2, state, 0) is again
     assert (memo.solves, memo.reuses) == (4, 5)
-
-
-def path_bytes(paths):
-    return [(step.opening, step.state_out.flatten().tobytes(),
-             step.immediate_cost,
-             None if step.weights is None else step.weights.weights.tobytes())
-            for p in paths for step in p.steps]
 
 
 def cut_bytes(pool):

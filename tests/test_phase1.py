@@ -162,7 +162,7 @@ def sampled_cuts(seed, num_states):
         for l, opening in enumerate(cuts):
             sol = solve_stage(StageTemplate(case, lattice, 2, None, NEUTRAL),
                               state, lattice.noise(2, l))
-            opening.append(Cut(sol.state_dual, state.flatten(),
+            opening.append(Cut(sol.state_dual, state,
                                sol.objective))
     return case, lattice, cuts
 

@@ -16,7 +16,6 @@ from hydrosddp.engine import Cut, CutPool, EngineConfig, StageMemo, train
 from hydrosddp.hydro import (
     DimensionMismatch,
     StageTemplate,
-    StateVector,
     build_stage_lp,
     initial_state,
     solve_stage,
@@ -92,7 +91,7 @@ def test_stamped_program_equals_built_program(seed):
                 kept = solve_stage(template, state, noise)
                 assert kept.objective == fresh.objective
                 assert kept.immediate_cost == fresh.immediate_cost
-                assert kept.state_out == fresh.state_out
+                assert kept.state_out.tobytes() == fresh.state_out.tobytes()
                 assert kept.state_dual.tobytes() == fresh.state_dual.tobytes()
                 assert (kept.betas is None) == (t == T)
                 if t < T:
@@ -141,12 +140,10 @@ def test_memo_path_rejects_noise_and_states_that_do_not_fit():
         memo.solve(2, state, 1)
     with pytest.raises(DimensionMismatch, match="inflow for hydro"):
         memo.solve(2, state, 2)
-    short = StateVector(state.storages[:1], state.lags[:1])
-    with pytest.raises(DimensionMismatch, match="hydro count"):
-        memo.solve(2, short, 0)
-    lags = [np.append(lag, 1.0) for lag in state.lags]
-    with pytest.raises(DimensionMismatch, match="lags"):
-        memo.solve(2, StateVector(state.storages, lags), 0)
+    with pytest.raises(DimensionMismatch, match="state of shape"):
+        memo.solve(2, state[:-1], 0)
+    with pytest.raises(DimensionMismatch, match="state of shape"):
+        memo.solve(2, np.append(state, 1.0), 0)
     # The template is built at opening 0, so noise there that does not
     # fit fails the stage's first solve, whichever opening it asks for.
     openings = [list(stage) for stage in lattice.openings]

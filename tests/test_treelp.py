@@ -98,7 +98,7 @@ def expected_value_tree_objective(case, lattice):
                      (spill[(n, h.name)], 1.0), (inflow[(n, h.name)], -1.0)]
             terms += [(u[(n, up)], -1.0) for up in h.upstream]
             terms += [(spill[(n, up)], -1.0) for up in h.upstream]
-            rhs = float(initial_state(case).storages[j]) if node.parent is None else 0.0
+            rhs = float(h.initial_storage) if node.parent is None else 0.0
             if node.parent is not None:
                 terms.append((vout[(node.parent, h.name)], -1.0))
             bld.add_row(terms, EQUAL, rhs)
@@ -111,7 +111,7 @@ def expected_value_tree_objective(case, lattice):
                         anc = nodes[anc].parent
                     ar_terms.append((inflow[(anc, h.name)], -coef))
                 else:
-                    rhs += coef * float(initial_state(case).lags[j][k - node.stage])
+                    rhs += coef * float(h.initial_lags[k - node.stage])
             bld.add_row(ar_terms, EQUAL, rhs)
     sol = solve(bld.build())
     assert sol.status == OPTIMAL
@@ -182,9 +182,9 @@ def test_fuller_reservoir_never_costs_more():
     case, lattice = random_case(rng, T=3, L=2, n_hydro=1)
     m = RiskMeasure(lam=0.6, alpha=0.4)
     state = in_bounds_state(rng, case)
-    state.storages[0] = 0.0
+    state[0] = 0.0
     empty = exact_cost_to_go(case, lattice, m, 2, state, 0)
-    state.storages[0] = case.hydros[0].max_storage
+    state[0] = case.hydros[0].max_storage
     full = exact_cost_to_go(case, lattice, m, 2, state, 0)
     assert full <= empty + 1e-8
 

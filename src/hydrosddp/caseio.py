@@ -379,6 +379,8 @@ def parse_case(path) -> ParsedCase:
             data = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
     return parse_case_data(data)
 
 
@@ -463,6 +465,8 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: {exc}") from None
+    except RecursionError:
+        raise CorruptFile(f"{path}: JSON nested too deeply") from None
     try:
         if _intval(doc, "schema_version", "policy") != SCHEMA_VERSION:
             raise CorruptFile(f"{path}: unsupported schema version")

@@ -159,26 +159,31 @@ class SystemCase:
 
 
 def check_acyclic(hydros) -> None:
-    """Raise CascadeCycle naming the path of any upstream cycle."""
+    """Raise CascadeCycle naming the path of any upstream cycle.
+
+    A depth-first walk up the cascade from each hydro in turn, on an
+    explicit stack so that a long chain needs no recursion: ``active``
+    is the path walked, and ``pending[k]`` the upstream hydros of
+    ``active[k]`` not yet visited."""
     index = {h.name: i for i, h in enumerate(hydros)}
-    upstream = {h.name: tuple(h.upstream) for h in hydros}
-    seen, active = set(), []
-
-    def visit(name):
-        if name in active:
-            raise CascadeCycle(
-                f"hydros[{index[name]}].upstream: cascade cycle "
-                + " -> ".join(active + [name]))
-        if name in seen:
-            return
-        active.append(name)
-        for up in upstream[name]:
-            visit(up)
-        active.pop()
-        seen.add(name)
-
+    upstream = {h.name: h.upstream for h in hydros}
+    seen = set()
     for h in hydros:
-        visit(h.name)
+        if h.name in seen:
+            continue
+        active, pending = [h.name], [iter(upstream[h.name])]
+        while pending:
+            name = next(pending[-1], None)
+            if name is None:
+                seen.add(active.pop())
+                pending.pop()
+            elif name in active:
+                raise CascadeCycle(
+                    f"hydros[{index[name]}].upstream: cascade cycle "
+                    + " -> ".join(active + [name]))
+            elif name not in seen:
+                active.append(name)
+                pending.append(iter(upstream[name]))
 
 
 def initial_state(case: SystemCase) -> np.ndarray:

@@ -21,8 +21,8 @@ A program builds the part of its equality form that its right-hand
 sides and upper bounds do not touch once, when it is made, and keeps
 it until it dies. ``stamp(rhs, upper)`` makes a program that
 differs only in those two vectors, checks just them, and shares all
-else, the form included, so a stamped solve sets up only its starting
-point and artificials.
+else, the form included, so a stamped solve sets up only its start:
+the point, statuses, bounds and costs over the columns it has.
 
 ``presolved()`` is the one presolve step (Andersen & Andersen 1995,
 *Presolving in linear programming*): an equality row whose only entry
@@ -37,10 +37,10 @@ gradients.
 Each program picks one of two kernel sets by its row count, and the
 choice is one value in the form: a dense copy of ``[A | I]`` below
 ``_SPARSE_ROWS`` rows, or None. Both sum the starting residual from the
-nonzeros and start phase 1 from one closed form; they differ only where
-their bits would. With the copy, the basis is inverted by LAPACK from
-its rows, and the duals and the entering column are dense products with
-the inverse, the column read from the copy. From ``_SPARSE_ROWS`` rows
+nonzeros and factor every basis with one function, ``_invert``; they
+differ only where their bits would. With the copy, the basis is
+inverted by LAPACK from its rows, and the duals and the entering column
+are dense products with the inverse, the column read from the copy. From ``_SPARSE_ROWS`` rows
 on, the basis is factored by its sparsity: column and row singletons
 are peeled into a block triangular form, level by level, and only the
 remaining bump is solved densely (Maros
@@ -54,27 +54,24 @@ numpy's own loops in a fixed order, so the BLAS thread count cannot
 move a pivot or the last bits of a result.
 
 A solve may be given a start: a basis, one column per row, and the
-nonbasic columns at their upper bounds. It is factored by the kernels'
-own inversion, and if it is nonsingular and its basic values lie within
-their bounds to phase 1's tolerance, only phase 2 runs, from it. Phase 1
-runs only without a start or after such a fallback; both paths share
-phase 2, the final check and the duals. The stage LPs get their start
-from ``hydro.StageTemplate.start``.
+nonbasic columns at their upper bounds. If it is nonsingular and its
+basic values lie within their bounds to phase 1's tolerance, only phase
+2 runs, from it. Phase 1 runs only without a start or after such a
+fallback; both paths share phase 2, the final check and the duals. The
+stage LPs get their start from ``hydro.StageTemplate.start``.
 
 Phase 1 starts from the slack basis. Each row that the starting point
 violates, whatever its sense, gets its own artificial column, basic in
 that row, with the row's slack at the bound it missed (stage LPs take
 their crash start, and a tree LP's start violates only equality rows,
 so an artificial shared by violated inequality rows would save no
-pivot). The basis is the identity but for those ±1 columns, and on
-both kernel sets its inverse is written down in closed form: bit for
-bit LAPACK's, and in value the sparse factorization's. Each solution
-reports its simplex iterations per phase (bound flips included), its
-basis factorizations, that start among them, and whether phase 2 ran
-from the given start.
-The duals come from a fresh factorization of the final basis; when
-phase 2 makes no pivot, that is the one phase 2 started from, and it is
-not formed again.
+pivot). Either start is set up by one routine and factored by
+``_refactor``, which fills in its basic values. Each solution reports
+its simplex iterations per phase (bound flips included), its basis
+factorizations, that start among them, and whether phase 2 ran from the
+given start. The duals always come from a fresh factorization of the
+final basis, formed once the sweep has dropped its inverse, so every
+factorization here is made by ``_invert``.
 
 A point reported optimal keeps every row and bound within phase 1's
 tolerance, checked by the residual that sets phase 1 up; basic values
@@ -422,15 +419,14 @@ class _EqualityForm:
     """The equality form ``[A | I][x; s] = b`` of a program and its
     stamps, but for the right-hand sides, upper bounds and artificials.
 
-    The slack bounds encode the senses (EQUAL keeps [0, 0]). ``lo``,
-    ``hi_tail`` (the slacks' upper bounds) and the costs run on for the
-    at most ``m`` artificials a solve appends, so a solve slices them.
-    The kernel choice ``dense`` is, below ``_SPARSE_ROWS`` rows, the
-    matrix with column j of ``[A | I]`` as row j, else None.
+    The slack bounds encode the senses (EQUAL keeps [0, 0]). A solve
+    sets up the bounds and costs over the columns it has, artificials
+    included, from these and the program's own vectors. The kernel
+    choice ``dense`` is, below ``_SPARSE_ROWS`` rows, the matrix with
+    column j of ``[A | I]`` as row j, else None.
     """
 
-    __slots__ = ("slack_lo", "slack_hi", "has_lo", "columns", "lo",
-                 "hi_tail", "cost", "phase1", "dense")
+    __slots__ = ("slack_lo", "slack_hi", "has_lo", "columns", "dense")
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.num_vars, lp.num_rows
@@ -445,10 +441,6 @@ class _EqualityForm:
             m, ncols, np.concatenate([nz_col, np.arange(n, ncols)]),
             np.concatenate([nz_row, np.arange(m)]),
             np.concatenate([nz_val, np.ones(m)]))
-        self.lo = np.concatenate([lp.lower, self.slack_lo, np.zeros(m)])
-        self.hi_tail = np.concatenate([self.slack_hi, np.full(m, np.inf)])
-        self.cost = np.concatenate([lp.objective, np.zeros(2 * m)])
-        self.phase1 = np.concatenate([np.zeros(ncols), np.ones(m)])
         self.dense = None
         if m < _SPARSE_ROWS:
             self.dense = np.zeros((ncols, m))
@@ -463,88 +455,86 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
     slack), and ``at_upper`` lists the nonbasic structural columns that
     sit at their upper bound. Phase 2 runs from that basis when it is
     nonsingular and its basic values lie within their bounds; otherwise
-    the solve runs the two-phase path, as without a start.
+    the solve runs the two-phase path, as without a start. Either start
+    is set up and factored the same way, and the duals always come from
+    a fresh factorization of the final basis.
 
     Returns an LPSolution whose duals follow the rhs-derivative
     convention documented at module level.
     """
     n, m = lp.num_vars, lp.num_rows
     form = lp._form
-    dense = form.dense
+    A, dense = form.columns, form.dense
     b = lp.rhs
     ncols = n + m
     tol_feas = TOL_FEAS * (1.0 + abs(b).max(initial=0.0))
-    A = form.columns
 
-    # Nonbasic structural variables sit at a finite bound, free ones at 0.
+    # Nonbasic structural variables sit at a finite bound, free ones at 0,
+    # and nonbasic slacks at the finite end of their bounds, 0.
     has_lo, has_hi = form.has_lo, np.isfinite(lp.upper)
     point = np.where(has_lo, lp.lower, np.where(has_hi, lp.upper, 0.0))
-    at = np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE))
+    at = np.concatenate([
+        np.where(has_lo, _AT_LOWER, np.where(has_hi, _AT_UPPER, _FREE)),
+        np.where(np.isfinite(form.slack_lo), _AT_LOWER, _AT_UPPER)])
+
+    def set_up(basis, at_upper, size):
+        # The point, statuses and bounds over ``size`` columns, the
+        # artificials past ``ncols`` in [0, inf); the factorization fills
+        # in the basic values.
+        x = np.zeros(size)
+        x[:n] = point
+        x[at_upper] = lp.upper[at_upper]
+        vstat = np.zeros(size, dtype=np.int8)
+        vstat[:ncols] = at
+        vstat[at_upper] = _AT_UPPER
+        vstat[basis] = _BASIC
+        lo = np.zeros(size)
+        lo[:n], lo[n:ncols] = lp.lower, form.slack_lo
+        hi = np.full(size, np.inf)
+        hi[:n], hi[n:ncols] = lp.upper, form.slack_hi
+        return x, vstat, lo, hi
+
     p1_pivots = p1_refactors = 0
-    # The inverse phase 2 starts from, handed to the sweep without a
-    # name held here, so that its first refactorization can free it.
+    # The inverse a phase starts from, handed to the sweep without a name
+    # held here, so that its first refactorization can free it.
     inverse = []
     started = False
     if start is not None:
-        lo, cost = form.lo[:ncols], form.cost[:ncols]
-        hi = np.concatenate([lp.upper, form.hi_tail[:m]])
-        # Nonbasic structural columns at ``point`` but those in
-        # ``at_upper``, nonbasic slacks at the finite end of their
-        # bounds; the factorization fills in the basic values.
         basis, at_upper = start
         basis = np.array(basis, dtype=np.intp)
-        x = np.concatenate([point, np.zeros(m)])
-        x[at_upper] = lp.upper[at_upper]
-        vstat = np.concatenate([at, np.where(np.isfinite(form.slack_lo),
-                                             _AT_LOWER, _AT_UPPER)])
-        vstat = vstat.astype(np.int8)
-        vstat[at_upper] = _AT_UPPER
-        vstat[basis] = _BASIC
-        b_inv = _refactor(A, b, x, vstat, basis, dense)
+        x, vstat, lo, hi = set_up(basis, at_upper, ncols)
+        inverse.append(_refactor(A, b, x, vstat, basis, dense))
         xb = x[basis]
-        started = (b_inv is not None
+        started = (inverse[0] is not None
                    and bool((lo[basis] - tol_feas <= xb).all())
                    and bool((xb <= hi[basis] + tol_feas).all()))
-        if started:
-            inverse.append(b_inv)
-        else:
+        if not started:
+            inverse.pop()
             p1_refactors = 1    # the start was factored, then set aside
-        b_inv = None
 
     if not started:
-        resid, gap = _row_gap(lp, form, point)
-
         # Slack basis where the residual fits the slack bounds. Each
         # violated row's slack sits at the bound it missed, 0, and its
-        # own artificial is basic at |resid|, so phase 1 starts feasible.
+        # own artificial, signed like the residual, is basic at |resid|,
+        # so phase 1 starts feasible.
+        gap = _row_gap(lp, form, point)
         art_rows = (~(np.abs(gap) <= _TOL_STEP)).nonzero()[0]
         n_art = art_rows.size
-        size = ncols + n_art
-        vstat = np.empty(size, dtype=np.int8)
-        x = np.empty(size)
-        vstat[:n] = at
-        x[:n] = point
-        vstat[n:] = _BASIC
-        x[n:ncols] = resid
         basis = np.arange(n, ncols)
-        vstat[n + art_rows] = np.where(np.isfinite(form.slack_lo[art_rows]),
-                                       _AT_LOWER, _AT_UPPER)
-        x[n + art_rows] = 0.0
-        x[ncols:] = np.abs(resid[art_rows])
         basis[art_rows] = ncols + np.arange(n_art)
-        art_data = np.where(gap[art_rows] > 0, 1.0, -1.0)
-
-        lo, cost = form.lo[:size], form.cost[:size]
-        hi = np.concatenate([lp.upper, form.hi_tail[:m + n_art]])
         if n_art:
-            A = A.appended(art_rows, art_data)
+            art_sign = np.where(gap[art_rows] > 0, 1.0, -1.0)
+            A = A.appended(art_rows, art_sign)
             if dense is not None:
                 dense = np.concatenate([dense, np.zeros((n_art, m))])
-                dense[ncols + np.arange(n_art), art_rows] = art_data
-
+                dense[ncols + np.arange(n_art), art_rows] = art_sign
+        x, vstat, lo, hi = set_up(basis, [], A.n)
+        inverse.append(_refactor(A, b, x, vstat, basis, dense))
+        if n_art:
+            phase1 = np.zeros(A.n)
+            phase1[ncols:] = 1.0
             status, p1_pivots, refactors = _iterate(
-                A, b, form.phase1[:A.n], lo, hi, x, vstat, basis, dense,
-                _slack_inverse(m, art_rows, art_data))[:3]
+                A, b, phase1, lo, hi, x, vstat, basis, dense, inverse.pop())
             p1_refactors += refactors
             if status != OPTIMAL:  # pragma: no cover - bounded below
                 raise NumericalFailure("phase 1 did not terminate optimal")
@@ -555,9 +545,11 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
                                   p1_refactors)
             hi[ncols:] = 0.0  # freeze artificials out of phase 2
             x[ncols:] = np.maximum(x[ncols:], 0.0)
-        inverse.append(_invert(A, basis, dense))
+            inverse.append(_invert(A, basis, dense))
 
-    status, p2_pivots, refactors, b_inv = _iterate(
+    cost = np.zeros(A.n)
+    cost[:n] = lp.objective
+    status, p2_pivots, refactors = _iterate(
         A, b, cost, lo, hi, x, vstat, basis, dense, inverse.pop())
     refactors += p1_refactors
     if status == UNBOUNDED:
@@ -565,17 +557,14 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
                           np.full(m, np.nan), p1_pivots, p2_pivots, refactors,
                           started)
 
-    # Fresh factorization for clean duals, formed after the swept inverse
-    # is dropped. Without a phase-2 pivot, the inverse phase 2 started
-    # from is that factorization already.
-    if p2_pivots:
-        b_inv = None
-        b_inv = _invert(A, basis, dense)
-        refactors += 1
-        if b_inv is None:
-            raise NumericalFailure("singular basis at termination")
+    # Fresh factorization for clean duals; the sweep has dropped its
+    # inverse.
+    b_inv = _invert(A, basis, dense)
+    refactors += 1
+    if b_inv is None:
+        raise NumericalFailure("singular basis at termination")
     primal = x[:n].copy()
-    worst = np.concatenate([abs(_row_gap(lp, form, primal)[1]),
+    worst = np.concatenate([abs(_row_gap(lp, form, primal)),
                             lp.lower - primal, primal - lp.upper])
     if not worst.max(initial=0.0) <= tol_feas:
         raise NumericalFailure(f"the optimal point misses a row or bound "
@@ -591,28 +580,13 @@ def solve(lp: LinearProgram, start=None) -> LPSolution:
 
 
 def _row_gap(lp: LinearProgram, form: _EqualityForm, point):
-    """The residual ``b - A point``, and how far it lies outside the
-    slack bounds, row by row."""
+    """How far the residual ``b - A point`` lies outside the slack
+    bounds, row by row."""
     nz_col, nz_row, nz_val = lp.nonzeros
     resid = lp.rhs - np.bincount(nz_row, nz_val * point[nz_col],
                                  minlength=lp.num_rows)
-    return resid, resid - np.minimum(np.maximum(resid, form.slack_lo),
-                                     form.slack_hi)
-
-
-def _slack_inverse(m, art_rows, art_sign):
-    """The inverse of phase 1's starting basis, in closed form.
-
-    The basis is the identity with column ``art_rows[i]`` replaced by
-    ``art_sign[i] * e_i``, the artificial of a violated row. Its inverse
-    is the identity with row ``art_rows[i]`` scaled by ``art_sign[i]``
-    (its own reciprocal). Scaling a row gives its zeros the sign of the
-    factor, as LAPACK's inverse of that basis does, so the result holds
-    LAPACK's bits (``tests/test_dense_sweep.py`` checks this).
-    """
-    b_inv = np.eye(m)
-    b_inv[art_rows] *= art_sign[:, None]
-    return b_inv
+    return resid - np.minimum(np.maximum(resid, form.slack_lo),
+                              form.slack_hi)
 
 
 def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
@@ -621,11 +595,12 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
     Starts from ``b_inv``, the caller's inverse of the starting basis
     (None if that basis is singular), which counts as the first
     factorization and is updated in place; the caller holds no name for
-    it, so a refactorization frees it before forming the next. Returns
-    (status, iterations, refactorizations, basis inverse), bound flips
-    counted as iterations. The basic values, bounds and costs are kept
-    in basis order, so an iteration gathers nothing by the basis; ``x``
-    holds the nonbasic values and receives the basic ones on return.
+    it, so a refactorization frees it before forming the next, and it
+    dies with the sweep. Returns (status, iterations, refactorizations),
+    bound flips counted as iterations. The basic values, bounds and
+    costs are kept in basis order, so an iteration gathers nothing by the
+    basis; ``x`` holds the nonbasic values and receives the basic ones on
+    return.
 
     With finite data the pivot ``w[r]`` exceeds ``_TOL_PIVOT`` in
     magnitude, so it needs no fallback: the ratio test gives every row
@@ -687,7 +662,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
             q = int(score.argmax())
             if score[q] <= TOL_OPT:
                 x[basis] = xb
-                return OPTIMAL, it, refactors, b_inv
+                return OPTIMAL, it, refactors
             if bland:
                 q = int(np.flatnonzero(score > TOL_OPT)[0])
             sigma = 1.0 if d[q] < 0 else -1.0
@@ -704,7 +679,7 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
             if flip_cap <= min_ratio:
                 if not np.isfinite(flip_cap):
                     x[basis] = xb
-                    return UNBOUNDED, it, refactors, b_inv
+                    return UNBOUNDED, it, refactors
                 # Bound flip: the entering variable crosses to its other bound.
                 xb -= step * flip_cap
                 x[q] = hi[q] if sigma > 0 else lo[q]

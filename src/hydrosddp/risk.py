@@ -66,10 +66,6 @@ class WeightVector:
     def __len__(self):
         return self.weights.size
 
-    def __eq__(self, other):
-        return isinstance(other, WeightVector) and np.array_equal(
-            self.weights, other.weights)
-
     def __repr__(self):
         return f"WeightVector({self.weights.tolist()})"
 

@@ -93,9 +93,11 @@ class SamplerMode(enum.Enum):
                          f"{[m.value for m in cls]}, got {text!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathStep:
-    """One stage of a forward path."""
+    """One stage of a forward path. Steps and paths compare and hash by
+    identity, since a comparison of their arrays has no single truth
+    value."""
 
     opening: Optional[int]        # 0-based; None at the deterministic root
     state_out: np.ndarray         # the flat state, as hydro defines it
@@ -103,7 +105,7 @@ class PathStep:
     weights: Optional[WeightVector]  # used to sample the next stage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathRecord:
     steps: tuple
 

@@ -165,7 +165,7 @@ def counting_solve(counts):
         point = np.where(np.isfinite(program.lower), program.lower,
                          np.where(np.isfinite(program.upper), program.upper,
                                   0.0))
-        gap = lp._row_gap(program, program._form, point)[1]
+        gap = lp._row_gap(program, program._form, point)
         violated = np.abs(gap) > lp._TOL_STEP
         if violated.any():
             equality = np.array(program.senses, dtype=object) == lp.EQUAL

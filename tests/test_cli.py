@@ -163,6 +163,26 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_case_exits_2(tmp_path, capsys):
+    # The JSON decoder recurses once per level and gives up past
+    # Python's recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 2000 + "]" * 2000)
+    assert run_cli(["detequiv", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: JSON nested too deeply\n")
+
+
+def test_deeply_nested_policy_exits_2(tmp_path, capsys):
+    case = tmp_path / "case.json"
+    case.write_text(json.dumps(hydro_case_dict()))
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"pool": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert run_cli(["evaluate", str(case), "--policy", str(policy)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {policy}: JSON nested too deeply\n")
+
+
 def _bad_reference(kind):
     """A case document with one dangling reference or cycle of `kind`."""
     doc = hydro_case_dict()

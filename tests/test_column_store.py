@@ -70,20 +70,19 @@ def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
     assert_kkt(lp, sol, 1e-7)
     # One factorization at the start of each phase, one for the duals,
     # and one every _REFACTOR_EVERY iterations of a phase. At 439 rows
-    # every one of them but phase 1's start, which is written in closed
-    # form, runs the sparse kernels.
+    # every one of them, phase 1's start included, runs the sparse
+    # kernels.
     periodic = (sol.phase1_pivots // _REFACTOR_EVERY
                 + sol.phase2_pivots // _REFACTOR_EVERY)
     assert periodic >= 2
     assert sol.refactorizations == 3 + periodic
-    assert sparse == [lp.num_rows] * (sol.refactorizations - 1)
+    assert sparse == [lp.num_rows] * sol.refactorizations
 
 
 def negative_inflow_tree():
     """The 439-row tree above with hydro h1's stage-1 inflow at -0.5,
     which its initial storage covers. The starting point violates that
-    AR row from above, so its artificial enters with sign -1 and phase
-    1's start scales the row's inverse by -1."""
+    AR row from above, so its artificial enters with sign -1."""
     case, lattice = random_case(np.random.default_rng(20261018), T=6, L=2,
                                 n_hydro=2, n_thermal=2)
     h = case.hydros[0]
@@ -101,14 +100,13 @@ def test_tree_with_a_negated_start_row_matches_highs(monkeypatch):
     lp = build_tree_lp(case, lattice, measure)
     assert lp.num_rows >= _SPARSE_ROWS
     negated = []
-    slack_inverse = lpmod._slack_inverse
+    appended = lpmod._Columns.appended
 
-    def spy(m, art_rows, art_sign):
-        b_inv = slack_inverse(m, art_rows, art_sign)
-        negated.extend(np.flatnonzero(np.diag(b_inv) == -1.0))
-        return b_inv
+    def spy(self, row, val):
+        negated.extend(row[val == -1.0])
+        return appended(self, row, val)
 
-    monkeypatch.setattr(lpmod, "_slack_inverse", spy)
+    monkeypatch.setattr(lpmod._Columns, "appended", spy)
     sol = solve(lp)
     assert negated
     assert sol.status == OPTIMAL

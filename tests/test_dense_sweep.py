@@ -3,14 +3,12 @@
 Below ``lp._SPARSE_ROWS`` rows, ``lp.solve`` keeps the basic values,
 bounds and costs in basis order, reads entering columns from one dense
 copy of the matrix per template (the program a stamp was made from),
-sets up the slack basis with array operations and starts phase 1 from
-the closed-form inverse of that basis. ``oracles.reference_solve`` is
-the dense path as it stood before. Each BLAS product, the pricing and
-each LAPACK inverse are the same call on the same values in both, and
-the closed-form inverse holds LAPACK's bits, so every pivot and every
-bit of the result must agree, whatever order the stamps of one template
-are solved in. From ``_SPARSE_ROWS`` rows on, the same closed form
-starts phase 1 and must equal the sparse factorization in value.
+and sets up the slack basis with array operations.
+``oracles.reference_solve`` is the dense path as it stood before. Each
+BLAS product, the pricing and each LAPACK inverse, phase 1's start and
+the final basis's among them, are the same call on the same values in
+both, so every pivot, every factorization and every bit of the result
+must agree, whatever order the stamps of one template are solved in.
 """
 
 import numpy as np
@@ -32,24 +30,18 @@ from hydrosddp.lp import (
     solve,
 )
 from hydrosddp.risk import RiskMeasure
-from hydrosddp.treelp import build_tree_lp
 from oracles import dense_program, reference_solve
-from test_column_store import negative_inflow_tree
 from test_lp import beale_program, random_feasible_program, stress_program
-from test_phase1 import highs, violated_at_start, violated_program
+from test_phase1 import highs, violated_at_start
 
 BLEND = RiskMeasure(lam=0.5, alpha=0.5)
 
 
 def assert_same_solve(lp):
     ref, sol = reference_solve(lp), solve(lp)
-    # Without a phase-2 pivot, solve takes the inverse phase 2 started
-    # from for the duals, where the reference inverts that basis again.
-    reused = ref.status == OPTIMAL and ref.phase2_pivots == 0
     assert (sol.status, sol.phase1_pivots, sol.phase2_pivots,
             sol.refactorizations) == (ref.status, ref.phase1_pivots,
-                                      ref.phase2_pivots,
-                                      ref.refactorizations - reused)
+                                      ref.phase2_pivots, ref.refactorizations)
     assert (np.float64(sol.objective).tobytes()
             == np.float64(ref.objective).tobytes())
     assert sol.primal.tobytes() == ref.primal.tobytes()
@@ -161,17 +153,6 @@ def test_stamps_of_one_template_match_the_reference_in_any_order():
     assert stamps >= 50
 
 
-def phase1_programs():
-    """Programs whose starts violate equality rows, inequality rows, or
-    both."""
-    rng = np.random.default_rng(20261020)
-    yield from small_programs()
-    for _ in range(60):
-        n = int(rng.integers(3, 15))
-        yield violated_program(rng, n, int(rng.integers(0, 20)),
-                               int(rng.integers(0, min(n, 4))))
-
-
 def test_each_violated_row_starts_phase1_on_its_own_artificial(monkeypatch):
     # Columns start at their lower bounds, 1, where rows 0-2 are violated:
     # a <= row from above, a >= row from below, an = row from below. Row
@@ -214,65 +195,3 @@ def test_each_violated_row_starts_phase1_on_its_own_artificial(monkeypatch):
     assert ref.status == 0
     assert sol.objective == pytest.approx(ref.fun, rel=1e-12)
 
-
-def sparse_phase1_programs():
-    """Programs on the sparse kernels whose starts violate rows: casegen
-    tree LPs, which violate only equality rows (the 439-row tree of
-    ``test_column_store.py``, with and without a start row scaled by -1,
-    and the 215-row tree whose pivot path it pins), and two programs
-    whose start also violates over 100 inequality rows."""
-    blend = RiskMeasure(lam=0.5, alpha=0.5)
-    for seed, T in ((20261018, 6), (20240807, 5)):
-        case, lattice = random_case(np.random.default_rng(seed), T=T, L=2,
-                                    n_hydro=2, n_thermal=2)
-        yield build_tree_lp(case, lattice, blend)
-    yield build_tree_lp(*negative_inflow_tree(), blend)
-    rng = np.random.default_rng(20261021)
-    for _ in range(2):
-        yield violated_program(rng, 20, _SPARSE_ROWS + 10, 4)
-
-
-def test_closed_form_phase1_start_is_lapacks_inverse(monkeypatch):
-    starts, sparse_starts = [], []
-    sweep = lpmod._iterate
-
-    def spy(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
-        # Phase 1 prices the artificials, and nothing else, at 1; without
-        # them the last column is a slack, priced at 0, unless there are
-        # no rows.
-        if A.m and cost[-1] == 1.0:
-            if dense is not None:
-                rows = A.row[A.ptr[A.n - int(cost.sum())]:]
-                starts.append((b_inv.copy(), np.linalg.inv(dense[basis].T),
-                               rows))
-            else:
-                sparse_starts.append((b_inv.copy(),
-                                      lpmod._sparse_inverse(A, basis)))
-        return sweep(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv)
-
-    monkeypatch.setattr(lpmod, "_iterate", spy)
-    kinds = []
-    for lp in phase1_programs():
-        before = len(starts)
-        solve(lp)
-        equality = np.array(lp.senses, dtype=object) == EQUAL
-        kinds += [(equality[rows].any(), (~equality[rows]).any())
-                  for _, _, rows in starts[before:]]
-    for got, lapack, _ in starts:
-        assert np.array_equal(got, lapack)
-        assert np.array_equal(np.signbit(got), np.signbit(lapack))
-    # Starts with several artificials, with artificials on inequality
-    # rows, and with artificials on both kinds of row.
-    several = sum(rows.size > 1 for _, _, rows in starts)
-    ineq = sum(on_ineq for _, on_ineq in kinds)
-    both = sum(on_eq and on_ineq for on_eq, on_ineq in kinds)
-    assert min(several, ineq, both) >= 20
-    # On the sparse kernels the same closed form starts phase 1, equal in
-    # value to the triangular factorization of that basis. A row scaled
-    # by -1 may hold -0.0 where the factorization holds 0.0.
-    for lp in sparse_phase1_programs():
-        assert lp.num_rows >= _SPARSE_ROWS
-        solve(lp)
-    assert len(sparse_starts) == 5
-    for got, factored in sparse_starts:
-        assert np.array_equal(got, factored)

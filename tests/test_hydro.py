@@ -12,6 +12,7 @@ from casegen import (
 from hydrosddp.engine import Cut
 from hydrosddp.hydro import (
     Bus,
+    CascadeCycle,
     DimensionMismatch,
     Hydro,
     Line,
@@ -201,8 +202,31 @@ def test_case_validation_errors():
                    deficit_cost=1.0)
 
 
-# ---------------------------------------------------------------------------
-# Physics properties on random cases
+def chain(names, upstream):
+    """One-bus case whose hydros, in the order of ``names``, take the
+    upstream hydros ``upstream[name]``."""
+    return SystemCase(
+        buses=(Bus("b1", (1.0,)),),
+        thermals=(Thermal("t1", "b1", 1.0, 1.0),),
+        hydros=tuple(Hydro(name, "b1", 1.0, 1.0, 1.0,
+                           upstream=upstream.get(name, ()))
+                     for name in names),
+        deficit_cost=10.0)
+
+
+def test_cascade_cycle_entered_from_a_tail_names_its_path():
+    with pytest.raises(CascadeCycle) as exc:
+        chain("abc", {"a": ("b",), "b": ("c",), "c": ("b",)})
+    assert str(exc.value) == ("hydros[1].upstream: cascade cycle "
+                              "a -> b -> c -> b")
+
+
+def test_long_cascade_listed_downstream_first_is_a_case():
+    # Each hydro takes the next one as upstream, so the walk from the
+    # first goes 1,000 hydros deep.
+    names = [f"h{k}" for k in range(1000)]
+    case = chain(names, {a: (b,) for a, b in zip(names, names[1:])})
+    assert [h.name for h in case.hydros] == names
 
 
 def test_relatively_complete_recourse():

@@ -21,6 +21,7 @@ from hydrosddp.hydro import (
     solve_stage,
 )
 from hydrosddp.lp import (
+    _SPARSE_ROWS,
     EQUAL,
     GREATER,
     INFEASIBLE,
@@ -251,3 +252,44 @@ def test_feasible_start_needs_no_phase1():
     sol = solve(lp)
     assert sol.phase1_pivots == 0
     assert sol.phase2_pivots >= 1
+
+
+def held_at_start_program(rng, n, m):
+    """Boxed program with integer data whose rows, of every sense, all
+    hold exactly where the simplex starts, each column at its lower
+    bound."""
+    lo = rng.integers(-5, 1, n).astype(float)
+    hi = lo + rng.integers(1, 10, n)
+    rows = rng.integers(-9, 10, (m, n)) * (rng.random((m, n)) < 0.3)
+    kind = rng.integers(0, 3, m)
+    senses = [(LESS, EQUAL, GREATER)[k] for k in kind]
+    # A <= row holds with slack, a >= row with surplus, an = row exactly.
+    rhs = rows @ lo + (1 - kind) * rng.integers(0, 5, m)
+    return dense_program(rng.integers(-9, 10, n).astype(float), lo, hi,
+                         rows, senses, rhs)
+
+
+def test_slack_basis_as_a_start_matches_the_start_free_solve():
+    # Where the start violates no row, phase 1 has nothing to do, and a
+    # solve from the slack basis given as a start must be the start-free
+    # solve bit for bit, on both kernel sets.
+    rng = np.random.default_rng(20261025)
+    for k in range(40):
+        # Every fourth program runs the sparse kernels.
+        m = int(rng.integers(_SPARSE_ROWS, _SPARSE_ROWS + 30) if k % 4 == 0
+                else rng.integers(3, 40))
+        lp = held_at_start_program(rng, int(rng.integers(3, 60)), m)
+        assert not violated_at_start(lp).any()
+        free = solve(lp)
+        given = solve(lp, (np.arange(lp.num_vars, lp.num_vars + m), []))
+        assert free.status == given.status == OPTIMAL
+        assert not free.started and given.started
+        assert free.phase1_pivots == 0 and free.phase2_pivots > 0
+        assert ((given.phase1_pivots, given.phase2_pivots,
+                 given.refactorizations)
+                == (free.phase1_pivots, free.phase2_pivots,
+                    free.refactorizations))
+        assert (np.float64(given.objective).tobytes()
+                == np.float64(free.objective).tobytes())
+        assert given.primal.tobytes() == free.primal.tobytes()
+        assert given.duals.tobytes() == free.duals.tobytes()

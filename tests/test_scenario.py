@@ -7,6 +7,8 @@ from hydrosddp.risk import WeightVector, uniform_weights
 from hydrosddp.scenario import (
     Lattice,
     NoiseRealization,
+    PathRecord,
+    PathStep,
     SamplerMode,
     path_rng,
     sample_opening,
@@ -89,3 +91,14 @@ def test_sampler_mode_parse():
     assert SamplerMode.parse("alternating") is SamplerMode.ALTERNATING
     with pytest.raises(ValueError):
         SamplerMode.parse("sometimes")
+
+
+def test_path_steps_compare_and_hash_by_identity():
+    # Equal but distinct state arrays: a field-wise comparison would ask
+    # an array for one truth value. Paths compare by their bytes
+    # (``oracles.path_bytes``), not by ``==``.
+    a, b = (PathStep(0, np.array([1.0, 2.0]), 3.0, uniform_weights(2))
+            for _ in range(2))
+    assert a == a and a != b
+    assert PathRecord((a,)) != PathRecord((a,))
+    assert len({a, b, PathRecord((a,)), PathRecord((b,))}) == 4

@@ -97,6 +97,15 @@ def resolve_config(base: EngineConfig, args) -> EngineConfig:
     """``base`` with the run settings given as flags applied on top."""
     flags = {key: getattr(args, key) for keys in SETTINGS.values()
              for key in keys if getattr(args, key, None) is not None}
+    # Only solve takes --iters, on the case file's settings: a maximum
+    # below the minimum the file sets is the flag's doing, not the file's.
+    iters = flags.get("max_iterations")
+    if ("min_iterations" not in flags and iters is not None
+            and 1 <= iters < base.min_iterations):
+        raise SchemaError(
+            f"--iters {iters} is below min_iterations "
+            f"{base.min_iterations} from the case file; pass --min-iters "
+            f"{iters} or lower as well")
     return config_from_dict(flags, "command line", base)
 
 

@@ -47,8 +47,13 @@ remaining bump is solved densely (Maros
 2003, *Computational Techniques of the Simplex Method*, ch. 8; Suhl &
 Suhl 1990). The entering column is then formed from its nonzeros alone,
 the duals are updated in O(m) per pivot and recomputed at every
-factorization, and a pivot row of the inverse with fewer than m/4
-nonzeros updates only the entries in its nonzero columns. Apart from
+factorization, and a pivot updates the inverse only in the rows where
+the entering column, and the columns where the pivot row, exceed
+``_TOL_DROP`` (1e-14) times their vector's largest magnitude. Entries
+below that are residue of earlier cancellations, which the swept
+inverse accumulates; skipping them lets a pivot row with fewer than m/4
+live columns update only the entries in them, where its residue would
+have made it rewrite full rows. Apart from
 the bump, which LAPACK solves, every product on this path runs in
 numpy's own loops in a fixed order, so the BLAS thread count cannot
 move a pivot or the last bits of a result.
@@ -106,6 +111,9 @@ UNBOUNDED = "unbounded"
 TOL_FEAS = 1e-7
 TOL_OPT = 1e-9
 _TOL_PIVOT = 1e-10
+# Relative zero tolerance of the sparse kernels' inverse update (Maros
+# 2003); see ``_sparse_update``.
+_TOL_DROP = 1e-14
 _TOL_STEP = 1e-12
 _STALL_LIMIT = 200
 _REFACTOR_EVERY = 128
@@ -614,9 +622,8 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
     the rows of the inverse where the entering column is nonzero. On
     the sparse path ``dense`` is None: the entering column is formed from
     its nonzeros, and the duals are carried across pivots and recomputed
-    only at a factorization. A pivot row of the inverse with fewer than
-    m/4 nonzeros updates only the entries in its nonzero columns; the
-    others change by exactly zero.
+    only at a factorization; ``_sparse_update`` updates the inverse and
+    skips rounding residue.
     """
     m = A.m
     if b_inv is None:
@@ -714,16 +721,12 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
             dn[leaving] = float(movable and not to_lower)
 
             # Product-form update of the explicit inverse, on the rows
-            # where w is nonzero: the others change by exactly zero.
+            # where w is nonzero, as the others change by exactly zero;
+            # the sparse kernels also skip rows of residue.
             pivot_row = b_inv[r] / w[r]
             w[r] = 0.0
             if dense is None:
-                nz = w.nonzero()[0]
-                on = pivot_row.nonzero()[0]
-                if 4 * on.size < m:
-                    b_inv[nz[:, None], on] -= w[nz, None] * pivot_row[on]
-                else:
-                    b_inv[nz] -= np.outer(w[nz], pivot_row)
+                _sparse_update(b_inv, w, pivot_row)
                 # The new basis prices column q at zero: y A_q = cost_q.
                 y += d[q] * pivot_row
             else:
@@ -740,6 +743,28 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
                 bland = False
 
     raise NumericalFailure(f"simplex exceeded {max_iters} iterations")
+
+
+def _sparse_update(b_inv, w, pivot_row):
+    """Subtract ``w_i * pivot_row_j`` from ``b_inv[i, j]``, the sparse
+    kernels' product-form update off the pivot row, whose own entry of
+    ``w`` the caller has zeroed.
+
+    Only rows ``i`` where ``|w_i|``, and columns ``j`` where
+    ``|pivot_row_j|``, exceed ``_TOL_DROP`` times the largest magnitude
+    in the same vector are rewritten; smaller entries are residue of
+    earlier cancellations. If fewer than m/4 columns qualify, only those
+    entries of the qualifying rows change; otherwise those rows change
+    in full.
+    """
+    aw = np.abs(w)
+    nz = (aw > _TOL_DROP * aw.max()).nonzero()[0]
+    ap = np.abs(pivot_row)
+    on = (ap > _TOL_DROP * ap.max()).nonzero()[0]
+    if 4 * on.size < w.size:
+        b_inv[nz[:, None], on] -= w[nz, None] * pivot_row[on]
+    else:
+        b_inv[nz] -= np.outer(w[nz], pivot_row)
 
 
 def _refactor(A, b, x, vstat, basis, dense):

@@ -371,6 +371,11 @@ def test_infeasible_case_exits_3_from_solve_and_detequiv(tmp_path, capsys):
      "command line.batch_size must be at least 1"),
     (None, ["simulate", "--seed", "-1"],
      "command line.seed must be nonnegative"),
+    ({"max_iterations": 9, "min_iterations": 6}, ["solve", "--iters", "5"],
+     "--iters 5 is below min_iterations 6 from the case file; pass "
+     "--min-iters 5 or lower as well"),
+    ({"min_iterations": 6}, ["solve", "--iters", "9", "--min-iters", "10"],
+     "command line.min_iterations must be in [1, max_iterations]"),
 ])
 def test_bad_run_settings_exit_2_with_field_path(engine, argv, message,
                                                  tmp_path, capsys):
@@ -389,6 +394,18 @@ def test_bad_run_settings_exit_2_with_field_path(engine, argv, message,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_iters_below_the_case_minimum_blames_the_flag(tmp_path, capsys):
+    # The shipped demo sets min_iterations 25; --iters 10 alone must
+    # name itself and where that minimum came from, and write nothing.
+    demo = os.path.join(os.path.dirname(__file__), "..", "cases", "demo.json")
+    out = tmp_path / "run"
+    assert run_cli(["solve", demo, "--iters", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --iters 10 is below min_iterations 25 from the case file; "
+        "pass --min-iters 10 or lower as well\n")
+    assert not out.exists()
 
 
 def test_policy_with_bad_config_exits_2(tmp_path, capsys):

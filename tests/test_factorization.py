@@ -4,7 +4,8 @@ From ``_SPARSE_ROWS`` rows on, ``lp.solve`` inverts each basis through
 its block triangular form: column singletons, row singletons, and a bump
 that LAPACK solves densely. These tests plant that structure in random
 sparse bases and check the inverse against ``np.linalg.inv``; check that
-singular bases still fail the way a dense inversion fails; and check
+singular bases still fail the way a dense inversion fails; check that
+a pivot's update of the inverse leaves rounding residue alone; and check
 that a tree LP on the sparse path gives the same bytes under one and
 two BLAS threads.
 """
@@ -19,7 +20,13 @@ import pytest
 
 from casegen import random_case
 from hydrosddp import lp as lpmod
-from hydrosddp.lp import NumericalFailure, _Columns, _refactor, solve
+from hydrosddp.lp import (
+    NumericalFailure,
+    _Columns,
+    _refactor,
+    _sparse_update,
+    solve,
+)
 from hydrosddp.risk import RiskMeasure
 from hydrosddp.treelp import build_tree_lp
 
@@ -126,6 +133,36 @@ def test_singular_basis_fails_refactorization(name):
     dense[A.col, A.row] = A.val
     for kernels in (None, dense):
         assert _refactor(A, np.ones(m), x, vstat, basis, kernels) is None
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -40, 1.0, 2.0 ** 40])
+@pytest.mark.parametrize("live_cols", [10, 60])
+def test_inverse_update_leaves_residue_alone(live_cols, scale):
+    # A sparse inverse, an entering column and a pivot row, each vector
+    # with live entries and 1e-18-relative residue. 10 live columns of
+    # 120 take the row-and-column update, 60 the full-row one.
+    m = 120
+    rng = np.random.default_rng(live_cols)
+    b_inv = np.where(rng.random((m, m)) < 0.1, rng.standard_normal((m, m)),
+                     0.0)
+    rows, residue_rows = np.split(rng.permutation(m)[:40], [8])
+    cols, residue_cols = np.split(rng.permutation(m)[:live_cols + 30],
+                                  [live_cols])
+    w = np.zeros(m)
+    w[rows] = scale * rng.uniform(0.5, 2.0, rows.size)
+    w[residue_rows] = scale * 1e-18
+    p = np.zeros(m)
+    p[cols] = rng.uniform(-2.0, 2.0, cols.size)
+    p[residue_cols] = -1e-18
+    before = b_inv.copy()
+    _sparse_update(b_inv, w, p)
+    # Live rows change by exactly ``w_i * p_j``: in the live columns on
+    # the row-and-column update, in every column on the full-row one.
+    live = np.zeros((m, m), dtype=bool)
+    live[rows[:, None], cols if live_cols < m // 4 else np.arange(m)] = True
+    expected = np.where(live, before - np.outer(w, p), before)
+    assert np.array_equal(b_inv, expected)
+    assert not np.array_equal(b_inv[rows], before[rows])
 
 
 def tree_lp():

@@ -20,6 +20,7 @@ from hydrosddp.hydro import (
     solve_stage,
 )
 from hydrosddp.lp import (
+    _SPARSE_ROWS,
     EQUAL,
     GREATER,
     LESS,
@@ -327,6 +328,27 @@ def test_tree_objective_at_lambda_one_matches_highs_across_scales(seed):
                 pytest.approx(highs_tree_objective(scaled, scaled_lattice,
                                                    measure),
                               rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [20261018, 1, 2])
+def test_sparse_tree_objective_matches_highs_across_scales(seed):
+    # The trees above presolve to fewer than _SPARSE_ROWS rows, so they
+    # run the dense kernels. These presolve to 313 rows and run the
+    # sparse ones, whose inverse update skips entries below a tolerance
+    # relative to their vector: the scale of the data must not matter.
+    pytest.importorskip("scipy")
+    case, lattice = random_case(np.random.default_rng(seed), T=6, L=2,
+                                n_hydro=2, n_thermal=2)
+    for S in (2.0 ** -10, 1.0, 2.0 ** 10):
+        scaled, scaled_lattice = scaled_physically(case, lattice, S)
+        for lam, alpha in ((0.5, 0.5), (1.0, 0.9)):
+            measure = RiskMeasure(lam=lam, alpha=alpha)
+            lp = build_tree_lp(scaled, scaled_lattice, measure).presolved()
+            assert lp.num_rows >= _SPARSE_ROWS
+            assert tree_objective(scaled, scaled_lattice, measure) == \
+                pytest.approx(highs_tree_objective(scaled, scaled_lattice,
+                                                   measure),
+                              rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -93,8 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags named otherwise than the settings they store.
+FLAG_NAMES = {"batch_size": "--paths", "max_iterations": "--iters",
+              "min_iterations": "--min-iters"}
+
+
 def resolve_config(base: EngineConfig, args) -> EngineConfig:
-    """``base`` with the run settings given as flags applied on top."""
+    """``base`` with the run settings given as flags applied on top. A
+    refused flag of ``FLAG_NAMES`` is named as typed, with its value."""
     flags = {key: getattr(args, key) for keys in SETTINGS.values()
              for key in keys if getattr(args, key, None) is not None}
     # Only solve takes --iters, on the case file's settings: a maximum
@@ -106,7 +112,15 @@ def resolve_config(base: EngineConfig, args) -> EngineConfig:
             f"--iters {iters} is below min_iterations "
             f"{base.min_iterations} from the case file; pass --min-iters "
             f"{iters} or lower as well")
-    return config_from_dict(flags, "command line", base)
+    try:
+        return config_from_dict(flags, "command line", base)
+    except SchemaError as exc:
+        # The message leads with "command line.<setting>".
+        key = str(exc).partition(".")[2].split(" ", 1)[0]
+        if key not in FLAG_NAMES or key not in flags:
+            raise
+        raise SchemaError(
+            f"{exc}, got {FLAG_NAMES[key]} {flags[key]}") from None
 
 
 def cmd_solve(args) -> int:

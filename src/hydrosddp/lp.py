@@ -12,10 +12,14 @@ The solver is a two-phase primal simplex on the bounded-variable
 equality form ``A x + I s = b``, held (phase-1 artificials included)
 only as nonzeros sorted by column, so pricing costs O(nonzeros), with a
 dense explicit basis inverse updated on the rows each pivot changes,
-periodic refactorization that drops the old inverse before it forms the
-new one, and a Bland's-rule fallback that engages after a stall of
-degenerate pivots. The sweep keeps the basic values, bounds and costs
-in basis order, so an iteration gathers nothing by the basis.
+refactorization that drops the old inverse before it forms the new one,
+and a Bland's-rule fallback that engages after a stall of degenerate
+pivots. Every 128 iterations of a phase the dense kernels refactor; the
+sparse ones refactor only if the sweep has drifted, that is, if its
+basic values miss a row, or its carried duals price a basic column off
+zero, by more than 1e-12 relative (Maros 2003 reinverts on lost
+accuracy, not on a count). The sweep keeps the basic values, bounds and
+costs in basis order, so an iteration gathers nothing by the basis.
 
 A program builds the part of its equality form that its right-hand
 sides and upper bounds do not touch once, when it is made, and keeps
@@ -114,8 +118,14 @@ _TOL_PIVOT = 1e-10
 # Relative zero tolerance of the sparse kernels' inverse update (Maros
 # 2003); see ``_sparse_update``.
 _TOL_DROP = 1e-14
+# The sparse kernels keep their swept inverse at a check while the basic
+# values solve every row within _TOL_DRIFT * (1 + max|b|) and the carried
+# duals price every basic column within _TOL_DRIFT * (1 + max|cost|).
+_TOL_DRIFT = 1e-12
 _TOL_STEP = 1e-12
 _STALL_LIMIT = 200
+# Iterations of a phase between checks: the dense kernels refactor at
+# each, the sparse ones only if the sweep has drifted past _TOL_DRIFT.
 _REFACTOR_EVERY = 128
 # Programs with at least this many rows run the sparse kernels. Timed on
 # 28 casegen tree LPs of 13 to 887 rows, the dense kernels won every tree
@@ -619,11 +629,17 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
     Below ``_SPARSE_ROWS`` rows, ``dense`` holds the matrix with column
     j of A as row j, the entering column is a BLAS product with the
     inverse, and so are the duals at every iteration; each pivot updates
-    the rows of the inverse where the entering column is nonzero. On
+    the rows of the inverse where the entering column is nonzero, and
+    the basis is refactored every ``_REFACTOR_EVERY`` iterations. On
     the sparse path ``dense`` is None: the entering column is formed from
     its nonzeros, and the duals are carried across pivots and recomputed
     only at a factorization; ``_sparse_update`` updates the inverse and
-    skips rounding residue.
+    skips rounding residue. Every ``_REFACTOR_EVERY`` iterations it
+    prices with the carried duals and refactors only if ``max |b - A
+    x|`` exceeds ``_TOL_DRIFT * (1 + max|b|)`` or a basic column's
+    reduced cost exceeds ``_TOL_DRIFT * (1 + max|cost|)`` in magnitude;
+    otherwise it keeps its inverse, duals and basic values, and that
+    pricing serves the iteration.
     """
     m = A.m
     if b_inv is None:
@@ -648,15 +664,30 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(max_iters):
+            d = None
             if it and it % _REFACTOR_EVERY == 0:
                 x[basis] = xb
-                b_inv = None    # one m×m inverse live at a time
-                b_inv = _refactor(A, b, x, vstat, basis, dense)
-                refactors += 1
-                if b_inv is None:
-                    raise NumericalFailure("singular basis on refactorization")
-                xb = x[basis]
-                y = None
+                drifted = True      # the dense kernels refactor every time
+                if dense is None:
+                    # In exact arithmetic the carried duals price every
+                    # basic column at zero and the swept basic values
+                    # solve every row. Priced here, d serves this
+                    # iteration if the inverse is kept.
+                    d = cost - np.bincount(col, val * y[row], minlength=ncols)
+                    dual = abs(d[basis]).max()
+                    primal = abs(_residual(A, b, x)).max()
+                    drifted = not (
+                        dual <= _TOL_DRIFT * (1.0 + abs(cost).max())
+                        and primal <= _TOL_DRIFT * (1.0 + abs(b).max()))
+                if drifted:
+                    b_inv = None    # one m×m inverse live at a time
+                    b_inv = _refactor(A, b, x, vstat, basis, dense)
+                    refactors += 1
+                    if b_inv is None:
+                        raise NumericalFailure(
+                            "singular basis on refactorization")
+                    xb = x[basis]
+                    y = d = None
 
             # Duals cost_B B^-1 (numpy's einsum loop, not BLAS, on the
             # sparse kernels), then reduced costs cost - y A.
@@ -664,7 +695,8 @@ def _iterate(A, b, cost, lo, hi, x, vstat, basis, dense, b_inv):
                 y = cb @ b_inv
             elif y is None:
                 y = np.einsum("i,ij->j", cb, b_inv)
-            d = cost - np.bincount(col, val * y[row], minlength=ncols)
+            if d is None:
+                d = cost - np.bincount(col, val * y[row], minlength=ncols)
             score = np.maximum(d * rise, d * dn)
             q = int(score.argmax())
             if score[q] <= TOL_OPT:
@@ -774,11 +806,15 @@ def _refactor(A, b, x, vstat, basis, dense):
     b_inv = _invert(A, basis, dense)
     if b_inv is None:
         return None
-    x_n = np.where(vstat != _BASIC, x, 0.0)  # nonbasic values only
-    rhs = b - np.bincount(A.row, A.val * x_n[A.col], minlength=A.m)
+    rhs = _residual(A, b, np.where(vstat != _BASIC, x, 0.0))  # nonbasic only
     x[basis] = (np.einsum("ij,j->i", b_inv, rhs) if dense is None
                 else b_inv @ rhs)
     return b_inv
+
+
+def _residual(A, b, x):
+    """``b - A x`` on the equality form, summed from its nonzeros."""
+    return b - np.bincount(A.row, A.val * x[A.col], minlength=A.m)
 
 
 def _invert(A, basis, dense):

@@ -376,6 +376,16 @@ def test_infeasible_case_exits_3_from_solve_and_detequiv(tmp_path, capsys):
      "--min-iters 5 or lower as well"),
     ({"min_iterations": 6}, ["solve", "--iters", "9", "--min-iters", "10"],
      "command line.min_iterations must be in [1, max_iterations]"),
+    # Flags that store settings of other names are named as typed.
+    (None, ["solve", "--paths", "0"],
+     "command line.batch_size must be at least 1, got --paths 0"),
+    (None, ["simulate", "--paths", "0"],
+     "command line.batch_size must be at least 1, got --paths 0"),
+    (None, ["solve", "--iters", "0"],
+     "command line.max_iterations must be at least 1, got --iters 0"),
+    ({"min_iterations": 6}, ["solve", "--iters", "9", "--min-iters", "10"],
+     "command line.min_iterations must be in [1, max_iterations], got "
+     "--min-iters 10"),
 ])
 def test_bad_run_settings_exit_2_with_field_path(engine, argv, message,
                                                  tmp_path, capsys):

@@ -51,11 +51,20 @@ def assert_kkt(lp, sol, tol):
                                                     abs=tol)
 
 
-def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
+def refactorization_tree():
+    """A 439-row tree LP whose phase 1 runs 586 pivots, past four drift
+    checks."""
     case, lattice = random_case(np.random.default_rng(20261018), T=6, L=2,
                                 n_hydro=2, n_thermal=2)
-    lp = build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5))
+    return build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5))
+
+
+def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
+    lp = refactorization_tree()
     ref = highs(lp)
+    # A negative tolerance, which any drift exceeds, makes every check
+    # of the sparse kernels refactor.
+    monkeypatch.setattr(lpmod, "_TOL_DRIFT", -1.0)
     sparse = []
     factor = lpmod._sparse_inverse
 
@@ -77,6 +86,46 @@ def test_tree_lp_matches_highs_across_refactorizations(monkeypatch):
     assert periodic >= 2
     assert sol.refactorizations == 3 + periodic
     assert sparse == [lp.num_rows] * sol.refactorizations
+
+
+def test_tree_lp_keeps_its_inverse_while_the_sweep_holds():
+    # At the default tolerance no check on this tree finds drift, so the
+    # solve factors phase 1's start, phase 2's start and the final basis.
+    lp = refactorization_tree()
+    ref = highs(lp)
+    sol = solve(lp)
+    assert sol.status == OPTIMAL and ref.status == 0
+    assert max(sol.phase1_pivots, sol.phase2_pivots) >= _REFACTOR_EVERY
+    assert sol.refactorizations == 3
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert_kkt(lp, sol, 1e-7)
+
+
+def test_a_drifted_sweep_refactors_at_its_next_check(monkeypatch):
+    # Perturb one entry of the inverse by 1e-6 relative at phase 1's
+    # 50th pivot, in a row that the pivot does not overwrite: the check
+    # at pivot 128 finds the drift and refactors once more than the
+    # clean solve, and the solve still ends at HiGHS's optimum.
+    lp = refactorization_tree()
+    ref = highs(lp)
+    clean = solve(lp)
+    update = lpmod._sparse_update
+    calls = []
+
+    def perturbed(b_inv, w, pivot_row):
+        update(b_inv, w, pivot_row)
+        calls.append(None)
+        if len(calls) == 50:
+            i = int(abs(w).argmax())      # w[i] != 0, so i is not the pivot row
+            j = int(abs(b_inv[i]).argmax())
+            b_inv[i, j] *= 1.0 + 1e-6
+
+    monkeypatch.setattr(lpmod, "_sparse_update", perturbed)
+    sol = solve(lp)
+    assert clean.phase1_pivots >= _REFACTOR_EVERY > 50
+    assert sol.status == OPTIMAL
+    assert sol.refactorizations == clean.refactorizations + 1
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-9)
 
 
 def negative_inflow_tree():
@@ -118,15 +167,16 @@ def test_tree_with_a_negated_start_row_matches_highs(monkeypatch):
 def test_tree_lp_pivot_path_is_pinned():
     # Pivot counts are deterministic. These pin the pivot path (pricing,
     # direction masks, ratio test), so a change meant to leave the path
-    # alone is caught; a deliberate change of pivot rules updates them.
-    # This 215-row tree runs the sparse kernels.
+    # alone is caught; a deliberate change of pivot rules or of the
+    # refactorization rule updates them. This 215-row tree runs the
+    # sparse kernels.
     case, lattice = random_case(np.random.default_rng(20240807), T=5, L=2,
                                 n_hydro=2, n_thermal=2)
     lp = build_tree_lp(case, lattice, RiskMeasure(lam=0.5, alpha=0.5))
     assert lp.num_rows >= _SPARSE_ROWS
     sol = solve(lp)
     assert (sol.phase1_pivots, sol.phase2_pivots, sol.refactorizations) == \
-        (301, 18, 5)
+        (300, 18, 3)
     assert sol.objective == pytest.approx(13.589213726109996, rel=1e-12)
 
 
@@ -140,7 +190,7 @@ def test_presolved_tree_lp_pivot_path_is_pinned():
     assert lp.num_rows == 153 >= _SPARSE_ROWS
     sol = solve(lp)
     assert (sol.phase1_pivots, sol.phase2_pivots, sol.refactorizations) == \
-        (181, 18, 4)
+        (181, 18, 3)
     assert sol.objective == pytest.approx(13.589213726109996, rel=1e-12)
 
 

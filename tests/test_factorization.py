@@ -178,8 +178,8 @@ def test_singular_refactorization_fails_the_solve(monkeypatch):
     calls = []
 
     def corrupt(A, basis):
-        # At the second periodic refactorization (phase 1's start is
-        # written in closed form), put row 0's slack into the first two
+        # At the second factorization, the first periodic one (phase 1's
+        # start is the first), put row 0's slack into the first two
         # basis positions: two column singletons in row 0.
         calls.append(basis.size)
         if len(calls) == 2:
@@ -188,6 +188,9 @@ def test_singular_refactorization_fails_the_solve(monkeypatch):
         return factor(A, basis)
 
     monkeypatch.setattr(lpmod, "_sparse_inverse", corrupt)
+    # A negative tolerance, which any drift exceeds, makes the check at
+    # pivot 128 refactor.
+    monkeypatch.setattr(lpmod, "_TOL_DRIFT", -1.0)
     with pytest.raises(NumericalFailure, match="refactorization"):
         solve(lp)
     assert len(calls) == 2

@@ -1,6 +1,8 @@
 """One SHA-256 per command output, to compare two checkouts byte for byte.
 
-    python3 studies/digest.py > digests.txt    # from the root of a checkout
+    python3 studies/digest.py          # recompute and print
+    python3 studies/digest.py --write  # also rewrite studies/digest.txt
+    python3 studies/digest.py --check  # also compare with it
 
 Runs ``solve``, ``plot``, ``evaluate``, ``simulate`` (risk and uniform)
 and ``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
@@ -24,8 +26,7 @@ sampling weights, then the mean and standard error. ``detequiv`` gives
 a second line for the solution of its tree LP: status, objective as
 ``float.hex``, primal and dual bytes, pivots per phase and basis
 factorizations, so a change on the simplex shows there even where the
-objective keeps its bits. A change that claims byte-identical outputs
-shows no line in a ``diff`` of the two checkouts' files.
+objective keeps its bits.
 
 After each case's digests comes one plain-text line of solver traffic
 over all its commands, ``case traffic solves N started A
@@ -33,10 +34,19 @@ phase1_equality B phase1_inequality C``: of the N calls of
 ``lp.solve``, A took their start, B ran phase 1 with only equality rows
 violated at the starting point, and C ran phase 1 with an inequality
 row violated. A change that routes solves through phase 1 shows there.
+
+``--write`` records the lines in ``studies/digest.txt``; ``--check``
+prints each line that differs from the recorded ones and exits 1 if any
+does, so a change that claims byte-identical outputs passes ``--check``
+against the file its parent wrote. The digests hold on one host only:
+the dense kernels call BLAS, whose rounding depends on the library
+build and the processor, so write the file on the host that checks it.
 """
 
+import argparse
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import json
@@ -46,6 +56,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = Path(__file__).resolve().parent / "digest.txt"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
@@ -175,7 +186,9 @@ def counting_solve(counts):
     return solve
 
 
-def main():
+def digest_lines():
+    """Each case's digest lines and then its traffic line, printed as
+    they come."""
     with tempfile.TemporaryDirectory() as workdir:
         for shape, seed in CASES:
             if seed is None:
@@ -195,13 +208,44 @@ def main():
             try:
                 for command, output, digest in case_digests(label, case,
                                                             flags, workdir):
-                    print(label, command, output, digest, flush=True)
+                    yield f"{label} {command} {output} {digest}"
             finally:
                 hydro.solve = treelp.solve = lp.solve
-            print(label, "traffic",
-                  *(f"{key} {count}" for key, count in counts.items()),
-                  flush=True)
+            yield " ".join([label, "traffic", *(f"{key} {count}"
+                                                for key, count in
+                                                counts.items())])
+
+
+def check(lines, recorded):
+    """Print each line that differs between ``recorded`` (``-``) and
+    ``lines`` (``+``); whether none does."""
+    diff = list(difflib.ndiff(recorded, lines))
+    changed = [line for line in diff if line[0] in "+-"]
+    for line in changed:
+        print(line)
+    same = sum(line[0] == " " for line in diff)
+    print(f"{same} of {len(recorded)} recorded lines identical")
+    return not changed
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(prog="studies/digest.py")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true")
+    mode.add_argument("--check", action="store_true")
+    args = parser.parse_args(argv)
+    lines = []
+    for line in digest_lines():
+        lines.append(line)
+        print(line, flush=True)
+    if args.check:
+        recorded = OUT.read_text(encoding="utf-8").splitlines()
+        return 0 if check(lines, recorded) else 1
+    if args.write:
+        OUT.write_text("".join(f"{line}\n" for line in lines),
+                       encoding="utf-8")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -483,10 +483,14 @@ def read_policy(path, case_fingerprint: Optional[str] = None) -> TrainedPolicy:
         pool = CutPool(T, L, dim)
         for key, cuts in cutsraw.items():
             t_txt, l_txt = key.split(",")
-            for grad, anchor, intercept in cuts:
+            for i, (grad, anchor, intercept) in enumerate(cuts):
+                if not (all(map(_finite, grad)) and all(map(_finite, anchor))
+                        and _finite(intercept)):
+                    raise CorruptFile(f"policy.pool.cuts.{key}[{i}]: "
+                                      f"expected finite JSON numbers")
                 pool.append(int(t_txt), int(l_txt),
-                            Cut(np.asarray(grad), np.asarray(anchor),
-                                float(intercept)))
+                            Cut(np.asarray(grad, dtype=float),
+                                np.asarray(anchor, dtype=float), intercept))
         # Every run setting is required; other keys, such as the
         # stop_gap_tol of older files, are ignored.
         cfgraw = doc["config"]

@@ -16,8 +16,8 @@ case, lattice, cut pool and risk measure: a stage LP is a pure function
 of (stage, incoming state, opening) and the stage's cut rows, so a
 solution is reused until a distinct cut lands at that stage. A state is
 ``hydro``'s flat vector, and nothing writes one in place: the memo keys
-a state by its bytes, and a cut's anchor is the forward path's state
-itself, not a copy.
+a state by its bytes, and the cut pool copies each cut's anchor into
+its own rows.
 ``forward_pass`` and ``backward_pass`` read every fixed input from the
 memo they are given. ``train`` shares one memo across all its
 iterations; ``evaluate_policy_exact`` and ``simulate_policy`` each build
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,9 +64,9 @@ class EmptyBatch(ValueError):
     """Upper-bound statistics requested over zero paths."""
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Affine minorant q + gradient . (x - anchor) of one cost-to-go.
+class Cut(NamedTuple):
+    """Affine minorant q + gradient . (x - anchor) of one cost-to-go; a
+    plain record, which ``CutPool.append`` checks and stores.
 
     ``offset`` = q - gradient . anchor is the right-hand side of the cut's
     stage-LP row ``beta - gradient . x >= offset``.
@@ -75,35 +75,23 @@ class Cut:
     gradient: np.ndarray
     anchor: np.ndarray
     intercept: float
-    offset: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gradient",
-                           np.ascontiguousarray(self.gradient, dtype=float))
-        object.__setattr__(self, "anchor",
-                           np.ascontiguousarray(self.anchor, dtype=float))
-        if self.gradient.shape != self.anchor.shape:
-            raise ValueError("gradient and anchor dimensions differ")
-        if not (np.all(np.isfinite(self.gradient))
-                and np.all(np.isfinite(self.anchor))
-                and np.isfinite(self.intercept)):
-            raise ValueError("cut coefficients must be finite")
+    @property
+    def offset(self) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            offset = float(self.intercept - self.gradient @ self.anchor)
-        if not np.isfinite(offset):
-            raise ValueError("cut offset must be finite")
-        object.__setattr__(self, "offset", offset)
+            return float(self.intercept - self.gradient @ self.anchor)
 
 
 class CutPool:
     """Cuts indexed by (stage t in 1..T-1, opening l in 0..L-1).
 
-    Each (t, l) holds stage-LP rows ``[gradient | offset]`` that differ
-    from one another by more than ``DEDUP_RTOL`` relative, as a ``(k,
-    d+1)`` matrix, the one form ``slice`` hands to the stage LP; the
-    ``Cut`` objects stay behind ``items``, for the policy file.
-    ``duplicates`` counts the cuts that ``append`` dropped as equal or
-    near-equal to a kept row.
+    Each (t, l) keeps one ``(k, 2d+2)`` matrix, a row ``[gradient |
+    offset | anchor | intercept]`` per kept cut in append order. Its
+    first d+1 columns are the stage-LP rows ``[gradient | offset]``,
+    which differ from one another by more than ``DEDUP_RTOL`` relative;
+    ``slice`` hands them to the stage LP and ``items`` reads the cuts
+    back from the same rows, for the policy file. ``duplicates`` counts
+    the cuts that ``append`` dropped as equal or near-equal to a kept row.
     """
 
     def __init__(self, num_stages: int, num_openings: int, state_dim: int):
@@ -111,28 +99,35 @@ class CutPool:
         self.num_openings = num_openings
         self.state_dim = state_dim
         self.duplicates = 0
-        self._cuts = {(t, l): []
+        self._rows = {(t, l): np.empty((0, 2 * state_dim + 2))
                       for t in range(1, num_stages)
                       for l in range(num_openings)}
-        self._rows = {key: np.empty((0, state_dim + 1)) for key in self._cuts}
 
     def append(self, t: int, l: int, cut: Cut) -> bool:
         """Add ``cut`` unless its row r = [gradient | offset] is a
         duplicate of a row r_i kept at (t, l), meaning
         max|r - r_i| <= DEDUP_RTOL * max(max|r|, max|r_i|); returns
         whether it was added. The first of a set of near-equal rows is
-        the one kept, so the pool depends only on the append order."""
-        if cut.gradient.shape != (self.state_dim,):
-            raise ValueError(
-                f"cut dimension {cut.gradient.shape} != ({self.state_dim},)")
+        the one kept, so the pool depends only on the append order.
+        Raises ValueError if the gradient or the anchor is not of shape
+        (d,), or if an entry of the row, offset included, is not finite."""
+        d = self.state_dim
+        cut = Cut(np.ascontiguousarray(cut.gradient, dtype=float),
+                  np.ascontiguousarray(cut.anchor, dtype=float),
+                  float(cut.intercept))
+        if cut.gradient.shape != (d,) or cut.anchor.shape != (d,):
+            raise ValueError(f"cut gradient and anchor must be ({d},)")
+        row = np.concatenate([cut.gradient, [cut.offset], cut.anchor,
+                              [cut.intercept]])
+        if not np.isfinite(row).all():
+            raise ValueError("cut coefficients and offset must be finite")
         kept = self._rows[(t, l)]
-        row = np.append(cut.gradient, cut.offset)
-        scale = np.maximum(np.abs(kept).max(axis=1), np.abs(row).max())
-        if np.any(np.abs(kept - row).max(axis=1) <= DEDUP_RTOL * scale):
+        head, row_lp = kept[:, :d + 1], row[:d + 1]
+        scale = np.maximum(np.abs(head).max(axis=1), np.abs(row_lp).max())
+        if np.any(np.abs(head - row_lp).max(axis=1) <= DEDUP_RTOL * scale):
             self.duplicates += 1
             return False
         self._rows[(t, l)] = np.vstack([kept, row])
-        self._cuts[(t, l)].append(cut)
         return True
 
     def stage_size(self, t: int) -> int:
@@ -141,17 +136,21 @@ class CutPool:
         return sum(map(len, self.slice(t) or ()))
 
     def slice(self, t: int):
-        """Per-opening ``(k_l, d+1)`` matrices feeding the stage-t
-        subproblem; None at the last stage, which has no future. A matrix
-        is replaced, never grown, so a slice never changes."""
+        """Per-opening ``(k_l, d+1)`` views of the stage-LP rows feeding
+        stage t; None at the last stage, which has no future. A matrix is
+        replaced, never grown, so a slice never changes."""
         return (None if t >= self.num_stages else
-                [self._rows[(t, l)] for l in range(self.num_openings)])
+                [self._rows[(t, l)][:, :self.state_dim + 1]
+                 for l in range(self.num_openings)])
 
     def __len__(self):
-        return sum(len(v) for v in self._cuts.values())
+        return sum(map(len, self._rows.values()))
 
     def items(self):
-        return self._cuts.items()
+        """((t, l), cuts) pairs, cuts being ``Cut`` views of the rows."""
+        d = self.state_dim
+        for key, rows in self._rows.items():
+            yield key, [Cut(r[:d], r[d + 1:-1], r[-1]) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -308,8 +307,8 @@ def backward_pass(memo: StageMemo, paths) -> int:
 
     Stage solves go through ``memo``, so repeated (state, opening) pairs
     are solved once while the stage's cuts are unchanged; the pool drops
-    their repeated cuts. Each cut is anchored at the path's state array,
-    shared, not copied.
+    their repeated cuts. Each cut is anchored at the path's state, which
+    the pool copies into its rows.
     """
     T, L = memo.lattice.num_stages, memo.lattice.num_openings
     cuts = memo.cuts

@@ -27,6 +27,7 @@ from hydrosddp.caseio import (
 from hydrosddp.cli import run_cli
 from hydrosddp.engine import (
     BoundsEntry,
+    CutPool,
     EngineConfig,
     evaluate_policy_exact,
     train,
@@ -216,7 +217,7 @@ def test_readme_case_example_parses():
     assert initial_state(parsed.system)[0] == 7.5
 
 
-def test_policy_roundtrip_bitwise(tmp_path):
+def test_policy_roundtrip_bitwise(tmp_path, monkeypatch):
     rng = np.random.default_rng(92)
     case, lattice = random_case(rng, T=3, L=2)
     cfg = EngineConfig(max_iterations=3, min_iterations=3, batch_size=2,
@@ -224,7 +225,18 @@ def test_policy_roundtrip_bitwise(tmp_path):
     policy = train(case, lattice, cfg, fingerprint="fp-test")
     path = tmp_path / "policy.json"
     write_policy(policy, path)
+    handed, append = [], CutPool.append
+
+    def recording(pool, t, l, cut):
+        handed.append(cut)
+        return append(pool, t, l, cut)
+
+    monkeypatch.setattr(CutPool, "append", recording)
     loaded = read_policy(path, "fp-test")
+    # The loader hands append float arrays, as training does: a tracer
+    # of append reads their bytes.
+    assert handed and all(c.gradient.dtype == c.anchor.dtype == float
+                          for c in handed)
     assert loaded.fingerprint == "fp-test"
     assert loaded.config == policy.config
     assert len(loaded.cuts) == len(policy.cuts)
@@ -235,6 +247,13 @@ def test_policy_roundtrip_bitwise(tmp_path):
             assert np.array_equal(c.gradient, lc.gradient)
             assert np.array_equal(c.anchor, lc.anchor)
             assert c.intercept == lc.intercept
+    # The stage LPs of the loaded pool read the same rows, bit for bit.
+    for t in range(1, lattice.num_stages + 1):
+        rows, lrows = policy.cuts.slice(t), loaded.cuts.slice(t)
+        assert (rows is None) == (lrows is None)
+        for block, lblock in zip(rows or (), lrows or ()):
+            assert block.shape == lblock.shape
+            assert block.tobytes() == lblock.tobytes()
     for a, b in zip(policy.bounds, loaded.bounds):
         assert a == b
 
@@ -351,6 +370,37 @@ def test_truncated_policy_is_corrupt(tmp_path):
         with pytest.raises(CorruptFile, match="policy.schema_version: "
                            "expected an integer"):
             read_policy(path)
+
+
+@pytest.mark.parametrize("where, spoil", [
+    ((2,), lambda v: True), ((2,), repr), ((0, 0), repr),
+    ((1, 0), lambda v: True),
+], ids=["intercept_true", "intercept_string", "gradient_string",
+        "anchor_true"])
+def test_policy_cut_coefficients_are_json_numbers(where, spoil, tmp_path):
+    # As in a case file, a bool or a numeric string is not a number: the
+    # cut is named, and the file is refused whole. ``where`` indexes a
+    # cut [gradient, anchor, intercept].
+    rng = np.random.default_rng(94)
+    case, lattice = random_case(rng, T=3, L=2)
+    case_path = tmp_path / "case.json"
+    write_case(case_path, case, lattice)
+    policy = train(case, lattice,
+                   EngineConfig(max_iterations=2, min_iterations=2),
+                   fingerprint=parse_case(case_path).fingerprint)
+    path = tmp_path / "p.json"
+    write_policy(policy, path)
+    assert run_cli(["evaluate", str(case_path), "--policy", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    cuts = doc["pool"]["cuts"]["1,0"]
+    holder = cuts[-1][where[0]] if len(where) == 2 else cuts[-1]
+    holder[where[-1]] = spoil(holder[where[-1]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match=re.escape(
+            f"policy.pool.cuts.1,0[{len(cuts) - 1}]: expected finite JSON "
+            f"numbers")):
+        read_policy(path)
+    assert run_cli(["evaluate", str(case_path), "--policy", str(path)]) == 2
 
 
 def test_csv_contract_and_roundtrip(tmp_path):

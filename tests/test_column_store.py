@@ -242,7 +242,7 @@ def mixed_program(rng, n, m):
     return lp, flips
 
 
-def test_mixed_columns_match_highs_and_repeat_exactly():
+def test_mixed_columns_match_highs_and_repeat_exactly(monkeypatch):
     rng = np.random.default_rng(20261019)
     long_phases = 0
     for trial in range(40):
@@ -250,17 +250,31 @@ def test_mixed_columns_match_highs_and_repeat_exactly():
                                               int(rng.integers(1, 12)))
         lp, flips = mixed_program(rng, n, m)
         ref = highs(lp)
+
+        def check(sol):
+            assert sol.status == OPTIMAL and ref.status == 0
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9,
+                                                  abs=1e-9)
+            assert_kkt(lp, sol, 1e-7)
+            assert sol.primal[flips] == pytest.approx(lp.upper[flips],
+                                                      abs=1e-9)
+
         sol = solve(lp)
-        assert sol.status == OPTIMAL and ref.status == 0
-        assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
-        assert_kkt(lp, sol, 1e-7)
-        assert sol.primal[flips] == pytest.approx(lp.upper[flips], abs=1e-9)
+        check(sol)
         again = solve(lp)
         assert (again.phase1_pivots, again.phase2_pivots,
                 again.refactorizations) == (sol.phase1_pivots,
                                             sol.phase2_pivots,
                                             sol.refactorizations)
         assert again.primal.tobytes() == sol.primal.tobytes()
+        if trial < 3:
+            # A negative tolerance, which any drift exceeds, makes every
+            # check of the sparse kernels refactor mid-phase.
+            with monkeypatch.context() as patched:
+                patched.setattr(lpmod, "_TOL_DRIFT", -1.0)
+                forced = solve(lp)
+            check(forced)
+            assert forced.refactorizations > 3
         long_phases += max(sol.phase1_pivots,
                            sol.phase2_pivots) >= _REFACTOR_EVERY
-    assert long_phases >= 1  # a mid-phase refactorization ran
+    assert long_phases >= 1  # programs with a phase that reaches a check

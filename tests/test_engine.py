@@ -80,10 +80,17 @@ def test_cut_pool_shape_and_validation():
     assert len(pool) == 1
     assert pool.slice(3) is None
     assert [len(c) for c in pool.slice(1)] == [1, 0]
-    with pytest.raises(ValueError):
-        pool.append(1, 0, Cut(np.zeros(2), np.zeros(2), 0.0))
-    with pytest.raises(ValueError):
-        Cut(np.array([np.nan]), np.zeros(1), 0.0)
+    # A wrong shape, a coefficient that is not finite, or an offset that
+    # overflows is refused at append, and the pool keeps nothing of it.
+    for bad in [Cut(np.zeros(2), np.zeros(2), 0.0),
+                Cut(np.zeros(1), np.zeros(2), 0.0),
+                Cut(np.array([np.nan]), np.zeros(1), 0.0),
+                Cut(np.zeros(1), np.array([np.nan]), 0.0),
+                Cut(np.zeros(1), np.zeros(1), np.inf),
+                Cut(np.array([1e308]), np.array([1e308]), 0.0)]:
+        with pytest.raises(ValueError):
+            pool.append(1, 0, bad)
+        assert (len(pool), pool.duplicates) == (1, 0)
 
 
 def test_cut_pool_drops_duplicate_rows():

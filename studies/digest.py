@@ -6,9 +6,14 @@
 
 Runs ``solve``, ``plot``, ``evaluate``, ``simulate`` (risk and uniform)
 and ``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
-and on the benchmark's case shapes (``perfbench/cases.py``, read only):
+on the benchmark's case shapes (``perfbench/cases.py``, read only):
 deep at case seeds 7 and 9, wide at 1 and 2, with the benchmark's
-training settings. Each line is ``case command output sha256``.
+training settings, and on ``cascade``, the only case with an upstream
+hydro and more than one inflow lag: ``tests/casegen.random_case`` at
+seed 3 (T=4, L=3, four hydros with up to two lags, two buses, a
+renewable; a 40-node tree), rewired so that h2 takes h1 and h4 takes
+h2 and h3, written by ``caseio.case_to_dict`` with λ = α = 0.5. Each
+line is ``case command output sha256``.
 
 ``solve`` gives one digest per file it writes, ``convergence.csv``
 with its ``wall_ms`` column removed, since that is a timing, and
@@ -46,6 +51,7 @@ build and the processor, so write the file on the host that checks it.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import difflib
 import hashlib
 import io
@@ -57,18 +63,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(__file__).resolve().parent / "digest.txt"
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from hydrosddp import cli, hydro, lp, treelp  # noqa: E402
+from casegen import random_case  # noqa: E402
+from hydrosddp import caseio, cli, hydro, lp, treelp  # noqa: E402
 from perfbench import cases  # noqa: E402
 
 # The benchmark's solve settings per shape: iterations, paths per
 # iteration, training seed. Rollouts run 24 paths at seed 1.
-TRAIN = {"deep": (30, 2, 7), "wide": (8, 4, 7)}
+TRAIN = {"deep": (30, 2, 7), "wide": (8, 4, 7), "cascade": (30, 2, 7)}
 ROLLOUT_PATHS, ROLLOUT_SEED = 24, 1
-CASES = (("demo", None), ("deep", 7), ("deep", 9), ("wide", 1), ("wide", 2))
+CASES = (("demo", None), ("deep", 7), ("deep", 9), ("wide", 1), ("wide", 2),
+         ("cascade", 3))
+
+
+def cascade_case(seed) -> dict:
+    """casegen's two-bus case with lags and a renewable, its hydros
+    rewired into a cascade with a join: h2 takes h1, h4 takes h2 and h3."""
+    case, lattice = random_case(np.random.default_rng(seed), T=4, L=3,
+                                n_hydro=4, max_lag=2, two_bus=True,
+                                with_renewable=True)
+    upstream = {"h2": ("h1",), "h4": ("h2", "h3")}
+    hydros = tuple(dataclasses.replace(h, upstream=upstream.get(h.name, ()))
+                   for h in case.hydros)
+    doc = caseio.case_to_dict(dataclasses.replace(case, hydros=hydros),
+                              lattice)
+    doc["risk"] = {"lambda": 0.5, "alpha": 0.5}
+    return doc
+
+
+SHAPES = {**cases.SHAPES, "cascade": cascade_case}
 
 
 def sha(data) -> str:
@@ -197,7 +223,7 @@ def digest_lines():
                 label = f"{shape}{seed}"
                 case = os.path.join(workdir, f"{label}.json")
                 with open(case, "w") as fh:
-                    fh.write(cases.dumps(cases.SHAPES[shape](seed)))
+                    fh.write(cases.dumps(SHAPES[shape](seed)))
                 iters, paths, train_seed = TRAIN[shape]
                 flags = ["--iters", str(iters), "--min-iters", str(iters),
                          "--paths", str(paths), "--seed", str(train_seed),

@@ -44,12 +44,14 @@ from .engine import (
 from .hydro import (
     Bus,
     CascadeCycle,
+    DimensionMismatch,
     Hydro,
     Line,
     Renewable,
     SystemCase,
     Thermal,
     UnknownReference,
+    read_noise,
 )
 from .risk import RiskMeasure
 from .scenario import Lattice, NoiseRealization, SamplerMode
@@ -246,22 +248,23 @@ def config_to_dict(config: EngineConfig) -> dict:
             "ub_confidence": config.ub_confidence}
 
 
-def _parse_noise(raw, path, hydro_names, renewable_names, bus_names):
+def _parse_noise(raw, path, system: SystemCase, t: int) -> NoiseRealization:
+    """The stage-t noise at ``path``, checked by ``hydro.read_noise``."""
     _expect_keys(raw, path, (), ("inflows", "renewable_caps", "demand"))
-    inflows = _nummap(raw, "inflows", path, hydro_names, "hydro")
-    caps = _nummap(raw, "renewable_caps", path, renewable_names, "renewable")
-    demand = _nummap(raw, "demand", path, bus_names, "bus")
-    missing = hydro_names - set(inflows)
-    if missing:
-        raise SchemaError(f"{path}.inflows: missing hydro(s) {sorted(missing)}")
-    missing = renewable_names - set(caps)
-    if missing:
-        raise SchemaError(
-            f"{path}.renewable_caps: missing renewable(s) {sorted(missing)}")
+    inflows, caps, demand = (
+        _nummap(raw, key, path, {x.name for x in items}, kind)
+        for key, items, kind in (
+            ("inflows", system.hydros, "hydro"),
+            ("renewable_caps", system.renewables, "renewable"),
+            ("demand", system.buses, "bus")))
     try:
-        return NoiseRealization(inflows, caps, demand)
+        noise = NoiseRealization(inflows, caps, demand)
+        read_noise(system, t, noise)
+    except DimensionMismatch as exc:
+        raise SchemaError(f"{path}.{exc}") from None
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
+    return noise
 
 
 def parse_case_data(data) -> ParsedCase:
@@ -291,7 +294,6 @@ def parse_case_data(data) -> ParsedCase:
                               f"values, got {len(b.demand)}")
     if not buses:
         raise SchemaError("system.buses: need at least one bus")
-    bus_names = {b.name for b in buses}
     lines = _records(sysraw, "lines")
     thermals = _records(sysraw, "thermals")
     hydros = _records(sysraw, "hydros")
@@ -328,7 +330,6 @@ def parse_case_data(data) -> ParsedCase:
                 hydros[j] = dataclasses.replace(h, **changes)
 
     renewables = _records(sysraw, "renewables")
-    renewable_names = {r.name for r in renewables}
 
     deficit_cost = _num(sysraw, "deficit_cost", "system")
     future_lower_bound = _num(sysraw, "future_lower_bound", "system",
@@ -345,8 +346,7 @@ def parse_case_data(data) -> ParsedCase:
     except ValueError as exc:
         raise SchemaError(f"system: {exc}") from None
 
-    stage1 = _parse_noise(latraw["stage1"], "lattice.stage1", hydro_names,
-                          renewable_names, bus_names)
+    stage1 = _parse_noise(latraw["stage1"], "lattice.stage1", system, 1)
     noises_raw = latraw["noises"]
     if not isinstance(noises_raw, list) or len(noises_raw) != T - 1:
         raise SchemaError(
@@ -357,8 +357,7 @@ def parse_case_data(data) -> ParsedCase:
             raise SchemaError(
                 f"lattice.noises[{t - 2}]: expected {L} openings")
         openings.append([
-            _parse_noise(raw, f"lattice.noises[{t - 2}][{l}]", hydro_names,
-                         renewable_names, bus_names)
+            _parse_noise(raw, f"lattice.noises[{t - 2}][{l}]", system, t)
             for l, raw in enumerate(per_stage)])
     lattice = Lattice(T, L, stage1, openings)
 

@@ -1,22 +1,22 @@
 """Hydrothermal system model and single-stage subproblem construction.
 
 A stage subproblem minimizes thermal plus deficit cost subject to bus
-energy balance, reservoir mass balance, the autoregressive inflow
-equation, and physical bounds. That dispatch block is defined once, by
-``dispatch_columns``, ``dispatch_cost`` and ``dispatch_rows``; the stage
-LP and the tree oracle (``treelp``) both stamp it. A state is one flat
-float vector of ``case.state_dimension()`` entries: the reservoir
-storages, then each hydro's inflow lags, newest first, the order of the
-cut gradients (``initial_state`` gives the case's). In the stage LP the
-incoming state enters through dedicated copy variables pinned by
-equality rows; the duals of those rows are exactly the state
-sensitivities used to build cuts. For non-terminal stages the
-future is represented by one epigraph variable per opening bounded below
-by its cut matrix's rows, aggregated through the CVaR linear form. A
-``StageTemplate`` builds that LP once, when it is made, at the case's
-initial state and the stage's opening 0, restamps it for each incoming
-state and noise, and gives each stamp a feasible starting basis in
-closed form, so that its solve skips phase 1.
+energy balance, reservoir mass balance, the autoregressive inflow equation,
+and physical bounds. That dispatch block is defined once, by
+``dispatch_columns``, ``dispatch_cost`` and ``dispatch_rows``; the stage LP
+and the tree oracle (``treelp``) both stamp it. Each fact of a case is read
+one way: a noise by ``read_noise``, for stage LPs, tree LPs and case files
+alike; the cascade by ``cascade_levels``, which validates it and orders the
+crash start; and a state, a flat float vector of ``case.state_dimension()``
+entries, by ``split_state``: the storages, then each hydro's inflow lags,
+newest first, the order of the cut gradients (``initial_state`` gives the
+case's). The stage LP pins the incoming state with copy rows, whose duals
+are the cuts' state sensitivities. Below the last stage, each opening's
+future is an epigraph variable bounded below by its cut matrix's rows, and
+the CVaR linear form aggregates them. A ``StageTemplate`` builds that LP
+once, at the case's initial state and the stage's opening 0, restamps it
+for each incoming state and noise, and gives each stamp a feasible starting
+basis in closed form, so that its solve skips phase 1.
 
 Feasibility is guaranteed by a deficit slack per bus and free spill as
 long as inflows remain nonnegative, which is the physical regime all
@@ -26,6 +26,7 @@ case generators and fixtures stick to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -146,7 +147,7 @@ class SystemCase:
                 if up in h.upstream[:k]:
                     raise ValueError(
                         f"hydros[{i}].upstream: repeated hydro {up!r}")
-        check_acyclic(self.hydros)
+        cascade_levels(self.hydros)
         for i, th in enumerate(self.thermals):
             if th.cost < 0 or th.cap < 0:
                 raise ValueError(f"thermals[{i}]: negative data")
@@ -158,32 +159,34 @@ class SystemCase:
         return len(self.hydros) + sum(len(h.ar_coeffs) for h in self.hydros)
 
 
-def check_acyclic(hydros) -> None:
-    """Raise CascadeCycle naming the path of any upstream cycle.
-
-    A depth-first walk up the cascade from each hydro in turn, on an
-    explicit stack so that a long chain needs no recursion: ``active``
-    is the path walked, and ``pending[k]`` the upstream hydros of
-    ``active[k]`` not yet visited."""
-    index = {h.name: i for i, h in enumerate(hydros)}
-    upstream = {h.name: h.upstream for h in hydros}
-    seen = set()
-    for h in hydros:
-        if h.name in seen:
-            continue
-        active, pending = [h.name], [iter(upstream[h.name])]
-        while pending:
-            name = next(pending[-1], None)
-            if name is None:
-                seen.add(active.pop())
-                pending.pop()
-            elif name in active:
-                raise CascadeCycle(
-                    f"hydros[{index[name]}].upstream: cascade cycle "
-                    + " -> ".join(active + [name]))
-            elif name not in seen:
-                active.append(name)
-                pending.append(iter(upstream[name]))
+def cascade_levels(hydros) -> list:
+    """The hydro indices by cascade level, ascending within a level: level
+    0 holds the hydros with no upstream, and a hydro sits one level past
+    its highest upstream one. Kahn's algorithm, in O(H + E). On a cycle,
+    CascadeCycle names the path from the first hydro left without a level
+    through each one's first upstream hydro without a level."""
+    index = {h.name: j for j, h in enumerate(hydros)}
+    below = [[] for _ in hydros]
+    for j, h in enumerate(hydros):
+        for up in h.upstream:
+            below[index[up]].append(j)
+    waiting = [len(h.upstream) for h in hydros]
+    levels, level = [], [j for j, count in enumerate(waiting) if not count]
+    while level:
+        levels.append(level)
+        for k in (k for j in level for k in below[j]):
+            waiting[k] -= 1
+        level = sorted({k for j in level for k in below[j] if not waiting[k]})
+    path = [j for j, count in enumerate(waiting) if count][:1]
+    while path:
+        k = next(index[up] for up in hydros[path[-1]].upstream
+                 if waiting[index[up]])
+        if k in path:
+            raise CascadeCycle(
+                f"hydros[{k}].upstream: cascade cycle "
+                + " -> ".join(hydros[j].name for j in path + [k]))
+        path.append(k)
+    return levels
 
 
 def initial_state(case: SystemCase) -> np.ndarray:
@@ -197,9 +200,9 @@ def initial_state(case: SystemCase) -> np.ndarray:
 def split_state(case: SystemCase, state) -> tuple:
     """``(storages, [lags of each hydro])`` of a state, or of any sequence
     in state order, as slices of it."""
-    ends = np.cumsum([len(case.hydros)]
-                     + [len(h.ar_coeffs) for h in case.hydros])
-    return state[:ends[0]], [state[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    ends = list(accumulate([len(case.hydros)]
+                           + [len(h.ar_coeffs) for h in case.hydros]))
+    return state[:ends[0]], [state[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def check_state(case: SystemCase, state: np.ndarray) -> None:
@@ -222,30 +225,35 @@ class StageSolution:
     start_fallback: bool = False  # the crash start was set aside
 
 
-def _renewable_cap(noise: NoiseRealization, re: Renewable) -> float:
-    try:
-        return noise.renewable_cap[re.name]
-    except KeyError:
-        raise DimensionMismatch(
-            f"noise lacks a cap for renewable {re.name!r}") from None
+def read_noise(case: SystemCase, t: int, noise: NoiseRealization) -> tuple:
+    """``(demand, inflow, caps)`` of ``noise`` at stage t in case order:
+    each bus's override or stage-t demand, each hydro's inflow noise, each
+    renewable's cap. DimensionMismatch names the first kind missing."""
+    demand, inflow, caps = [], [], []
+    try:    # plain loops: a comprehension costs a function call here
+        for h in case.hydros:
+            inflow.append(float(noise.inflow_noise[h.name]))
+        for re in case.renewables:
+            caps.append(noise.renewable_cap[re.name])
+        for b in case.buses:
+            demand.append(float(noise.demand.get(b.name, b.demand[t - 1])))
+        return demand, inflow, caps
+    except (KeyError, IndexError):
+        pass
+    for key, kind, items, given in (
+            ("inflows", "hydro", case.hydros, noise.inflow_noise),
+            ("renewable_caps", "renewable", case.renewables,
+             noise.renewable_cap)):
+        missing = sorted(x.name for x in items if x.name not in given)
+        if missing:
+            raise DimensionMismatch(f"{key}: missing {kind}(s) {missing}")
+    raise DimensionMismatch(
+        f"buses[{len(demand)}].demand: no value for stage {t}")
 
 
-def _inflow(noise: NoiseRealization, h: Hydro) -> float:
-    try:
-        return float(noise.inflow_noise[h.name])
-    except KeyError:
-        raise DimensionMismatch(
-            f"noise lacks inflow for hydro {h.name!r}") from None
-
-
-def _demand(noise: NoiseRealization, bus: Bus, t: int) -> float:
-    return float(noise.demand.get(bus.name, bus.demand[t - 1]))
-
-
-def dispatch_columns(bld: LPBuilder, case: SystemCase,
-                     noise: NoiseRealization) -> dict:
-    """Add one stage's dispatch columns, all at zero cost; returns
-    ``{key: column index}``.
+def dispatch_columns(bld: LPBuilder, case: SystemCase, caps) -> dict:
+    """Add one stage's dispatch columns, all at zero cost, with the
+    renewables' ``caps`` of ``read_noise``; returns ``{key: column index}``.
 
     Keys are ("g", thermal), ("r", renewable), ("f", line index, sending
     bus), ("deficit", bus), and ("u" | "spill" | "vout" | "a", hydro)
@@ -258,8 +266,8 @@ def dispatch_columns(bld: LPBuilder, case: SystemCase,
 
     for th in case.thermals:
         add(("g", th.name), 0.0, th.cap)
-    for re in case.renewables:
-        add(("r", re.name), 0.0, _renewable_cap(noise, re))
+    for re, cap in zip(case.renewables, caps):
+        add(("r", re.name), 0.0, cap)
     for i, line in enumerate(case.lines):
         add(("f", i, line.from_bus), 0.0, line.capacity)
         add(("f", i, line.to_bus), 0.0, line.capacity)
@@ -280,17 +288,18 @@ def dispatch_cost(case: SystemCase, cols: dict) -> list:
                for b in case.buses])
 
 
-def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
-                  noise: NoiseRealization, storage_in, lags_in) -> None:
-    """Add the stage-t bus balance, reservoir mass and AR inflow rows:
-    one balance row per bus, then each hydro's mass row and AR row.
+def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, demand,
+                  inflow, storage_in, lags_in) -> None:
+    """Add one stage's bus balance, reservoir mass and AR inflow rows:
+    one balance row per bus, then each hydro's mass row and AR row, at
+    the ``demand`` and ``inflow`` vectors of ``read_noise``.
 
     ``storage_in[j]`` is hydro j's incoming storage and ``lags_in[j][k]``
     its inflow k+1 stages back. Each is a column index (an ``int``) or a
     fixed value (a ``float``), which moves to the right-hand side.
     """
     # Bus energy balance: generation + net imports + deficit = demand.
-    for b in case.buses:
+    for b, load in zip(case.buses, demand):
         terms = [(cols["deficit", b.name], 1.0)]
         terms += [(cols["g", th.name], 1.0) for th in case.thermals
                   if th.bus == b.name]
@@ -305,7 +314,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             elif line.from_bus == b.name:
                 terms.append((cols["f", i, line.to_bus], 1.0))
                 terms.append((cols["f", i, line.from_bus], -1.0))
-        bld.add_row(terms, EQUAL, _demand(noise, b, t))
+        bld.add_row(terms, EQUAL, load)
 
     # Reservoir mass balance and the AR inflow equation.
     for j, h in enumerate(case.hydros):
@@ -320,7 +329,7 @@ def dispatch_rows(bld: LPBuilder, case: SystemCase, cols: dict, t: int,
             rhs = float(storage_in[j])
         bld.add_row(terms, EQUAL, rhs)
 
-        rhs = _inflow(noise, h)
+        rhs = inflow[j]
         terms = [(cols["a", h.name], 1.0)]
         for coef, lag in zip(h.ar_coeffs, lags_in[j]):
             if isinstance(lag, int):
@@ -350,9 +359,10 @@ def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
     if not 1 <= t <= num_stages:
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
     check_state(case, state_in)
+    demand, inflow, caps = read_noise(case, t, noise)
     bld = LPBuilder()
 
-    cols = dispatch_columns(bld, case, noise)
+    cols = dispatch_columns(bld, case, caps)
     for col, cost in dispatch_cost(case, cols):
         bld.set_cost(col, cost)
 
@@ -363,7 +373,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
         bld.add_row([(col, 1.0)], EQUAL, float(value))
     vin, lagvar = split_state(case, copies)
 
-    dispatch_rows(bld, case, cols, t, noise, vin, lagvar)
+    dispatch_rows(bld, case, cols, demand, inflow, vin, lagvar)
 
     if t < num_stages:
         state_cols = _outgoing_columns(case, cols, copies)
@@ -396,11 +406,8 @@ def _outgoing_columns(case: SystemCase, cols: dict, copies) -> list:
     this stage's inflow column. ``copies`` are the copy columns, in state
     order."""
     out = [cols["vout", h.name] for h in case.hydros]
-    k = len(case.hydros)
-    for h in case.hydros:
-        p = len(h.ar_coeffs)
-        out += ([cols["a", h.name]] + list(copies[k:k + p]))[:p]
-        k += p
+    for h, lags in zip(case.hydros, split_state(case, copies)[1]):
+        out += ([cols["a", h.name]] + list(lags))[:len(lags)]
     return out
 
 
@@ -414,19 +421,19 @@ class StageTemplate:
     alone, not on the order of the solves that stamp it; opening-0 noise
     that does not fit the case raises DimensionMismatch here. A holder
     whose pool grows needs a new template, as each stage table of
-    ``engine.StageMemo`` takes one when a distinct cut lands at its
-    stage. The LPs of one template differ only in the right-hand sides
-    of the copy rows (the state), the bus balance rows (demand) and the
-    AR rows (inflow noise), and in the renewable columns' upper bounds
-    (caps). ``program`` copies those two vectors and stamps ``lp`` with
-    them (``LinearProgram.stamp``), which shares every other array, since
-    nothing writes a ``LinearProgram``, and ``lp``'s equality form, so a
-    solve sets up only what the stamp changes. The form is built with
-    ``lp`` and freed with the template. The template also keeps the
+    ``engine.StageMemo`` takes one when a distinct cut lands at its stage.
+    The LPs of one template differ only in the right-hand sides of the copy
+    rows (the state), the bus balance rows (demand) and the AR rows (inflow
+    noise), and in the renewable columns' upper bounds (caps). ``program``
+    reads the noise by ``read_noise``, copies those two vectors and stamps
+    ``lp`` with them (``LinearProgram.stamp``), which shares every other
+    array, since nothing writes a ``LinearProgram``, and ``lp``'s equality
+    form, so a solve sets up only what the stamp changes. The form is built
+    with ``lp`` and freed with the template. The template also keeps the
     column indices that ``solve_stage`` reads; ``beta_cols`` is empty
-    exactly at the last stage. ``out_pick`` picks the outgoing state
-    from ``[storages | inflows | incoming state]``, for ``solve_stage``
-    and ``start`` alike.
+    exactly at the last stage. ``out_pick`` picks the outgoing state from
+    ``[storages | inflows | incoming state]``, for ``solve_stage`` and
+    ``start`` alike.
 
     ``start`` gives a stamp its crash start, a basis that is primal
     feasible under nonnegative inflows, so that ``lp.solve`` skips phase
@@ -435,9 +442,9 @@ class StageTemplate:
 
     - in each copy row, its copy column;
     - in each AR row, the inflow column ``a``;
-    - in each mass row, taken in cascade order, ``vout``, or ``spill``
-      with ``vout`` at its cap when the incoming storage, the inflow and
-      the upstream spills overflow it;
+    - in each mass row, taken level by level (``cascade_levels``),
+      ``vout``, or ``spill`` with ``vout`` at its cap when the incoming
+      storage, the inflow and the upstream spills overflow it;
     - in each bus row, the bus's deficit column;
     - in the cut rows of opening l, ``beta_l`` in the row most violated
       at that point (the first of equal maxima) when its cut lies above
@@ -491,23 +498,15 @@ class StageTemplate:
         self.caps = np.array([h.max_storage for h in hydros])
         # a = inflow noise + ar @ (incoming state).
         self.ar = np.zeros((H, d))
-        k = H
-        for j, h in enumerate(hydros):
-            self.ar[j, k:k + len(h.ar_coeffs)] = h.ar_coeffs
-            k += len(h.ar_coeffs)
-        # The cascade by levels: a hydro's level exceeds its upstreams',
-        # and level 0 has none.
+        for j, at in enumerate(split_state(case, np.arange(d))[1]):
+            self.ar[j, at] = hydros[j].ar_coeffs
+        # Per cascade level past 0: its hydros and their upstream rows.
         index = {h.name: j for j, h in enumerate(hydros)}
         upstream = np.zeros((H, H))
         for j, h in enumerate(hydros):
             upstream[j, [index[up] for up in h.upstream]] = 1.0
-        level = np.zeros(H, dtype=np.intp)
-        for _ in hydros:    # a chain has at most H - 1 links
-            level = np.where(upstream.any(axis=1), 1 + np.max(
-                np.where(upstream > 0, level, -1), axis=1, initial=-1), 0)
-        self.cascade = [(on, upstream[on]) for on in
-                        (np.flatnonzero(level == k)
-                         for k in range(1, level.max(initial=0) + 1))]
+        self.cascade = [(np.array(on, dtype=np.intp), upstream[on])
+                        for on in cascade_levels(hydros)[1:]]
 
         # Per opening: its CVaR row, then its cut rows.
         L = self.beta_cols.size
@@ -541,16 +540,15 @@ class StageTemplate:
         """The stage LP at ``state_in`` and ``noise``."""
         case, lp = self.case, self.lp
         check_state(case, state_in)
+        demand, inflow, caps = read_noise(case, self.t, noise)
         rhs = lp.rhs.copy()
         rhs[:self.copy_rows] = state_in
-        rhs[self.demand_rows] = [_demand(noise, b, self.t)
-                                 for b in case.buses]
-        rhs[self.inflow_rows] = [_inflow(noise, h) for h in case.hydros]
+        rhs[self.demand_rows] = demand
+        rhs[self.inflow_rows] = inflow
         upper = lp.upper
-        if case.renewables:
+        if caps:
             upper = upper.copy()
-            upper[self.renewable_cols] = [_renewable_cap(noise, re)
-                                          for re in case.renewables]
+            upper[self.renewable_cols] = caps
         return lp.stamp(rhs, upper)
 
     def start(self, lp: LinearProgram):

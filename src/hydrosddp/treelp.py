@@ -33,6 +33,7 @@ from .hydro import (
     dispatch_cost,
     dispatch_rows,
     initial_state,
+    read_noise,
     split_state,
 )
 from .lp import EQUAL, GREATER, OPTIMAL, LPBuilder, solve
@@ -85,7 +86,8 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     for n, node in enumerate(nodes):
         noise = (lattice.stage_noise(node.stage, root_opening) if n == 0
                  else lattice.noise(node.stage, node.opening))
-        cols.append(dispatch_columns(bld, case, noise))
+        demand, inflow, caps = read_noise(case, node.stage, noise)
+        cols.append(dispatch_columns(bld, case, caps))
         if node.children:
             for l in range(L):
                 theta[(n, l)] = bld.add_var(-np.inf, np.inf)
@@ -102,7 +104,7 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
                       for j, h in enumerate(case.hydros)]
         lags_in = [[c["a", h.name] for c in up] + list(root_lags[j])
                    for j, h in enumerate(case.hydros)]
-        dispatch_rows(bld, case, cols[n], node.stage, noise, storage_in,
+        dispatch_rows(bld, case, cols[n], demand, inflow, storage_in,
                       lags_in)
 
     def risk_terms(n):

@@ -50,6 +50,25 @@ def cascaded(case, rng):
     return dataclasses.replace(case, hydros=tuple(hydros))
 
 
+def matrix_cascade(case):
+    """The crash start's cascade as a level matrix iterated H times, the
+    reference ``StageTemplate.cascade`` must equal: per level past 0, its
+    hydros and their rows of the upstream matrix."""
+    hydros = case.hydros
+    H = len(hydros)
+    index = {h.name: j for j, h in enumerate(hydros)}
+    upstream = np.zeros((H, H))
+    for j, h in enumerate(hydros):
+        upstream[j, [index[up] for up in h.upstream]] = 1.0
+    level = np.zeros(H, dtype=np.intp)
+    for _ in hydros:    # a chain has at most H - 1 links
+        level = np.where(upstream.any(axis=1), 1 + np.max(
+            np.where(upstream > 0, level, -1), axis=1, initial=-1), 0)
+    return [(on, upstream[on]) for on in
+            (np.flatnonzero(level == k)
+             for k in range(1, level.max(initial=0) + 1))]
+
+
 def sweep_case(rng):
     """A two-bus casegen case with inflow lags and a cascade, a stage t
     and stage-t cut matrices from stage-t+1 solves at random states."""
@@ -95,6 +114,14 @@ def test_crash_start_is_taken_and_reaches_the_optimum():
             again = StageTemplate(case, lattice, stage, stage_cuts, BLEND)
             # Levels past the first: hydros below another one.
             deep += len(template.cascade) >= 2
+            reference = matrix_cascade(case)
+            assert len(template.cascade) == len(reference)
+            for (on, upstream), (ref_on, ref_upstream) in zip(
+                    template.cascade, reference):
+                assert on.dtype == ref_on.dtype
+                assert on.tobytes() == ref_on.tobytes()
+                assert upstream.shape == ref_upstream.shape
+                assert upstream.tobytes() == ref_upstream.tobytes()
             for _ in range(6):
                 state = in_bounds_state(rng, case)
                 noise = lattice.stage_noise(

@@ -227,6 +227,16 @@ def test_long_cascade_listed_downstream_first_is_a_case():
     names = [f"h{k}" for k in range(1000)]
     case = chain(names, {a: (b,) for a, b in zip(names, names[1:])})
     assert [h.name for h in case.hydros] == names
+    # The crash start walks it level by level, one hydro each, from the
+    # top of the chain down, each level taking the hydro above it.
+    noise = NoiseRealization(inflow_noise=dict.fromkeys(names, 1.0))
+    template = StageTemplate(case, Lattice(1, 1, noise, []), 1, None,
+                             NEUTRAL)
+    assert len(template.cascade) == 999
+    for k, (on, upstream) in zip(range(998, -1, -1), template.cascade):
+        assert on.tolist() == [k]
+        assert upstream.shape == (1, 1000)
+        assert np.flatnonzero(upstream[0]).tolist() == [k + 1]
 
 
 def test_relatively_complete_recourse():

@@ -5,6 +5,8 @@ inputs, array for array and bit for bit, and the memo's path must still
 reject noise and states that do not fit the case.
 """
 
+import dataclasses
+import re
 import weakref
 
 import numpy as np
@@ -136,9 +138,11 @@ def test_memo_path_rejects_noise_and_states_that_do_not_fit():
     memo = StageMemo(case, broken, pool, BLEND)
     state = in_bounds_state(rng, case)
     memo.solve(2, state, 0)      # builds the stage-2 template
-    with pytest.raises(DimensionMismatch, match="cap for renewable"):
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "renewable_caps: missing renewable(s) ['w1']")):
         memo.solve(2, state, 1)
-    with pytest.raises(DimensionMismatch, match="inflow for hydro"):
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            f"inflows: missing hydro(s) ['{case.hydros[1].name}']")):
         memo.solve(2, state, 2)
     with pytest.raises(DimensionMismatch, match="state of shape"):
         memo.solve(2, state[:-1], 0)
@@ -150,8 +154,19 @@ def test_memo_path_rejects_noise_and_states_that_do_not_fit():
     openings[0][0] = no_cap
     memo = StageMemo(case, Lattice(T, L, lattice.stage1, openings), pool,
                      BLEND)
-    with pytest.raises(DimensionMismatch, match="cap for renewable"):
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "renewable_caps: missing renewable(s) ['w1']")):
         memo.solve(2, state, 1)
+    # A case built through the API whose demand stops short of the
+    # lattice is refused when a stage past its last value is read.
+    bus = case.buses[0]
+    short = dataclasses.replace(case, buses=(
+        dataclasses.replace(bus, demand=bus.demand[:1]), *case.buses[1:]))
+    memo = StageMemo(short, lattice, pool, BLEND)
+    memo.solve(1, state, None)
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "buses[0].demand: no value for stage 2")):
+        memo.solve(2, state, 0)
 
 
 def test_training_builds_each_stage_lp_once_per_cut_slice(monkeypatch):

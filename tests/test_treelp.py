@@ -1,6 +1,7 @@
 """Deterministic-equivalent tree LP against closed forms and fresh oracles."""
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -206,8 +207,17 @@ def test_missing_renewable_cap_is_dimension_mismatch():
     case, lattice = random_case(rng, T=2, L=2, with_renewable=True)
     bare = NoiseRealization(inflow_noise=lattice.noise(2, 1).inflow_noise)
     short = Lattice(2, 2, lattice.stage1, [[lattice.noise(2, 0), bare]])
-    with pytest.raises(DimensionMismatch, match="w1"):
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "renewable_caps: missing renewable(s) ['w1']")):
         build_tree_lp(case, short, NEUTRAL)
+    # So is a case built through the API whose demand stops short of the
+    # lattice.
+    bus = case.buses[0]
+    cut = dataclasses.replace(case, buses=(
+        dataclasses.replace(bus, demand=bus.demand[:1]), *case.buses[1:]))
+    with pytest.raises(DimensionMismatch, match=re.escape(
+            "buses[0].demand: no value for stage 2")):
+        tree_objective(cut, lattice, NEUTRAL)
 
 
 def test_node_cap_enforced():

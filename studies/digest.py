@@ -8,12 +8,16 @@ Runs ``solve``, ``plot``, ``evaluate``, ``simulate`` (risk and uniform)
 and ``detequiv`` through ``hydrosddp.cli.run_cli`` on ``cases/demo.json``
 on the benchmark's case shapes (``perfbench/cases.py``, read only):
 deep at case seeds 7 and 9, wide at 1 and 2, with the benchmark's
-training settings, and on ``cascade``, the only case with an upstream
-hydro and more than one inflow lag: ``tests/casegen.random_case`` at
-seed 3 (T=4, L=3, four hydros with up to two lags, two buses, a
-renewable; a 40-node tree), rewired so that h2 takes h1 and h4 takes
-h2 and h3, written by ``caseio.case_to_dict`` with λ = α = 0.5. Each
-line is ``case command output sha256``.
+training settings, and on two cases with upstream hydros and more than
+one inflow lag, each from ``tests/casegen.random_case`` with two buses
+and a renewable, rewired, and written by ``caseio.case_to_dict`` with
+λ = α = 0.5: ``cascade3`` at seed 3 (T=4, L=3, four hydros with up to
+two lags; a 40-node tree), where h2 takes h1 and h4 takes h2 and h3;
+and ``join3`` at seed 7 (T=5, L=2, five hydros with lags [2, 3, 3, 2,
+3]; a 31-node tree), where h2 takes h1 and h5 takes h2, h3 and h4. A
+sum of three upstream hydros or three lags depends on its order, so
+``join3`` shows a change in that order. Each line is ``case command
+output sha256``.
 
 ``solve`` gives one digest per file it writes, ``convergence.csv``
 with its ``wall_ms`` column removed, since that is a timing, and
@@ -73,28 +77,37 @@ from perfbench import cases  # noqa: E402
 
 # The benchmark's solve settings per shape: iterations, paths per
 # iteration, training seed. Rollouts run 24 paths at seed 1.
-TRAIN = {"deep": (30, 2, 7), "wide": (8, 4, 7), "cascade": (30, 2, 7)}
+TRAIN = {"deep": (30, 2, 7), "wide": (8, 4, 7), "cascade": (30, 2, 7),
+         "join": (30, 2, 7)}
 ROLLOUT_PATHS, ROLLOUT_SEED = 24, 1
-CASES = (("demo", None), ("deep", 7), ("deep", 9), ("wide", 1), ("wide", 2),
-         ("cascade", 3))
+# (label, shape, case seed); the demo case is read from cases/demo.json.
+CASES = (("demo", None, None), ("deep7", "deep", 7), ("deep9", "deep", 9),
+         ("wide1", "wide", 1), ("wide2", "wide", 2),
+         ("cascade3", "cascade", 3), ("join3", "join", 7))
 
 
-def cascade_case(seed) -> dict:
-    """casegen's two-bus case with lags and a renewable, its hydros
-    rewired into a cascade with a join: h2 takes h1, h4 takes h2 and h3."""
-    case, lattice = random_case(np.random.default_rng(seed), T=4, L=3,
-                                n_hydro=4, max_lag=2, two_bus=True,
-                                with_renewable=True)
-    upstream = {"h2": ("h1",), "h4": ("h2", "h3")}
-    hydros = tuple(dataclasses.replace(h, upstream=upstream.get(h.name, ()))
-                   for h in case.hydros)
-    doc = caseio.case_to_dict(dataclasses.replace(case, hydros=hydros),
-                              lattice)
-    doc["risk"] = {"lambda": 0.5, "alpha": 0.5}
-    return doc
+def rewired(T, L, n_hydro, max_lag, upstream):
+    """The shape of casegen's two-bus case with lags and a renewable, its
+    hydros rewired into a cascade by ``upstream``, {hydro: upstream
+    hydros}."""
+    def shape(seed) -> dict:
+        case, lattice = random_case(np.random.default_rng(seed), T=T, L=L,
+                                    n_hydro=n_hydro, max_lag=max_lag,
+                                    two_bus=True, with_renewable=True)
+        hydros = tuple(dataclasses.replace(h,
+                                           upstream=upstream.get(h.name, ()))
+                       for h in case.hydros)
+        doc = caseio.case_to_dict(dataclasses.replace(case, hydros=hydros),
+                                  lattice)
+        doc["risk"] = {"lambda": 0.5, "alpha": 0.5}
+        return doc
+    return shape
 
 
-SHAPES = {**cases.SHAPES, "cascade": cascade_case}
+SHAPES = {**cases.SHAPES,
+          "cascade": rewired(4, 3, 4, 2, {"h2": ("h1",), "h4": ("h2", "h3")}),
+          "join": rewired(5, 2, 5, 3, {"h2": ("h1",),
+                                       "h5": ("h2", "h3", "h4")})}
 
 
 def sha(data) -> str:
@@ -216,11 +229,10 @@ def digest_lines():
     """Each case's digest lines and then its traffic line, printed as
     they come."""
     with tempfile.TemporaryDirectory() as workdir:
-        for shape, seed in CASES:
-            if seed is None:
-                label, case, flags = shape, str(ROOT / "cases/demo.json"), []
+        for label, shape, seed in CASES:
+            if shape is None:
+                case, flags = str(ROOT / "cases/demo.json"), []
             else:
-                label = f"{shape}{seed}"
                 case = os.path.join(workdir, f"{label}.json")
                 with open(case, "w") as fh:
                     fh.write(cases.dumps(SHAPES[shape](seed)))

@@ -2,9 +2,10 @@
 
 A stage subproblem minimizes thermal plus deficit cost subject to bus
 energy balance, reservoir mass balance, the autoregressive inflow equation,
-and physical bounds. That dispatch block is defined once, by
-``dispatch_columns``, ``dispatch_cost`` and ``dispatch_rows``; the stage LP
-and the tree oracle (``treelp``) both stamp it. Each fact of a case is read
+and physical bounds. The stage LP and the tree oracle (``treelp``) share
+one definition of it: the dispatch block by ``dispatch_columns``,
+``dispatch_cost`` and ``dispatch_rows``, and the one state transition,
+incoming to outgoing, by ``outgoing_state``. Each fact of a case is read
 one way: a noise by ``read_noise``, for stage LPs, tree LPs and case files
 alike; the cascade by ``cascade_levels``, which validates it and orders the
 crash start; and a state, a flat float vector of ``case.state_dimension()``
@@ -148,6 +149,10 @@ class SystemCase:
                     raise ValueError(
                         f"hydros[{i}].upstream: repeated hydro {up!r}")
         cascade_levels(self.hydros)
+        # A negative stage cost would put the optimum below the epigraph
+        # floor of future_lower_bound.
+        if self.deficit_cost < 0:
+            raise ValueError("deficit_cost: must be nonnegative")
         for i, th in enumerate(self.thermals):
             if th.cost < 0 or th.cap < 0:
                 raise ValueError(f"thermals[{i}]: negative data")
@@ -376,7 +381,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
     dispatch_rows(bld, case, cols, demand, inflow, vin, lagvar)
 
     if t < num_stages:
-        state_cols = _outgoing_columns(case, cols, copies)
+        state_cols = outgoing_state(case, cols, copies)
         L = num_openings
         mean, tail = measure.atom_weights(L)
         beta = [bld.add_var(case.future_lower_bound, np.inf, mean)
@@ -400,13 +405,13 @@ def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
     return bld.build(), cols
 
 
-def _outgoing_columns(case: SystemCase, cols: dict, copies) -> list:
-    """The column of every outgoing-state coordinate, in state order:
-    storages first, then lags per hydro, the newest outgoing lag being
-    this stage's inflow column. ``copies`` are the copy columns, in state
-    order."""
+def outgoing_state(case: SystemCase, cols: dict, state_in) -> list:
+    """The one state transition: a stage's outgoing state from its
+    incoming ``state_in``, in state order. Each storage is ``cols["vout",
+    name]``; each hydro's newest lag is ``cols["a", name]``, its others
+    its incoming lags one stage older. Columns and values pass alike."""
     out = [cols["vout", h.name] for h in case.hydros]
-    for h, lags in zip(case.hydros, split_state(case, copies)[1]):
+    for h, lags in zip(case.hydros, split_state(case, state_in)[1]):
         out += ([cols["a", h.name]] + list(lags))[:len(lags)]
     return out
 
@@ -431,9 +436,9 @@ class StageTemplate:
     form, so a solve sets up only what the stamp changes. The form is built
     with ``lp`` and freed with the template. The template also keeps the
     column indices that ``solve_stage`` reads; ``beta_cols`` is empty
-    exactly at the last stage. ``out_pick`` picks the outgoing state from
-    ``[storages | inflows | incoming state]``, for ``solve_stage`` and
-    ``start`` alike.
+    exactly at the last stage. ``out_pick``, ``outgoing_state`` over the
+    positions of ``[storages | inflows | incoming state]``, picks the
+    outgoing state from that vector for ``solve_stage`` and ``start``.
 
     ``start`` gives a stamp its crash start, a basis that is primal
     feasible under nonnegative inflows, so that ``lp.solve`` skips phase
@@ -452,7 +457,11 @@ class StageTemplate:
     - in the CVaR row of opening l, ``delta_l`` when ``beta_l > 0``, else
       the row's slack.
 
-    The basis is triangular in that order. The cut values come from one
+    The basis is triangular in that order. The links stay sparse, as the
+    case gives them: the AR terms as (hydro, state position, coefficient)
+    runs, summed by ``np.bincount``, and each cascade level's upstream
+    hydros as one run, summed by ``np.add.reduceat``, so the walk costs
+    O(H + E + lags) for E upstream links. The cut values come from one
     product with ``cut_block``, the matrices of ``cuts`` stacked, and
     their per-opening maxima from one reduction.
     """
@@ -496,17 +505,19 @@ class StageTemplate:
         self.spill = np.array([cols["spill", h.name] for h in hydros],
                               dtype=np.intp)
         self.caps = np.array([h.max_storage for h in hydros])
-        # a = inflow noise + ar @ (incoming state).
-        self.ar = np.zeros((H, d))
-        for j, at in enumerate(split_state(case, np.arange(d))[1]):
-            self.ar[j, at] = hydros[j].ar_coeffs
-        # Per cascade level past 0: its hydros and their upstream rows.
+        # The AR runs, one entry per lag, and per cascade level past 0 its
+        # hydros, their upstream hydros and where each one's run starts.
+        lag_at = split_state(case, range(d))[1]
+        self.ar_hydro = np.repeat(np.arange(H), [len(at) for at in lag_at])
+        self.ar_at = np.array([k for at in lag_at for k in at], dtype=np.intp)
+        self.ar_coef = np.array([c for h in hydros for c in h.ar_coeffs])
         index = {h.name: j for j, h in enumerate(hydros)}
-        upstream = np.zeros((H, H))
-        for j, h in enumerate(hydros):
-            upstream[j, [index[up] for up in h.upstream]] = 1.0
-        self.cascade = [(np.array(on, dtype=np.intp), upstream[on])
-                        for on in cascade_levels(hydros)[1:]]
+        self.cascade = []
+        for on in cascade_levels(hydros)[1:]:
+            size = [len(hydros[j].upstream) for j in on]
+            ups = [index[up] for j in on for up in hydros[j].upstream]
+            self.cascade.append(tuple(np.array(v, dtype=np.intp) for v in (
+                on, ups, np.cumsum(size) - size)))
 
         # Per opening: its CVaR row, then its cut rows.
         L = self.beta_cols.size
@@ -526,12 +537,10 @@ class StageTemplate:
                                    first[:, None] + slot, K)
         # Where each outgoing coordinate sits in ``[vout | a | incoming
         # state]``, and the cut rows ``[gradient | offset]`` over it.
-        out = np.array(_outgoing_columns(case, cols, copies), dtype=np.intp)
-        where = np.zeros(n, dtype=np.intp)
-        where[self.storage_cols] = np.arange(H)
-        where[self.inflow_cols] = H + np.arange(H)
-        where[copies] = 2 * H + np.arange(d)
-        self.out_pick = where[out]
+        at = {(key, h.name): k * H + j for k, key in enumerate(("vout", "a"))
+              for j, h in enumerate(hydros)}
+        self.out_pick = np.array(
+            outgoing_state(case, at, range(2 * H, 2 * H + d)), dtype=np.intp)
         self.cut_block = np.vstack([np.empty((0, d + 1)), *blocks])
         self.floor = case.future_lower_bound
 
@@ -555,11 +564,12 @@ class StageTemplate:
         """The crash start ``(basis, at_upper)`` of ``lp``, a stamp of
         this template, for ``lp.solve``."""
         state = lp.rhs[:self.copy_rows]
-        a = lp.rhs[self.inflow_rows] + self.ar @ state
+        a = lp.rhs[self.inflow_rows] + np.bincount(
+            self.ar_hydro, self.ar_coef * state[self.ar_at], self.caps.size)
         water = state[:self.caps.size] + a
         spill = np.maximum(water - self.caps, 0.0)
-        for on, upstream in self.cascade:
-            water[on] += upstream @ spill
+        for on, ups, starts in self.cascade:
+            water[on] += np.add.reduceat(spill[ups], starts)
             spill[on] = np.maximum(water[on] - self.caps[on], 0.0)
         over = spill > 0.0
         basis = self.basis.copy()

@@ -2,12 +2,13 @@
 
 Every node carries its own dispatch block, stamped by the same
 ``hydro.dispatch_columns`` / ``dispatch_rows`` as the single-stage
-subproblem and linked to the parent through storage variables and
-ancestor inflows; every internal node carries a risk block with an
-anchor z, per-child excesses delta, and per-child value variables theta
-tied by equality to the child's immediate cost plus the child's own risk
-term. The root objective is its immediate cost plus its risk term, which
-makes the LP optimum the exact nested risk-adjusted cost.
+subproblem and linked to the parent through the parent's outgoing state,
+which ``hydro.outgoing_state`` gives as it gives a stage LP's; every
+internal node carries a risk block with an anchor z, per-child excesses
+delta, and per-child value variables theta tied by equality to the
+child's immediate cost plus the child's own risk term. The root
+objective is its immediate cost plus its risk term, which makes the LP
+optimum the exact nested risk-adjusted cost.
 
 This is the reference the SDDP engine is validated against: cut
 validity, converged lower bounds, and exact policy values all compare
@@ -33,6 +34,7 @@ from .hydro import (
     dispatch_cost,
     dispatch_rows,
     initial_state,
+    outgoing_state,
     read_noise,
     split_state,
 )
@@ -78,9 +80,8 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
     L = lattice.num_openings
     mean, tail = measure.atom_weights(L)
     bld = LPBuilder()
-    root_storages, root_lags = split_state(case, root_state)
 
-    cols, ancestors = [], []
+    cols, state_in = [], []
     theta, delta, zvar = {}, {}, {}
 
     for n, node in enumerate(nodes):
@@ -94,18 +95,13 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
                 delta[(n, l)] = bld.add_var(0.0, np.inf)
             zvar[n] = bld.add_var(-np.inf, np.inf)
 
-        # Storage comes from the parent; lag k of a node is the inflow of
-        # its k-th ancestor inside the subtree, or a fixed lag of the root
-        # state beyond it.
-        ancestors.append([] if node.parent is None
-                         else [node.parent] + ancestors[node.parent])
-        up = [cols[a] for a in ancestors[n]]
-        storage_in = [up[0]["vout", h.name] if up else root_storages[j]
-                      for j, h in enumerate(case.hydros)]
-        lags_in = [[c["a", h.name] for c in up] + list(root_lags[j])
-                   for j, h in enumerate(case.hydros)]
-        dispatch_rows(bld, case, cols[n], demand, inflow, storage_in,
-                      lags_in)
+        # A node's incoming state is its parent's outgoing one: columns,
+        # and fixed values of the root state.
+        state_in.append(root_state if n == 0 else
+                        outgoing_state(case, cols[node.parent],
+                                       state_in[node.parent]))
+        dispatch_rows(bld, case, cols[n], demand, inflow,
+                      *split_state(case, state_in[n]))
 
     def risk_terms(n):
         if not nodes[n].children:

@@ -273,6 +273,10 @@ def _out_of_range(kind):
         system["buses"][0]["demand"] = [10.0, -1.0]
     elif kind in ("stages", "openings"):
         doc["lattice"][kind] = 0
+    elif kind == "negative_deficit":
+        # With no thermal to exceed, only its own range bounds it.
+        system["thermals"] = []
+        system["deficit_cost"] = -5.0
     else:
         system["deficit_cost"] = 1.0
     return doc
@@ -290,6 +294,7 @@ def _out_of_range(kind):
     ("stages", "lattice: stages and openings must be >= 1"),
     ("openings", "lattice: stages and openings must be >= 1"),
     ("deficit", "system: deficit_cost: must exceed thermals[0].cost"),
+    ("negative_deficit", "system: deficit_cost: must be nonnegative"),
 ])
 def test_out_of_range_data_exits_2_with_field_path(kind, message, tmp_path,
                                                    capsys):

@@ -202,6 +202,15 @@ def test_case_validation_errors():
                    deficit_cost=1.0)
 
 
+def test_negative_deficit_cost_is_rejected_without_thermals():
+    # Its stage costs would go negative, below the epigraph floor of
+    # future_lower_bound = 0, and the lower bound would pass the optimum.
+    with pytest.raises(ValueError,
+                       match="^deficit_cost: must be nonnegative$"):
+        SystemCase(buses=(Bus("b1", (1.0,)),), deficit_cost=-5.0)
+    assert SystemCase(buses=(Bus("b1", (1.0,)),)).deficit_cost == 0.0
+
+
 def chain(names, upstream):
     """One-bus case whose hydros, in the order of ``names``, take the
     upstream hydros ``upstream[name]``."""
@@ -233,10 +242,14 @@ def test_long_cascade_listed_downstream_first_is_a_case():
     template = StageTemplate(case, Lattice(1, 1, noise, []), 1, None,
                              NEUTRAL)
     assert len(template.cascade) == 999
-    for k, (on, upstream) in zip(range(998, -1, -1), template.cascade):
+    for k, (on, ups, starts) in zip(range(998, -1, -1), template.cascade):
         assert on.tolist() == [k]
-        assert upstream.shape == (1, 1000)
-        assert np.flatnonzero(upstream[0]).tolist() == [k + 1]
+        assert ups.tolist() == [k + 1]
+        assert starts.tolist() == [0]
+    # Its links are kept sparse: a dense H x H cascade would take 8 MB.
+    kept = [template.ar_hydro, template.ar_at, template.ar_coef]
+    kept += [a for level in template.cascade for a in level]
+    assert sum(a.nbytes for a in kept) < 1 << 20
 
 
 def test_relatively_complete_recourse():

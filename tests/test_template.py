@@ -224,7 +224,7 @@ def test_stage_lp_cut_rows_are_the_pools_matrices():
         nz = lp.nonzeros
         copy = nz.row < d
         copies = nz.col[copy][np.argsort(nz.row[copy])].tolist()
-        out = hydro._outgoing_columns(case, cols, copies)
+        out = hydro.outgoing_state(case, cols, copies)
         # A cut row has +1 on its opening's beta, a CVaR row -1.
         on_beta = np.isin(nz.col, template.beta_cols) & (nz.val == 1.0)
         order = np.argsort(nz.row[on_beta])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
-from hydrosddp import engine
+from hydrosddp import engine, treelp
 from hydrosddp.caseio import parse_case
 from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
 from hydrosddp.hydro import (
@@ -18,6 +18,7 @@ from hydrosddp.hydro import (
     SystemCase,
     Thermal,
     initial_state,
+    read_noise,
     solve_stage,
 )
 from hydrosddp.lp import (
@@ -225,6 +226,51 @@ def test_node_cap_enforced():
     # L=1 keeps it tiny, so force the cap instead
     with pytest.raises(TreeTooLarge):
         build_tree_lp(case, lattice, NEUTRAL, cap=5)
+
+
+# Each case has a hydro with three lags.
+@pytest.mark.parametrize("seed, T", [(404, 5), (405, 5), (400, 6), (401, 6)])
+def test_tree_lp_links_lag_k_to_the_kth_ancestors_inflow(seed, T,
+                                                          monkeypatch):
+    # Read off the nonzeros: a node's AR row for hydro h holds +1 on its
+    # own inflow column and, for each lag k up to the node's depth, -coef_k
+    # on the inflow column of its k-th ancestor; each deeper lag is the
+    # root state's, coef_k times it in the right-hand side.
+    case, lattice = random_case(np.random.default_rng(seed), T=T, L=2,
+                                n_hydro=3, max_lag=3, two_bus=True)
+    blocks = []     # each node's dispatch columns, in node order
+    dispatch_columns = treelp.dispatch_columns
+    monkeypatch.setattr(treelp, "dispatch_columns", lambda *args: (
+        blocks.append(dispatch_columns(*args)) or blocks[-1]))
+    lp = build_tree_lp(case, lattice, NEUTRAL)
+    nodes = expand_tree(lattice, 1)
+    assert len(blocks) == len(nodes)
+    nz = lp.nonzeros
+    root_lags = [h.initial_lags for h in case.hydros]
+    deepest = 0
+    for n, node in enumerate(nodes):
+        ancestors, k = [], node.parent
+        while k is not None:
+            ancestors.append(k)
+            k = nodes[k].parent
+        noise = (lattice.stage1 if n == 0
+                 else lattice.noise(node.stage, node.opening))
+        inflow = read_noise(case, node.stage, noise)[1]
+        for j, h in enumerate(case.hydros):
+            own = blocks[n]["a", h.name]
+            row, = nz.row[(nz.col == own) & (nz.val == 1.0)]
+            terms = dict(zip(nz.col[nz.row == row].tolist(),
+                             nz.val[nz.row == row].tolist()))
+            depth = min(len(ancestors), len(h.ar_coeffs))
+            deepest = max(deepest, depth)
+            assert terms == {own: 1.0, **{
+                blocks[a]["a", h.name]: -coef for a, coef
+                in zip(ancestors[:depth], h.ar_coeffs)}}
+            beyond = sum(coef * lag for coef, lag in zip(
+                h.ar_coeffs[depth:], root_lags[j]))
+            assert lp.rhs[row] == pytest.approx(inflow[j] + beyond,
+                                                rel=1e-12)
+    assert deepest == 3
 
 
 # Metamorphic properties of the tree optimum on casegen cases. A case

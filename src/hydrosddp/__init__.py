@@ -10,11 +10,13 @@ from .engine import (
     Cut,
     CutPool,
     EngineConfig,
+    IterationRecord,
     StageMemo,
     TrainedPolicy,
     backward_pass,
     evaluate_policy_exact,
     forward_pass,
+    iterate,
     simulate_policy,
     train,
     upper_bound_estimate,
@@ -46,9 +48,10 @@ from .treelp import build_tree_lp, tree_objective
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsEntry", "Cut", "CutPool", "EngineConfig",
+    "BoundsEntry", "Cut", "CutPool", "EngineConfig", "IterationRecord",
     "StageMemo", "TrainedPolicy", "backward_pass", "evaluate_policy_exact",
-    "forward_pass", "simulate_policy", "train", "upper_bound_estimate",
+    "forward_pass", "iterate", "simulate_policy", "train",
+    "upper_bound_estimate",
     "Bus", "Hydro", "Line", "Renewable", "StageSolution", "StageTemplate",
     "SystemCase", "Thermal", "build_stage_lp",
     "initial_state", "solve_stage",

@@ -1,15 +1,17 @@
 """Multicut SDDP engine: sampled forward passes, cut-generating backward
 passes, bound tracking, and exact policy evaluation.
 
-Each iteration runs a batch of forward paths (uniform or risk-adjusted
-sampling), logs the deterministic lower bound and the statistical upper
-bound estimate, checks the stopping rule, and then sweeps backward
-appending one distinct cut per (path, stage, opening) to the pool: a cut
-whose stage-LP row lies within ``DEDUP_RTOL`` (1e-9 relative, max-norm)
-of a row the pool already holds at that (stage, opening) is dropped, so
-rows that differ only by rounding do not grow the stage LP. Cuts created
-while processing stage t+1 are visible to the stage-t solves of the
-same sweep, matching the backward order of the recursion.
+``iterate`` is the one training loop: ``train`` runs it to its end, and
+an observer reads its records. Each iteration runs a batch of forward
+paths (uniform or risk-adjusted sampling), logs the deterministic lower
+bound and the statistical upper bound estimate, checks the stopping
+rule, and then sweeps backward appending one distinct cut per (path,
+stage, opening) to the pool: a cut whose stage-LP row lies within
+``DEDUP_RTOL`` (1e-9 relative, max-norm) of a row the pool already holds
+at that (stage, opening) is dropped, so rows that differ only by
+rounding do not grow the stage LP. Cuts created while processing stage
+t+1 are visible to the stage-t solves of the same sweep, matching the
+backward order of the recursion.
 
 Stage solves go through a ``StageMemo``, the one holder of a run's
 case, lattice, cut pool and risk measure: a stage LP is a pure function
@@ -19,7 +21,7 @@ solution is reused until a distinct cut lands at that stage. A state is
 a state by its bytes, and the cut pool copies each cut's anchor into
 its own rows.
 ``forward_pass`` and ``backward_pass`` read every fixed input from the
-memo they are given. ``train`` shares one memo across all its
+memo they are given. ``iterate`` shares one memo across all its
 iterations; ``evaluate_policy_exact`` and ``simulate_policy`` each build
 their own over the pool they are given.
 
@@ -334,16 +336,37 @@ def upper_bound_estimate(paths):
     return mean, stderr
 
 
-def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
-          fingerprint: str = "") -> TrainedPolicy:
-    """Full training loop; returns the TrainedPolicy, whose ``bounds``
-    hold one BoundsEntry per iteration."""
-    measure = config.measure
-    pool = CutPool(lattice.num_stages, lattice.num_openings,
-                   case.state_dimension())
-    memo = StageMemo(case, lattice, pool, measure)
-    bounds = []
+@dataclass(frozen=True)
+class IterationRecord:
+    """One iteration at its stop test, as ``iterate`` yields it.
 
+    ``band_holds``: the lower bound reaches the batch's mean less
+    ``ub_confidence`` standard errors. ``rule_holds``: the band holds and
+    the sampler is eligible, risk-adjusted or any at lambda = 0; training
+    stops on it from ``min_iterations`` on. Both are False, and the
+    upper-bound fields None, where alternation skips the estimate.
+    """
+
+    iteration: int
+    lower_bound: float
+    paths: list
+    ub_mean: Optional[float]
+    ub_stderr: Optional[float]
+    sampler: SamplerMode
+    band_holds: bool
+    rule_holds: bool
+
+
+def iterate(memo: StageMemo, config: EngineConfig, bounds: list):
+    """The training loop over ``memo``: one ``IterationRecord`` per
+    iteration, yielded at the stop test, before the backward pass, so
+    ``memo.cuts`` is then the pool the iteration tested.
+
+    Once resumed, it runs the backward pass unless the iteration stops,
+    appends the iteration's ``BoundsEntry`` to ``bounds``, whose
+    ``wall_ms`` leaves out the time the consumer held the yield, and
+    ends after a stop. The rule reads the memo's measure.
+    """
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         paths, lb = forward_pass(memo, config.sampler_mode, k,
@@ -352,24 +375,39 @@ def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
         skip_ub = (config.sampler_mode is SamplerMode.ALTERNATING
                    and eff is SamplerMode.UNIFORM)
         ub_mean = ub_stderr = ub_count = None
-        converged = False
+        band = False
         if not skip_ub:
             ub_mean, ub_stderr = upper_bound_estimate(paths)
             ub_count = len(paths)
-            eligible = (eff is SamplerMode.RISK_ADJUSTED or measure.lam == 0.0)
-            if k >= config.min_iterations and eligible:
-                test_ub = ub_mean - config.ub_confidence * ub_stderr
-                converged = lb >= test_ub - 1e-12
+            test_ub = ub_mean - config.ub_confidence * ub_stderr
+            band = bool(lb >= test_ub - 1e-12)
+        rule = band and (eff is SamplerMode.RISK_ADJUSTED
+                         or memo.measure.lam == 0.0)
+        held = time.perf_counter()
+        yield IterationRecord(k, lb, paths, ub_mean, ub_stderr, eff, band,
+                              rule)
+        started += time.perf_counter() - held
 
-        if not converged:
+        stops = rule and k >= config.min_iterations
+        if not stops:
             backward_pass(memo, paths)
-
         wall_ms = (time.perf_counter() - started) * 1e3
         bounds.append(BoundsEntry(k, lb, ub_mean, ub_stderr, ub_count,
                                   eff.value, wall_ms))
-        if converged:
-            break
+        if stops:
+            return
 
+
+def train(case: SystemCase, lattice: Lattice, config: EngineConfig,
+          fingerprint: str = "") -> TrainedPolicy:
+    """Run ``iterate`` to its end over a fresh pool; returns the
+    TrainedPolicy, whose ``bounds`` hold one BoundsEntry per iteration."""
+    pool = CutPool(lattice.num_stages, lattice.num_openings,
+                   case.state_dimension())
+    memo = StageMemo(case, lattice, pool, config.measure)
+    bounds = []
+    for _ in iterate(memo, config, bounds):
+        pass
     return TrainedPolicy(pool, bounds, config, fingerprint, memo.solves,
                          memo.reuses, memo.phase1_pivots, memo.phase2_pivots,
                          memo.start_fallbacks)

@@ -210,12 +210,16 @@ def split_state(case: SystemCase, state) -> tuple:
     return state[:ends[0]], [state[a:b] for a, b in zip(ends, ends[1:])]
 
 
-def check_state(case: SystemCase, state: np.ndarray) -> None:
+def check_state(case: SystemCase, state) -> np.ndarray:
+    """``state`` as a float vector, which the entry points use in its
+    place: ``dispatch_rows`` would read an ``int`` entry as a column.
+    DimensionMismatch unless it holds the case's storages and lags."""
     d = case.state_dimension()
     if np.shape(state) != (d,):
         raise DimensionMismatch(
             f"state of shape {np.shape(state)} != ({d},), the case's "
             f"storages and inflow lags")
+    return np.asarray(state, dtype=float)
 
 
 @dataclass
@@ -363,7 +367,7 @@ def build_stage_lp(case: SystemCase, t: int, state_in: np.ndarray,
     """
     if not 1 <= t <= num_stages:
         raise DimensionMismatch(f"stage {t} outside 1..{num_stages}")
-    check_state(case, state_in)
+    state_in = check_state(case, state_in)
     demand, inflow, caps = read_noise(case, t, noise)
     bld = LPBuilder()
 
@@ -548,7 +552,7 @@ class StageTemplate:
                 noise: NoiseRealization) -> LinearProgram:
         """The stage LP at ``state_in`` and ``noise``."""
         case, lp = self.case, self.lp
-        check_state(case, state_in)
+        state_in = check_state(case, state_in)
         demand, inflow, caps = read_noise(case, self.t, noise)
         rhs = lp.rhs.copy()
         rhs[:self.copy_rows] = state_in

@@ -75,7 +75,7 @@ def build_subtree_lp(case: SystemCase, lattice: Lattice, measure: RiskMeasure,
                      cap: int = NODE_CAP):
     """LP whose optimum is the exact cost-to-go from (root_stage, opening)
     with the incoming state fixed to `root_state`."""
-    check_state(case, root_state)
+    root_state = check_state(case, root_state)
     nodes = expand_tree(lattice, root_stage, cap)
     L = lattice.num_openings
     mean, tail = measure.atom_weights(L)

@@ -1,5 +1,6 @@
 """SDDP engine: pass mechanics, bounds behavior, and oracle agreement."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hydrosddp.engine import (
     effective_sampler,
     evaluate_policy_exact,
     forward_pass,
+    iterate,
     simulate_policy,
     train,
     upper_bound_estimate,
@@ -320,6 +322,82 @@ def test_train_determinism():
                 a.ub_samples, a.sampler) == \
                (b.iteration, b.lower_bound, b.ub_mean, b.ub_stderr,
                 b.ub_samples, b.sampler)
+
+
+# (case seed, sampler, min_iterations, batch): each run stops before its
+# 12th iteration, the alternating one on iteration 8. The risk run's rule
+# already holds at iteration 3, before min_iterations lets it stop.
+STOPPING_RUNS = [(86, SamplerMode.RISK_ADJUSTED, 4, 2),
+                 (86, SamplerMode.ALTERNATING, 3, 2)]
+
+
+def iterate_run(seed, sampler, min_iterations, batch):
+    """A stopping run's case, config, pool and bounds, and per record of
+    ``iterate`` the record, the pool's size and duplicates at its yield,
+    and the root objective of a fresh memo over the pool."""
+    case, lattice = random_case(np.random.default_rng(seed), T=3, L=2)
+    cfg = EngineConfig(max_iterations=12, min_iterations=min_iterations,
+                       batch_size=batch, seed=3, measure=BLEND,
+                       sampler_mode=sampler)
+    pool = fresh_pool(case, lattice)
+    bounds, seen = [], []
+    for it in iterate(StageMemo(case, lattice, pool, BLEND), cfg, bounds):
+        root = StageMemo(case, lattice, pool, BLEND).solve(
+            1, initial_state(case), None)
+        seen.append((it, len(pool), pool.duplicates, root.objective))
+    return case, lattice, cfg, pool, bounds, seen
+
+
+@pytest.mark.parametrize("run", STOPPING_RUNS)
+def test_iterate_exhausted_is_train(run):
+    case, lattice, cfg, pool, bounds, _ = iterate_run(*run)
+    policy = train(case, lattice, cfg)
+    assert len(bounds) < cfg.max_iterations
+
+    def timeless(entries):
+        return [dataclasses.replace(e, wall_ms=0.0) for e in entries]
+
+    assert timeless(bounds) == timeless(policy.bounds)
+    for t in range(1, lattice.num_stages):
+        assert [m.tobytes() for m in pool.slice(t)] == \
+            [m.tobytes() for m in policy.cuts.slice(t)]
+    assert pool.duplicates == policy.cuts.duplicates
+
+
+@pytest.mark.parametrize("run", STOPPING_RUNS)
+def test_iterate_ends_on_the_stopping_iteration(run):
+    _, _, cfg, pool, bounds, seen = iterate_run(*run)
+    records = [it for it, *_ in seen]
+    stops = [it.rule_holds and it.iteration >= cfg.min_iterations
+             for it in records]
+    assert stops[-1] and not any(stops[:-1])
+    early = [it.iteration for it in records
+             if it.rule_holds and it.iteration < cfg.min_iterations]
+    assert early == ([3] if cfg.sampler_mode is SamplerMode.RISK_ADJUSTED
+                     else [])
+    assert [it.iteration for it in records] == \
+        [b.iteration for b in bounds]
+    # The stopping iteration runs no backward pass.
+    _, size, duplicates, _ = seen[-1]
+    assert (len(pool), pool.duplicates) == (size, duplicates)
+    for it in records:
+        assert it.band_holds >= it.rule_holds
+        if it.ub_mean is None:
+            assert cfg.sampler_mode is SamplerMode.ALTERNATING
+            assert it.sampler is SamplerMode.UNIFORM and not it.band_holds
+
+
+@pytest.mark.parametrize("run", STOPPING_RUNS)
+def test_iterate_yields_the_pool_its_stop_test_saw(run):
+    _, _, cfg, _, bounds, seen = iterate_run(*run)
+    for (it, _, _, root), entry in zip(seen, bounds):
+        assert it.lower_bound == root == entry.lower_bound
+        assert len(it.paths) == cfg.batch_size
+        if it.ub_mean is not None:
+            assert (it.ub_mean, it.ub_stderr) == \
+                upper_bound_estimate(it.paths)
+            assert (it.ub_mean, it.ub_stderr) == \
+                (entry.ub_mean, entry.ub_stderr)
 
 
 def test_converged_bounds_match_tree_oracle():

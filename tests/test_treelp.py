@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from casegen import in_bounds_state, random_case, thermal_only_case
-from hydrosddp import engine, treelp
+from hydrosddp import treelp
 from hydrosddp.caseio import parse_case
-from hydrosddp.engine import EngineConfig, evaluate_policy_exact, train
+from hydrosddp.engine import (
+    CutPool,
+    EngineConfig,
+    StageMemo,
+    evaluate_policy_exact,
+    iterate,
+    train,
+)
 from hydrosddp.hydro import (
     Bus,
     DimensionMismatch,
+    Hydro,
     StageTemplate,
     SystemCase,
     Thermal,
@@ -190,6 +198,21 @@ def test_fuller_reservoir_never_costs_more():
     state[0] = case.hydros[0].max_storage
     full = exact_cost_to_go(case, lattice, m, 2, state, 0)
     assert full <= empty + 1e-8
+
+
+def test_root_state_of_python_ints_is_read_as_values():
+    # 3 units of water cover 3 of stage 1's demand of 10, and thermal
+    # power at cost 1 the other 7, then all 10 of stage 2's. Read as a
+    # column index, the int 3 stamped another column into the mass row.
+    case = SystemCase(buses=(Bus("b1", (10.0, 10.0)),),
+                      thermals=(Thermal("t1", "b1", 1.0, 100.0),),
+                      hydros=(Hydro("h1", "b1", 10.0, 10.0, 1.0),),
+                      deficit_cost=10.0)
+    dry = NoiseRealization(inflow_noise={"h1": 0.0})
+    lattice = Lattice(2, 1, dry, [[dry]])
+    for state in ([3], [3.0], np.array([3]), (3,)):
+        lp = treelp.build_subtree_lp(case, lattice, NEUTRAL, 1, state)
+        assert solve(lp).objective == pytest.approx(17.0, abs=1e-9)
 
 
 def test_risk_aversion_never_cheapens_the_tree():
@@ -425,7 +448,7 @@ def test_dominated_thermal_changes_nothing(seed):
             base, **METAMORPHIC)
 
 
-def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
+def test_small_mid_case_bounds_bracket_the_highs_optimum():
     # 1,365 nodes: the tree LP has 16,378 rows and 71,294 nonzeros, which
     # a dense m×n matrix would hold in 4.7 GB.
     case, lattice = random_case(np.random.default_rng(3), 6, 4, n_hydro=4,
@@ -434,29 +457,21 @@ def test_small_mid_case_bounds_bracket_the_highs_optimum(monkeypatch):
     optimum = highs_tree_objective(case, lattice, blend)
     tol = 1e-9 * abs(optimum)
 
-    # The policy after 6 iterations is the pool as the 6th backward
-    # pass leaves it: with min_iterations at 10, no earlier iteration
-    # stops training.
-    exact, passes = {}, []
-    backward_pass = engine.backward_pass
+    # Iteration 7 yields at its stop test, so the pool is then the one the
+    # 6th backward pass left: with min_iterations at 10, no earlier
+    # iteration stops training.
+    pool = CutPool(6, 4, case.state_dimension())
+    bounds, exact = [], {}
+    for it in iterate(StageMemo(case, lattice, pool, blend), EngineConfig(
+            max_iterations=10, min_iterations=10, batch_size=4, seed=7,
+            measure=blend), bounds):
+        if it.iteration == 7:
+            exact[6] = evaluate_policy_exact(case, lattice, pool, blend)
+    exact[10] = evaluate_policy_exact(case, lattice, pool, blend)
 
-    def backward_and_evaluate(memo, paths):
-        added = backward_pass(memo, paths)
-        passes.append(added)
-        if len(passes) == 6:
-            exact[6] = evaluate_policy_exact(case, lattice, memo.cuts, blend)
-        return added
-
-    monkeypatch.setattr(engine, "backward_pass", backward_and_evaluate)
-    policy = train(case, lattice, EngineConfig(
-        max_iterations=10, min_iterations=10, batch_size=4, seed=7,
-        measure=blend))
-    monkeypatch.undo()
-    exact[10] = evaluate_policy_exact(case, lattice, policy.cuts, blend)
-
-    assert len(policy.bounds) == 10
-    assert all(b.lower_bound <= optimum + tol for b in policy.bounds)
-    assert policy.bounds[-1].lower_bound > 0.99 * optimum
+    assert len(bounds) == 10
+    assert all(b.lower_bound <= optimum + tol for b in bounds)
+    assert bounds[-1].lower_bound > 0.99 * optimum
     assert sorted(exact) == [6, 10]
     assert all(value >= optimum - tol for value in exact.values())
 
